@@ -346,20 +346,15 @@ def _cmd_train(args) -> int:
         elif cfg.mechanism is trainer.Mechanism.NOISE_FREE_LORA:
             state, traj = trainer.noise_free_lora(task, state, cfg, seed.child(1))
         else:
+            # the budget is reported at eps_target, or at eps = 1 without one
+            eps = cfg.eps_target if cfg.eps_target is not None else 1.0
+            step_seed = seed.child(1)
             records = []
             for t in range(cfg.T):
-                state, step_report = trainer.noisy_proj_step(task, state, cfg, seed.child(1).child(t))
-                delta_so_far = trainer.noisy_proj_budget(
-                    cfg, t + 1, step_report.eps, task.n_features
-                )
+                state = trainer.noisy_proj_step(task, state, cfg, step_seed.child(t))
+                delta_so_far = trainer.noisy_proj_budget(cfg, t + 1, eps, task.n_features)
                 records.append(
-                    (
-                        state.step,
-                        task.loss(state.effective_weights()),
-                        math.nan,
-                        step_report.eps,
-                        delta_so_far,
-                    )
+                    (state.step, task.loss(state.effective_weights()), math.nan, eps, delta_so_far)
                 )
             traj = trainer.Trajectory(records)
             budget = (records[-1][3], records[-1][4])

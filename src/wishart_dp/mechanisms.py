@@ -7,9 +7,9 @@ noise block Xi with i.i.d. N(0, sigma_G^2) columns:
     M2(V) = M (V + Xi)        (noise added before projection)
 
 Draw order under a single seed is fixed (Z first, then Xi) so that callers
-which replay the same seed reconstruct both blocks bit for bit. Clipping, when
-requested, rescales V to Frobenius norm at most clip_beta before anything is
-sampled.
+which replay the same seed reconstruct both blocks bit for bit. M is applied
+as Z (Z^T .), never formed as a d x d matrix. Clipping, when requested,
+rescales V to Frobenius norm at most clip_beta before anything is sampled.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class MechanismInput:
     """Query output V (d x n); vector queries use n = 1."""
 
     V: np.ndarray
-    unit_normalized: bool = False
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
@@ -58,10 +57,6 @@ class MechanismInput:
         if V.ndim != 2:
             raise DomainError(f"mechanism input must be a d x n matrix, got ndim={V.ndim}")
         object.__setattr__(self, "V", V)
-        if self.unit_normalized and V.shape[1] == 1:
-            norm = float(np.linalg.norm(V))
-            if abs(norm - 1.0) > 1e-10:
-                raise DomainError(f"unit_normalized vector must have norm 1 +- 1e-10, got {norm}")
 
 
 @dataclass(frozen=True)
@@ -115,22 +110,29 @@ def noisy_mech(
 
     Passing a pre-drawn ``draw`` fixes M and uses the seed for Xi only.
     """
-    V = mech_input.V
+    return _apply_noisy(mech_input.V, params, seed, draw)[0]
+
+
+def _apply_noisy(
+    V: np.ndarray, params: NoisyMechParams, seed: Seed, draw: WishartDraw | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """noisy_mech on a d x n array, also returning the factor Z it applied."""
     if params.clip_beta is not None:
         V = clip_frobenius(V, params.clip_beta)
     d, n = V.shape
     rng = seed.generator()
     if draw is None:
         Z = rng.standard_normal((d, params.r)) * math.sqrt(params.entry_var)
-        draw = WishartDraw(Z=Z, entry_var=params.entry_var, d=d, r=params.r)
     elif draw.d != d:
         raise DomainError(f"dimension mismatch: draw has d={draw.d}, input has d={d}")
+    else:
+        Z = draw.Z
     if params.variant is Variant.NOISE_FREE:
-        return draw.M @ V
+        return Z @ (Z.T @ V), Z
     xi = rng.standard_normal((d, n)) * params.sigma_G
     if params.variant is Variant.M1:
-        return draw.M @ V + xi
-    return draw.M @ (V + xi)
+        return Z @ (Z.T @ V) + xi, Z
+    return Z @ (Z.T @ (V + xi)), Z
 
 
 def gaussian_mech(v: np.ndarray, sigma: float, seed: Seed) -> np.ndarray:

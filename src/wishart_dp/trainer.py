@@ -12,6 +12,12 @@ Mechanisms:
 
 The noise-free and DP LoRA loops share one gradient code path, so setting
 sigma = 0 and clip = inf reproduces the non-private trajectory bit for bit.
+That path clips with ghost norms: for a linear model an example's
+B-gradient is an outer product whose norm is a product of two vector norms
+(Goodfellow 2015, arXiv:1510.01799; Li et al. 2022, arXiv:2110.05679), so no
+per-example gradient is materialized. noisy_proj_step returns only the new
+state; noisy_proj_budget prices the steps. A step builds a random generator
+only when it draws from it.
 Budgets never claim amplification by subsampling: with Poisson batches the
 reported budget is the unamplified one.
 """
@@ -26,7 +32,7 @@ import numpy as np
 
 from . import accountants, mechanisms
 from .errors import ConfigError, DomainError
-from .mechanisms import MechanismInput, NoisyMechParams, SigmaConvention, Variant
+from .mechanisms import NoisyMechParams, SigmaConvention, Variant
 from .randmat import Seed, sample_gaussian_matrix
 
 FULL_BATCH = "full"
@@ -97,33 +103,36 @@ class TrainTask:
         log_norm = np.log(np.exp(Z).sum(axis=1))
         return float(np.mean(log_norm - Z[np.arange(X.shape[0]), y])) + reg_term
 
-    def per_example_grad_W(self, W: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        """Data-term gradients, one (n_out x n_features) slice per example."""
+    def output_grad(self, W: np.ndarray, idx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Batch rows X and the data-term gradient P with respect to the outputs X W^T.
+
+        P is (n x n_out): the residual column for RIDGE, softmax minus one-hot
+        for LOGISTIC. Example b's W-gradient is the outer product p_b x_b^T.
+        """
         X = self.X if idx is None else self.X[idx]
         y = self.y if idx is None else self.y[idx]
         if self.kind is TaskKind.RIDGE:
-            resid = X @ W[0] - y
-            return resid[:, None, None] * X[:, None, :]
+            return X, (X @ W[0] - y)[:, None]
         Z = self._logits(W, X)
         Z = Z - Z.max(axis=1, keepdims=True)
         P = np.exp(Z)
         P /= P.sum(axis=1, keepdims=True)
         P[np.arange(X.shape[0]), y] -= 1.0
+        return X, P
+
+    def per_example_grad_W(self, W: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+        """Data-term gradients, one (n_out x n_features) slice per example.
+
+        Materializes an (n, n_out, n_features) tensor; training never calls it
+        and tests use it as the reference for the ghost-norm kernel.
+        """
+        X, P = self.output_grad(W, idx)
         return P[:, :, None] * X[:, None, :]
 
     def grad_W(self, W: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        X = self.X if idx is None else self.X[idx]
-        y = self.y if idx is None else self.y[idx]
+        X, P = self.output_grad(W, idx)
         if X.shape[0] == 0:
             return self.reg * W
-        if self.kind is TaskKind.RIDGE:
-            resid = X @ W[0] - y
-            return (resid @ X)[None, :] / X.shape[0] + self.reg * W
-        Z = self._logits(W, X)
-        Z = Z - Z.max(axis=1, keepdims=True)
-        P = np.exp(Z)
-        P /= P.sum(axis=1, keepdims=True)
-        P[np.arange(X.shape[0]), y] -= 1.0
         return P.T @ X / X.shape[0] + self.reg * W
 
     def example_loss(self, W: np.ndarray, x: np.ndarray, y) -> float:
@@ -248,10 +257,17 @@ class DpTrainConfig:
             raise DomainError(f"clip must be > 0, got {self.clip}")
         if self.r < 1:
             raise DomainError(f"r must be >= 1, got {self.r}")
+        if self.eps_target is not None and not self.eps_target > 0.0:
+            raise DomainError(f"eps_target must be > 0, got {self.eps_target}")
+        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
+            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
 
 
-def _batch_indices(task: TrainTask, cfg: DpTrainConfig, rng: np.random.Generator):
-    """Poisson-subsampled indices at rate q = batch/N, or everything."""
+def _batch_indices(task: TrainTask, cfg: DpTrainConfig, rng: np.random.Generator | None):
+    """Poisson-subsampled indices at rate q = batch/N, or everything.
+
+    rng is read only for Poisson batches; a full batch may pass None.
+    """
     if cfg.batch == FULL_BATCH:
         return None, task.n_examples
     q = min(1.0, cfg.batch / task.n_examples)
@@ -269,18 +285,23 @@ def _clipped_mean_grad_B(
 ) -> np.ndarray:
     """Per-example B-gradients via the chain rule, clipped and averaged.
 
+    Example b's B-gradient is the outer product p_b (A x_b)^T, so its norm is
+    ||p_b|| ||A x_b|| and the clipped sum is (f * P)^T (X A^T) with f the
+    per-example clip factors ("ghost" norms: Goodfellow 2015, arXiv:1510.01799;
+    Li et al. 2022, arXiv:2110.05679). No per-example gradient is formed.
+
     Shared by the noise-free and DP LoRA loops so the sigma = 0, clip = inf
     configuration reduces to non-private training exactly.
     """
-    gW = task.per_example_grad_W(W_eff, idx)
-    if gW.shape[0] == 0:
+    X, P = task.output_grad(W_eff, idx)
+    if X.shape[0] == 0:
         return np.zeros((W_eff.shape[0], A.shape[0]))
-    gB = np.einsum("bnd,rd->bnr", gW, A)
+    XA = X @ A.T
     if math.isfinite(clip):
-        norms = np.sqrt(np.einsum("bnr,bnr->b", gB, gB))
+        norms = np.linalg.norm(P, axis=1) * np.linalg.norm(XA, axis=1)
         factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
-        gB = gB * factors[:, None, None]
-    return gB.sum(axis=0) / divisor
+        P = P * factors[:, None]
+    return P.T @ XA / divisor
 
 
 @dataclass(eq=False)
@@ -325,9 +346,10 @@ def dp_lora_fa(
     if cfg.mechanism is not Mechanism.DP_LORA_FA:
         raise ConfigError(f"dp_lora_fa called with mechanism {cfg.mechanism}")
     sigma, eps_step, delta_step = _lora_fa_sigma(cfg)
+    draws = sigma > 0.0 or cfg.batch != FULL_BATCH
     records = []
     for t in range(cfg.T):
-        rng = seed.child(t).generator()
+        rng = seed.child(t).generator() if draws else None
         idx, divisor = _batch_indices(task, cfg, rng)
         W_eff = state.effective_weights()
         ghat = _clipped_mean_grad_B(task, W_eff, state.LoraA, idx, cfg.clip, divisor)
@@ -363,15 +385,13 @@ def noise_free_lora(
     return state, traj
 
 
-def noisy_proj_step(
-    task: TrainTask, state: LoraState, cfg: DpTrainConfig, seed: Seed
-) -> tuple[LoraState, accountants.SmallRReport]:
+def noisy_proj_step(task: TrainTask, state: LoraState, cfg: DpTrainConfig, seed: Seed) -> LoraState:
     """One clipped noisy-projection step applied to effective weights.
 
     Draws a fresh factor A each step (update = (clip(G) + sigma E) A^T A), so
     prior low-rank state is first folded into the base weights; the returned
-    state has B = 0 and carries this step's factor. The report prices the step
-    at sensitivity 2 * clip with the configured capture level alpha.
+    state has B = 0 and carries this step's factor. The step's privacy cost
+    is priced by noisy_proj_budget.
     """
     if cfg.mechanism is not Mechanism.NOISY_PROJ:
         raise ConfigError(f"noisy_proj_step called with mechanism {cfg.mechanism}")
@@ -380,8 +400,7 @@ def noisy_proj_step(
     if not math.isfinite(cfg.clip):
         raise ConfigError("noisy_proj_step requires a finite clipping threshold")
     W_eff = state.effective_weights()
-    d = task.n_features
-    idx, _ = _batch_indices(task, cfg, seed.generator())
+    idx, _ = _batch_indices(task, cfg, None if cfg.batch == FULL_BATCH else seed.generator())
     G = task.grad_W(W_eff, idx)
     params = NoisyMechParams(
         variant=Variant.M2,
@@ -390,27 +409,13 @@ def noisy_proj_step(
         sigma_G=cfg.sigma,
         clip_beta=cfg.clip,
     )
-    mech_seed = seed.child(0)
-    out = mechanisms.noisy_mech(MechanismInput(V=G.T), params, mech_seed)
-    # Replay the mechanism's factor draw to record A = Z^T for this step.
-    Z = mech_seed.generator().standard_normal((d, cfg.r)) * math.sqrt(1.0 / cfg.r)
-    new_state = LoraState(
+    out, Z = mechanisms._apply_noisy(G.T, params, seed.child(0))
+    return LoraState(
         W0=W_eff - cfg.eta * out.T,
         LoraB=np.zeros((W_eff.shape[0], cfg.r)),
         LoraA=Z.T,
         step=state.step + 1,
     )
-    alpha = cfg.alpha if cfg.alpha is not None else min(1.0, 1.5 * cfg.r / d)
-    report = accountants.account_small_r(
-        eps=cfg.eps_target if cfg.eps_target is not None else 1.0,
-        sens_frob=2.0 * cfg.clip,
-        s=cfg.sens_rank,
-        d=d,
-        r=cfg.r,
-        sigma=cfg.sigma,
-        alpha=alpha,
-    )
-    return new_state, report
 
 
 def noisy_proj_budget(cfg: DpTrainConfig, T: int, eps: float, d: int) -> float:
@@ -519,8 +524,9 @@ def fit(task: TrainTask, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:
         state, _, _ = dp_lora_fa(task, state, cfg, seed.child(1))
         return state.effective_weights()
     if cfg.mechanism is Mechanism.NOISY_PROJ:
+        step_seed = seed.child(1)
         for t in range(cfg.T):
-            state, _ = noisy_proj_step(task, state, cfg, seed.child(1).child(t))
+            state = noisy_proj_step(task, state, cfg, step_seed.child(t))
         return state.effective_weights()
     raise ConfigError(f"unknown mechanism {cfg.mechanism}")
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from wishart_dp import cli, specialfn
+from wishart_dp import cli, specialfn, trainer
 from wishart_dp.accountants import account_small_r
 
 
@@ -161,6 +161,31 @@ def test_train_subcommand(capsys, tmp_path):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "step,loss,grad_norm,eps_spent,delta_spent"
     assert len(lines) == 21
+
+
+@pytest.mark.parametrize("eps_line, eps", [("", 1.0), ("eps_target = 2.0\ndelta_target = 1e-5\n", 2.0)])
+def test_train_noisy_proj_budget_columns(capsys, tmp_path, eps_line, eps):
+    # each step reports eps_target (1 without one) and noisy_proj_budget at that eps
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text(
+        "T = 6\neta = 0.1\nmechanism = noisy_proj\nsigma = 0.5\nclip = 1.0\nr = 4\n" + eps_line
+    )
+    out_csv = tmp_path / "traj.csv"
+    code, out, _ = run_cli(
+        capsys,
+        "train", "--task", "logistic", "--config", str(cfg_path), "--n", "40", "--d", "16",
+        "--classes", "3", "--seed", "5", "--out", str(out_csv),
+    )
+    assert code == 0
+    cfg = trainer.load_config(cfg_path)
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    for t, row in enumerate(rows, 1):
+        assert int(row[0]) == t
+        assert float(row[3]) == eps
+        assert float(row[4]) == trainer.noisy_proj_budget(cfg, t, eps, 16)
+    budget = json.loads(out)["budget"]
+    assert budget == {"eps": eps, "delta": float(rows[-1][4])}
 
 
 def test_mia_subcommand_fast(capsys, tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from wishart_dp import mechanisms
 from wishart_dp.accountants import compose_gaussian_steps, delta_M_bound
@@ -14,6 +16,7 @@ from wishart_dp.trainer import (
     DpTrainConfig,
     Mechanism,
     TaskKind,
+    _clipped_mean_grad_B,
     clip_compare,
     dp_lora_fa,
     fit,
@@ -219,7 +222,7 @@ def test_noisy_proj_step_zero_clip_limit():
     task = make_ridge_task(30, 8, Seed(MASTER, 433))
     st = init_lora(np.zeros((1, 8)), 4, Seed(MASTER, 434))
     cfg = DpTrainConfig(T=1, eta=1.0, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1e-12, r=4)
-    st2, _ = noisy_proj_step(task, st, cfg, Seed(MASTER, 435))
+    st2 = noisy_proj_step(task, st, cfg, Seed(MASTER, 435))
     seed = Seed(MASTER, 435).child(0)
     gen = seed.generator()
     Z = gen.standard_normal((8, 4)) * math.sqrt(0.25)
@@ -236,14 +239,17 @@ def test_noisy_proj_step_equals_m2_mechanism_bitwise():
         eps_target=None, delta_target=None,
     )
     step_seed = Seed(MASTER, 438)
-    st2, report = noisy_proj_step(task, st, cfg, step_seed)
+    st2 = noisy_proj_step(task, st, cfg, step_seed)
     G = task.grad_W(st.effective_weights())
     params = mechanisms.NoisyMechParams(
         variant=mechanisms.Variant.M2, r=6, entry_var=1.0 / 6, sigma_G=0.4, clip_beta=0.7
     )
     out = mechanisms.noisy_mech(mechanisms.MechanismInput(V=G.T), params, step_seed.child(0))
     assert np.array_equal(st2.W0, st.effective_weights() - 0.3 * out.T)
-    assert report.sens_frob == pytest.approx(2 * 0.7)
+    # the step is priced at sensitivity 2 * clip: mu_step = alpha (2 clip)^2 / sigma^2
+    alpha = 1.5 * 6 / 12
+    expected = compose_gaussian_steps([alpha * (2 * 0.7) ** 2 / 0.4**2], 1.0, delta_M_bound(2, alpha, 6, 12))
+    assert noisy_proj_budget(cfg, 1, 1.0, 12) == pytest.approx(expected, rel=1e-12)
     # fresh factor is recorded and B resets
     assert st2.LoraB.shape == (1, 6)
     assert np.abs(st2.LoraB).max() == 0.0
@@ -398,3 +404,75 @@ def test_config_rejects_budget_with_unbounded_clip():
     with pytest.raises(ConfigError):
         DpTrainConfig(T=5, eta=0.1, eps_target=1.0, delta_target=1e-5,
                       mechanism=Mechanism.DP_LORA_FA)
+
+
+def test_config_rejects_out_of_range_budget_inputs():
+    # the noisy-projection budget is priced at eps_target > 0 and alpha in (0, 1]
+    with pytest.raises(DomainError):
+        DpTrainConfig(T=5, eta=0.1, sigma=0.5, clip=1.0, eps_target=0.0, delta_target=1e-5,
+                      mechanism=Mechanism.NOISY_PROJ)
+    for alpha in (0.0, 1.5):
+        with pytest.raises(DomainError):
+            DpTrainConfig(T=5, eta=0.1, sigma=0.5, clip=1.0, alpha=alpha,
+                          mechanism=Mechanism.NOISY_PROJ)
+
+
+# ---------------------------------------------------------------------------
+# Ghost-norm clipping against the materialized per-example oracle
+# ---------------------------------------------------------------------------
+
+
+@hst.composite
+def _ghost_cases(draw):
+    """(task, W, A, idx, clip): a small task, weights, factor and batch."""
+    kind = draw(hst.sampled_from([TaskKind.RIDGE, TaskKind.LOGISTIC]))
+    n = draw(hst.integers(1, 30))
+    d = draw(hst.integers(1, 12))
+    r = draw(hst.integers(1, 8))
+    seed = Seed(MASTER, draw(hst.integers(0, 2**32 - 1)))
+    if kind is TaskKind.RIDGE:
+        task = make_ridge_task(n, d, seed.child(0))
+    else:
+        task = make_logistic_task(n, d, draw(hst.integers(2, 5)), seed.child(0))
+    rng = seed.child(1).generator()
+    W = rng.standard_normal((task.n_out, d)) * draw(hst.sampled_from([0.0, 0.1, 1.0, 10.0]))
+    A = rng.standard_normal((r, d)) / math.sqrt(r)
+    # None is the full batch; a Poisson batch may be empty (rate 0) or hold everyone
+    rate = draw(hst.one_of(hst.none(), hst.sampled_from([0.0, 0.3, 1.0])))
+    idx = None if rate is None else np.flatnonzero(rng.random(n) < rate)
+    clip = draw(hst.one_of(hst.just(math.inf), hst.floats(1e-3, 10.0)))
+    return task, W, A, idx, clip
+
+
+def _materialized_clipped_mean(task, W, A, idx, clip, divisor):
+    """Oracle clipped mean, and the sum of its terms' norms (the scale of rounding error)."""
+    gB = np.einsum("bnd,rd->bnr", task.per_example_grad_W(W, idx), A)
+    if math.isfinite(clip):
+        norms = np.sqrt(np.einsum("bnr,bnr->b", gB, gB))
+        gB = gB * np.minimum(1.0, clip / np.maximum(norms, 1e-300))[:, None, None]
+    return gB.sum(axis=0) / divisor, np.sqrt(np.einsum("bnr,bnr->b", gB, gB)).sum() / divisor
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ghost_cases())
+def test_ghost_clipped_mean_matches_materialized_oracle(case):
+    task, W, A, idx, clip = case
+    divisor = 7
+    got = _clipped_mean_grad_B(task, W, A, idx, clip, divisor)
+    want, scale = _materialized_clipped_mean(task, W, A, idx, clip, divisor)
+    assert got.shape == (task.n_out, A.shape[0])
+    if idx is not None and idx.size == 0:
+        assert np.array_equal(got, np.zeros_like(got))
+    else:
+        # relative to the summed term norms: clipped terms may cancel to ~0 in the sum
+        assert np.linalg.norm(got - want) <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ghost_cases())
+def test_ghost_clipped_per_example_norms_within_clip(case):
+    task, W, A, idx, clip = case
+    rows = range(task.n_examples) if idx is None else idx
+    for b in rows:
+        one = _clipped_mean_grad_B(task, W, A, np.array([b]), clip, 1)
+        assert np.linalg.norm(one) <= clip * (1.0 + 1e-12)
