@@ -1,6 +1,6 @@
 """Wishart projection mechanisms for differential privacy.
 
-Subpackages by concern: special-function kernels (specialfn), seeded random
+Subpackages by concern: special-function wrappers (specialfn), seeded random
 matrices (randmat), the randomized maps (mechanisms), closed-form accounting
 (accountants), Monte Carlo profile estimation (profiler), empirical attacks
 (attacks), private training loops (trainer), and the CLI (cli).

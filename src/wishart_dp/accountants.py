@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import (
     DegenerateInputError,
@@ -33,7 +34,7 @@ from .errors import (
 )
 from . import profiler
 from .randmat import Seed
-from .specialfn import chi2_quantile, normal_cdf, reg_inc_beta, student_t_quantile
+from .specialfn import chi2_quantile, normal_cdf, reg_inc_betac, student_t_quantile
 
 DEFAULT_SUPPORT_SAMPLES = 10**6
 
@@ -209,11 +210,13 @@ def gaussian_tradeoff(eps: float, mu: float) -> float:
 
 
 def _tradeoff_sup(eps: float, mu_bar: float) -> float:
-    # Max of the trade-off over a coarse grid up to mu_bar (monotonicity guard).
+    # Max of the trade-off over a coarse grid up to mu_bar (monotonicity guard),
+    # with T(eps; mu) evaluated as in gaussian_tradeoff, on the whole grid at once.
     if mu_bar == 0.0:
         return 0.0
-    grid = np.geomspace(max(mu_bar * 1e-6, 1e-12), mu_bar, _MU_GRID_POINTS)
-    return max(gaussian_tradeoff(eps, float(m)) for m in grid)
+    mu = np.geomspace(max(mu_bar * 1e-6, 1e-12), mu_bar, _MU_GRID_POINTS)
+    root = np.sqrt(mu)
+    return float(np.max(ndtr((-eps - mu / 2.0) / root) + ndtr(-(eps - mu / 2.0) / root)))
 
 
 def delta_M_bound(s: int, alpha: float, r: int, d: int) -> float:
@@ -224,7 +227,7 @@ def delta_M_bound(s: int, alpha: float, r: int, d: int) -> float:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not 1 <= r <= d - 1:
         raise DomainError(f"delta_M_bound requires 1 <= r <= d-1, got r={r}, d={d}")
-    return min(1.0, s * (1.0 - reg_inc_beta(alpha, r / 2.0, (d - r) / 2.0)))
+    return min(1.0, s * reg_inc_betac(alpha, r / 2.0, (d - r) / 2.0))
 
 
 def beta_tail_bound(eta: float, r: int) -> float:
@@ -280,13 +283,15 @@ def account_small_r(
     """Small-rank bound: delta = T(eps; alpha ||dV||_F^2 / sigma^2) + delta_M."""
     if not eps > 0.0:
         raise DomainError(f"eps must be > 0, got {eps}")
-    if sens_frob < 0.0:
+    if not sens_frob >= 0.0:
         raise DomainError(f"sens_frob must be >= 0, got {sens_frob}")
     if not sigma > 0.0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     mu_bar = alpha * sens_frob * sens_frob / (sigma * sigma)
+    if not math.isfinite(mu_bar):
+        raise DomainError(f"mu_bar = alpha sens_frob^2 / sigma^2 must be finite, got {mu_bar}")
     delta_E = _tradeoff_sup(eps, mu_bar)
     if alpha == 1.0:
         delta_M = 0.0
@@ -356,7 +361,7 @@ def choose_alpha(
         a = (1.0 + eta) * rank / d
         if a >= 1.0:
             return float(s)
-        return s * (1.0 - reg_inc_beta(a, rank / 2.0, (d - rank) / 2.0))
+        return s * reg_inc_betac(a, rank / 2.0, (d - rank) / 2.0)
 
     if beta_half(r) > half:
         chernoff_r = math.ceil(72.0 / (eta * eta) * math.log(4.0 * s / delta_gauss))

@@ -9,7 +9,7 @@ Conventions:
 * a run manifest (subcommand, params, seed, tool version, output files) is
   embedded in the stdout JSON and written next to --out when present;
 * exit codes: 0 success, 2 usage error, 3 domain/precondition error,
-  4 convergence or selftest failure.
+  4 self-test failure.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ import sys
 import numpy as np
 
 from . import __version__, accountants, attacks, mechanisms, profiler, specialfn, trainer
-from .errors import ConvergenceError, WishartDpError
+from .errors import WishartDpError
 from .randmat import Seed, wishart_draw
 
 _EXIT_USAGE = 2
 _EXIT_DOMAIN = 3
-_EXIT_CONVERGENCE = 4
+_EXIT_SELFTEST = 4
 
 
 def _default_threads() -> int:
@@ -330,17 +330,19 @@ def _cmd_mia(args) -> int:
 def _cmd_train(args) -> int:
     cfg = trainer.load_config(args.config)
     seed = _seed(args)
+    # Children 0 (adapter) and 1 (steps) are drawn as trainer.fit(task, cfg, seed)
+    # draws them; the data take child 2, a stream of their own.
     if args.task == "ridge":
-        task = trainer.make_ridge_task(args.n, args.d, seed.child(0), reg=args.reg)
+        task = trainer.make_ridge_task(args.n, args.d, seed.child(2), reg=args.reg)
     else:
-        task = trainer.make_logistic_task(args.n, args.d, args.classes, seed.child(0), reg=args.reg)
+        task = trainer.make_logistic_task(args.n, args.d, args.classes, seed.child(2), reg=args.reg)
     budget: tuple[float, float] | None = None
     if cfg.mechanism is trainer.Mechanism.RP_GD:
         _, traj = trainer.rp_gd(
             task, np.zeros(args.d), cfg.eta, cfg.T, cfg.r, cfg.redraw_each_step, seed.child(1)
         )
     else:
-        state = trainer.init_lora(np.zeros((task.n_out, args.d)), cfg.r, seed.child(2))
+        state = trainer.init_lora(np.zeros((task.n_out, args.d)), cfg.r, seed.child(0))
         if cfg.mechanism is trainer.Mechanism.DP_LORA_FA:
             state, budget, traj = trainer.dp_lora_fa(task, state, cfg, seed.child(1))
         elif cfg.mechanism is trainer.Mechanism.NOISE_FREE_LORA:
@@ -446,7 +448,7 @@ def _cmd_selftest(args) -> int:
         print(f"[{'ok' if ok else 'FAIL'}] {name}: got {got!r}, want {want!r} +- {tol}", file=sys.stderr)
     payload = {"kind": "selftest", "n_checks": len(results), "n_failed": failures, "checks": results}
     _emit(args, payload, [], f"selftest: {len(results) - failures}/{len(results)} checks passed")
-    return 0 if failures == 0 else _EXIT_CONVERGENCE
+    return 0 if failures == 0 else _EXIT_SELFTEST
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +619,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: convergence failure: {exc}", file=sys.stderr)
-        return _EXIT_CONVERGENCE
     except WishartDpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN

@@ -1,8 +1,7 @@
 """Exception hierarchy and warning categories shared by all modules.
 
 Public functions never raise bare ValueError/RuntimeError; they raise one of
-the semantic classes below so the CLI can map failures to stable exit codes
-(domain/precondition problems vs. iteration failures).
+the semantic classes below so the CLI can map them to a stable exit code.
 """
 
 from __future__ import annotations
@@ -60,10 +59,6 @@ class RegimeError(PreconditionError):
 
 class OutsideSupportError(DomainError):
     """A density was evaluated at a point outside its support."""
-
-
-class ConvergenceError(WishartDpError, RuntimeError):
-    """An iterative routine (root finder, series, continued fraction) did not converge."""
 
 
 class OutOfStatedRangeWarning(UserWarning):

@@ -17,9 +17,12 @@ with independent K1 ~ chi2_r, K2 ~ N(0, 1), K3 ~ chi2_{d-2}. The loss is
     L = ((d - r + 1) / 2) ln A + (B / 2) (1/A - 1),
 
 with A <= 0 mapped to +inf (the output escapes the neighbor law's support).
-delta(eps) is estimated as P(L > eps) plus the support-failure mass; sentinel
-+inf losses are counted in every tail, which double-counts in the conservative
-direction relative to splitting the failure region off first.
+delta(eps) is estimated on an eps grid as the fraction of draws with L > eps
+(draws with A <= 0 count in every tail) plus a Monte Carlo estimate of the
+support-failure mass. Both chi-square variables come from numpy's gamma-based
+sampler, which is exact in distribution at every dof. Tail counts on a sorted
+grid are nonincreasing, so the estimated profile is nonincreasing in eps
+without any correction.
 
 All loops are chunked over substream seeds, so estimates do not depend on the
 worker count used to evaluate them.
@@ -39,19 +42,6 @@ from .randmat import Seed
 from .specialfn import log_gamma
 
 _CHUNK = 1 << 17
-_EXACT_CHI2_MAX_DOF = 64
-
-
-def _chi2_sample(rng: np.random.Generator, nu: int, n: int) -> np.ndarray:
-    # Sums of squared normals keep small-dof draws exact in distribution;
-    # large dof goes through the gamma sampler for speed.
-    if nu <= _EXACT_CHI2_MAX_DOF:
-        out = np.zeros(n)
-        for _ in range(nu):
-            g = rng.standard_normal(n)
-            out += g * g
-        return out
-    return rng.gamma(shape=nu / 2.0, scale=2.0, size=n)
 
 
 @dataclass(frozen=True)
@@ -79,9 +69,9 @@ def sample_ratio_arrays(
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     rng = seed.generator()
-    k1 = _chi2_sample(rng, r, n)
+    k1 = rng.chisquare(r, n)
     k2 = rng.standard_normal(n)
-    k3 = _chi2_sample(rng, d - 2, n)
+    k3 = rng.chisquare(d - 2, n)
     A = rho + math.sqrt(max(0.0, 1.0 - rho * rho)) * k2 / np.sqrt(k1)
     B = k1 + k2 * k2 + k3
     return A, B
@@ -143,7 +133,7 @@ def delta_support(
     def one_chunk(item):
         chunk_seed, size = item
         rng = chunk_seed.generator()
-        x = _chi2_sample(rng, r, size)
+        x = rng.chisquare(r, size)
         vals = ndtr(-scale * np.sqrt(x))
         return float(np.sum(vals)), float(np.sum(vals * vals)), size
 
@@ -153,26 +143,6 @@ def delta_support(
     mean = s1 / n
     var = max(0.0, s2 / n - mean * mean)
     return mean, math.sqrt(var / n)
-
-
-def _pava_nonincreasing(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators projection onto nonincreasing sequences."""
-    vals = list(-np.asarray(y, dtype=float))
-    weights = [1.0] * len(vals)
-    means: list[float] = []
-    counts: list[float] = []
-    for v, w in zip(vals, weights):
-        means.append(v)
-        counts.append(w)
-        while len(means) > 1 and means[-2] > means[-1]:
-            m2, c2 = means.pop(), counts.pop()
-            m1, c1 = means.pop(), counts.pop()
-            means.append((m1 * c1 + m2 * c2) / (c1 + c2))
-            counts.append(c1 + c2)
-    out = []
-    for m, c in zip(means, counts):
-        out.extend([m] * int(c))
-    return -np.asarray(out)
 
 
 @dataclass(eq=False)
@@ -185,7 +155,6 @@ class PrivacyProfile:
     eps_grid: np.ndarray
     delta_hat: np.ndarray
     stderr: np.ndarray
-    raw_delta_hat: np.ndarray
     n_samples: int
     seed: Seed
     delta_support_hat: tuple[float, float]
@@ -274,17 +243,14 @@ def mc_privacy_profile(
         ds_est, ds_se = delta_support(rho, r, support_n or n, support_seed, threads=threads)
 
     tail = counts / n
-    raw = np.clip(tail + ds_est, 0.0, 1.0)
-    corrected = _pava_nonincreasing(raw)
     stderr = np.sqrt(tail * (1.0 - tail) / n + ds_se * ds_se)
     return PrivacyProfile(
         rho=rho,
         d=d,
         r=r,
         eps_grid=eps,
-        delta_hat=corrected,
+        delta_hat=np.clip(tail + ds_est, 0.0, 1.0),
         stderr=stderr,
-        raw_delta_hat=raw,
         n_samples=n,
         seed=seed,
         delta_support_hat=(ds_est, ds_se),

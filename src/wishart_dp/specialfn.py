@@ -1,31 +1,23 @@
-"""Deterministic special-function kernels used by every accountant.
+"""Special functions used by every accountant: checked wrappers over scipy.special.
 
-Scalar, pure, reentrant implementations of the normal CDF, Student-t and
-chi-square quantiles, the regularized incomplete beta function and log-gamma.
-The CDFs are built from two classical pieces:
+Each wrapper validates its scalar arguments and raises DomainError for NaN,
+infinite or out-of-domain input, then makes one library call (scipy.special,
+or math.erfc and math.lgamma) and returns a Python float. scipy.special
+reports a domain failure by returning NaN, so a NaN result (e.g. a subnormal
+dof whose half rounds to 0) raises DomainError too: no wrapper ever returns
+NaN.
 
-* regularized incomplete gamma, by power series for x < a + 1 and by a
-  modified-Lentz continued fraction otherwise;
-* regularized incomplete beta, by a modified-Lentz continued fraction applied
-  on whichever side of the mean converges fast, with the reflection
-  I_x(a, b) = 1 - I_{1-x}(b, a).
-
-Quantiles invert the CDFs by geometric bracket growth, bisection to a tight
-interval, and guarded Newton refinement on the known densities. Root finding
-is capped at MAX_ITER iterations and raises ConvergenceError rather than
-returning a silent result.
+Only scipy.special is imported; scipy.stats and scipy.optimize would add
+their import cost to every CLI start.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, DomainError
+from scipy import special
 
-MAX_ITER = 200
-_SERIES_ITMAX = 500
-_EPS = 1e-16
-_FPMIN = 1e-300
+from .errors import DomainError
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -42,14 +34,30 @@ def _require_prob_open(name: str, p: float) -> float:
     return p
 
 
+def _check_dof(nu: float) -> float:
+    nu = _require_finite("nu", nu)
+    if nu <= 0.0:
+        raise DomainError(f"degrees of freedom must be > 0, got {nu!r}")
+    return nu
+
+
+def _not_nan(value, what: str) -> float:
+    value = float(value)
+    if math.isnan(value):
+        raise DomainError(f"{what} is undefined (scipy.special returned NaN)")
+    return value
+
+
 def normal_cdf(x: float) -> float:
     """Standard normal CDF P(N(0,1) <= x)."""
     x = _require_finite("x", x)
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def normal_quantile(p: float) -> float:
+    """Inverse of the standard normal CDF."""
+    p = _require_prob_open("p", p)
+    return _not_nan(special.ndtri(p), f"normal_quantile({p!r})")
 
 
 def log_gamma(z: float) -> float:
@@ -60,247 +68,56 @@ def log_gamma(z: float) -> float:
     return math.lgamma(z)
 
 
-# ---------------------------------------------------------------------------
-# Regularized incomplete gamma P(a, x)
-# ---------------------------------------------------------------------------
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    # Power series for P(a, x), converges fast for x < a + 1.
-    ap = a
-    summation = 1.0 / a
-    term = summation
-    for _ in range(_SERIES_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        summation += term
-        if abs(term) < abs(summation) * _EPS:
-            return summation * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise ConvergenceError(f"incomplete gamma series failed to converge (a={a}, x={x})")
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # Modified-Lentz continued fraction for Q(a, x) = 1 - P(a, x), x >= a + 1.
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _SERIES_ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise ConvergenceError(f"incomplete gamma continued fraction failed (a={a}, x={x})")
-
-
-def reg_inc_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
-    a = _require_finite("a", a)
-    x = _require_finite("x", x)
-    if a <= 0.0:
-        raise DomainError(f"reg_inc_gamma requires a > 0, got {a!r}")
-    if x < 0.0:
-        raise DomainError(f"reg_inc_gamma requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return min(1.0, _gamma_p_series(a, x))
-    return max(0.0, 1.0 - _gamma_q_contfrac(a, x))
-
-
-# ---------------------------------------------------------------------------
-# Regularized incomplete beta I_x(a, b)
-# ---------------------------------------------------------------------------
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    # Modified-Lentz evaluation of the continued fraction for I_x(a, b).
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _SERIES_ITMAX + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise ConvergenceError(f"incomplete beta continued fraction failed (a={a}, b={b}, x={x})")
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF at x."""
+def _check_beta_args(x: float, a: float, b: float) -> tuple[float, float, float]:
     x = _require_finite("x", x)
     a = _require_finite("a", a)
     b = _require_finite("b", b)
     if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a!r}, b={b!r}")
+        raise DomainError(f"the incomplete beta requires a, b > 0, got a={a!r}, b={b!r}")
     if not 0.0 <= x <= 1.0:
-        raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return min(1.0, front * _betacf(a, b, x) / a)
-    return max(0.0, 1.0 - front * _betacf(b, a, 1.0 - x) / b)
+        raise DomainError(f"the incomplete beta requires 0 <= x <= 1, got {x!r}")
+    return x, a, b
 
 
-# ---------------------------------------------------------------------------
-# CDFs and densities for the distributions the accountants use
-# ---------------------------------------------------------------------------
+def reg_inc_beta(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF at x."""
+    x, a, b = _check_beta_args(x, a, b)
+    return _not_nan(special.betainc(a, b, x), f"reg_inc_beta({x!r}, {a!r}, {b!r})")
 
 
-def _check_dof(nu: float) -> float:
-    nu = _require_finite("nu", nu)
-    if nu <= 0.0:
-        raise DomainError(f"degrees of freedom must be > 0, got {nu!r}")
-    return nu
+def reg_inc_betac(x: float, a: float, b: float) -> float:
+    """Upper tail 1 - I_x(a, b) of the Beta(a, b) law, without cancellation."""
+    x, a, b = _check_beta_args(x, a, b)
+    return _not_nan(special.betaincc(a, b, x), f"reg_inc_betac({x!r}, {a!r}, {b!r})")
 
 
 def student_t_cdf(nu: float, t: float) -> float:
     """CDF of the Student-t distribution with nu degrees of freedom."""
     nu = _check_dof(nu)
     t = _require_finite("t", t)
-    if t == 0.0:
-        return 0.5
-    tail = 0.5 * reg_inc_beta(nu / (nu + t * t), nu / 2.0, 0.5)
-    return tail if t < 0.0 else 1.0 - tail
+    return _not_nan(special.stdtr(nu, t), f"student_t_cdf({nu!r}, {t!r})")
 
 
-def _student_t_pdf(nu: float, t: float) -> float:
-    log_norm = math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0) - 0.5 * math.log(nu * math.pi)
-    return math.exp(log_norm - ((nu + 1.0) / 2.0) * math.log1p(t * t / nu))
+def student_t_quantile(nu: float, p: float) -> float:
+    """Inverse Student-t CDF."""
+    nu = _check_dof(nu)
+    p = _require_prob_open("p", p)
+    return _not_nan(special.stdtrit(nu, p), f"student_t_quantile({nu!r}, {p!r})")
 
 
 def chi2_cdf(nu: float, x: float) -> float:
     """CDF of the chi-square distribution with nu degrees of freedom."""
     nu = _check_dof(nu)
     x = _require_finite("x", x)
-    if x <= 0.0:
-        return 0.0
-    return reg_inc_gamma(nu / 2.0, x / 2.0)
-
-
-def _chi2_pdf(nu: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    log_pdf = (nu / 2.0 - 1.0) * math.log(x) - x / 2.0 - (nu / 2.0) * math.log(2.0) - math.lgamma(nu / 2.0)
-    return math.exp(log_pdf)
-
-
-# ---------------------------------------------------------------------------
-# Quantiles: bracketed bisection + Newton refinement
-# ---------------------------------------------------------------------------
-
-
-def _invert_cdf(cdf, pdf, p: float, lo: float, hi: float, grow_hi: bool) -> float:
-    """Solve cdf(x) = p on [lo, hi], growing hi geometrically if needed."""
-    if grow_hi:
-        for _ in range(MAX_ITER):
-            if cdf(hi) >= p:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise ConvergenceError(f"bracket growth failed to enclose quantile at p={p}")
-    a, b = lo, hi
-    for _ in range(3 * MAX_ITER):
-        mid = 0.5 * (a + b)
-        if cdf(mid) < p:
-            a = mid
-        else:
-            b = mid
-        # Fully relative width so quantiles deep in either tail stay accurate.
-        if b - a <= 1e-12 * abs(b):
-            break
-    x = 0.5 * (a + b)
-    # Newton polishing; stay inside the verified bracket.
-    for _ in range(60):
-        f = cdf(x) - p
-        if f == 0.0:
-            return x
-        fp = pdf(x)
-        if fp <= 0.0:
-            break
-        if f > 0.0:
-            b = min(b, x)
-        else:
-            a = max(a, x)
-        x_new = x - f / fp
-        if not a <= x_new <= b:
-            x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= 1e-15 * abs(x):
-            return x_new
-        x = x_new
-    return x
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF."""
-    p = _require_prob_open("p", p)
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -normal_quantile(1.0 - p)
-    return _invert_cdf(normal_cdf, normal_pdf, p, 0.0, 1.0, grow_hi=True)
-
-
-def student_t_quantile(nu: float, p: float) -> float:
-    """Inverse Student-t CDF; odd symmetric around p = 1/2."""
-    nu = _check_dof(nu)
-    p = _require_prob_open("p", p)
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -student_t_quantile(nu, 1.0 - p)
-    return _invert_cdf(
-        lambda t: student_t_cdf(nu, t), lambda t: _student_t_pdf(nu, t), p, 0.0, 1.0, grow_hi=True
-    )
+    return _not_nan(special.chdtr(nu, max(x, 0.0)), f"chi2_cdf({nu!r}, {x!r})")
 
 
 def chi2_quantile(nu: float, p: float) -> float:
-    """Inverse chi-square CDF; always nonnegative."""
+    """Inverse chi-square CDF, 2 P^{-1}(nu/2, p); always nonnegative.
+
+    The lower-incomplete-gamma inverse keeps full relative accuracy in the
+    lower tail, where chdtri(nu, 1 - p) loses digits to the rounding of 1 - p.
+    """
     nu = _check_dof(nu)
     p = _require_prob_open("p", p)
-    return _invert_cdf(
-        lambda x: chi2_cdf(nu, x), lambda x: _chi2_pdf(nu, x), p, 0.0, max(nu, 1.0), grow_hi=True
-    )
+    return _not_nan(2.0 * special.gammaincinv(nu / 2.0, p), f"chi2_quantile({nu!r}, {p!r})")

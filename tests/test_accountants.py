@@ -1,7 +1,8 @@
 """Accountant tests: formula oracles, Monte Carlo domination checks, regime errors.
 
-Formula-evaluation oracles re-derive every intermediate with scipy quantiles,
-which share no code with the specialfn kernels used by the accountants.
+Formula-evaluation oracles re-derive every intermediate with scipy.stats
+quantiles; the independent checks of the special functions themselves are the
+closed-form oracles in test_specialfn.py.
 """
 
 import math
@@ -196,6 +197,23 @@ def test_delta_M_bound_values():
         delta_M_bound(1, 0.5, 10, 10)
 
 
+@pytest.mark.parametrize(
+    "s, alpha, r, d",
+    [(1, 0.9, 10, 100), (1, 0.5, 4, 200), (3, 0.3, 8, 400), (2, 0.2, 10, 100)],
+)
+def test_delta_M_bound_keeps_tiny_beta_tails(s, alpha, r, d):
+    # The first two tails are 1.4e-40 and 1.6e-28; 1 - I_alpha rounds them to 0.
+    exact = s * stats.beta.sf(alpha, r / 2.0, (d - r) / 2.0)
+    assert exact > 0.0
+    assert delta_M_bound(s, alpha, r, d) == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+def test_choose_alpha_capture_term_is_exact_beta_tail():
+    alpha, rep = choose_alpha(eps=1.0, mu=4.0, s=2, d=2048, r=64, eta=0.5)
+    exact = 2 * stats.beta.sf(alpha, 32.0, 992.0)
+    assert rep.delta_M == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
 def test_delta_M_bound_dominates_capture_tail(capture_samples_d100_r10):
     samples = capture_samples_d100_r10
     n = samples.size
@@ -230,6 +248,12 @@ def test_account_small_r_zero_sensitivity():
     rep = account_small_r(eps=1.0, sens_frob=0.0, s=1, d=100, r=10, sigma=1.0, alpha=0.5)
     assert rep.delta_E == 0.0
     assert rep.delta_total == rep.delta_M
+
+
+@pytest.mark.parametrize("sens, sigma", [(math.nan, 1.0), (math.inf, 1.0), (1e200, 1.0)])
+def test_account_small_r_rejects_nonfinite_mu_bar(sens, sigma):
+    with pytest.raises(DomainError):
+        account_small_r(eps=1.0, sens_frob=sens, s=1, d=100, r=10, sigma=sigma, alpha=0.5)
 
 
 def test_account_small_r_alpha_one_is_gaussian_baseline():

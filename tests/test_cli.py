@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wishart_dp
 from wishart_dp import cli, specialfn, trainer
 from wishart_dp.accountants import account_small_r
+from wishart_dp.randmat import Seed
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +168,27 @@ def test_train_subcommand(capsys, tmp_path):
     assert len(lines) == 21
 
 
+@pytest.mark.parametrize(
+    "mechanism_lines",
+    ["mechanism = noise_free_lora\n", "mechanism = dp_lora_fa\nsigma = 0.1\nclip = 1.0\ndelta_target = 1e-5\n"],
+    ids=["noise_free_lora", "dp_lora_fa"],
+)
+def test_train_matches_library_fit(capsys, tmp_path, mechanism_lines):
+    # The CLI draws the adapter and the steps as trainer.fit(task, cfg, seed)
+    # does, and the data from child 2 of the same seed.
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text("T = 50\neta = 0.05\nr = 8\n" + mechanism_lines)
+    code, out, _ = run_cli(
+        capsys,
+        "train", "--task", "ridge", "--config", str(cfg_path), "--n", "200", "--d", "32",
+        "--seed", "3",
+    )
+    assert code == 0
+    task = trainer.make_ridge_task(200, 32, Seed(3).child(2), reg=1e-3)
+    W = trainer.fit(task, trainer.load_config(cfg_path), Seed(3))
+    assert json.loads(out)["final_loss"] == task.loss(W)
+
+
 @pytest.mark.parametrize("eps_line, eps", [("", 1.0), ("eps_target = 2.0\ndelta_target = 1e-5\n", 2.0)])
 def test_train_noisy_proj_budget_columns(capsys, tmp_path, eps_line, eps):
     # each step reports eps_target (1 without one) and noisy_proj_budget at that eps
@@ -245,12 +271,27 @@ def test_selftest_passes(capsys):
 
 
 def test_selftest_detects_injected_fault(capsys, monkeypatch):
-    # A corrupted quantile must surface as a convergence-style failure (exit 4).
+    # A corrupted quantile must surface as a self-test failure (exit 4).
     monkeypatch.setattr(specialfn, "chi2_quantile", lambda nu, p: 1234.5)
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 4
     payload = json.loads(out)
     assert payload["n_failed"] > 0
+
+
+def test_cli_import_loads_only_scipy_special():
+    # scipy.optimize and scipy.stats would add their import time and memory to
+    # every CLI start.
+    src = os.path.dirname(os.path.dirname(wishart_dp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, wishart_dp.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_help_lists_flags(capsys):

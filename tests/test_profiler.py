@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats
 
 from wishart_dp.errors import DomainError, OutsideSupportError
@@ -129,6 +131,28 @@ def test_profile_is_nonincreasing_and_clamped():
     dh = [p[1] for p in prof.grid]
     assert all(b <= a + 1e-15 for a, b in zip(dh, dh[1:]))
     assert all(0.0 <= v <= 1.0 for v in dh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eps_grid=hst.lists(
+        hst.sampled_from([0.0, 0.5, 1.0, 3.0]) | hst.floats(min_value=-1.0, max_value=20.0),
+        min_size=1,
+        max_size=25,
+    ),
+    rho=hst.floats(min_value=0.05, max_value=1.0),
+    d=hst.integers(3, 12),
+    r=hst.integers(1, 12),
+    n=hst.integers(2, 300),
+    stream=hst.integers(0, 2**16),
+)
+def test_profile_nonincreasing_on_any_grid(eps_grid, rho, d, r, n, stream):
+    # Unsorted grids with duplicates: the estimate is nonincreasing in eps
+    # and a probability, with no isotonic correction applied.
+    prof = mc_privacy_profile(rho, d, r, eps_grid, n, Seed(MASTER, 326 + stream))
+    assert list(prof.eps_grid) == sorted(eps_grid)
+    assert np.all(np.diff(prof.delta_hat) <= 0.0)
+    assert np.all((prof.delta_hat >= 0.0) & (prof.delta_hat <= 1.0))
 
 
 def test_profile_eps_at_delta_inversion():

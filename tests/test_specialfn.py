@@ -1,4 +1,5 @@
-"""Kernel tests: frozen oracle values, round-trips, symmetry, domain errors.
+"""Special-function tests: frozen oracle values, round-trips, symmetry, domain
+errors, and property tests of the scipy.special wrappers.
 
 Oracles used here are independent of the implementation path: closed forms
 (Cauchy quantile, the two-dof Student-t quantile, the chi-square-2 CDF, the
@@ -10,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from wishart_dp import specialfn as sf
 from wishart_dp.errors import DomainError
@@ -160,3 +163,91 @@ def test_quantile_cdf_roundtrip(nu, p):
 def test_t_quantile_normal_limit():
     for p in (0.1, 0.5, 0.975):
         assert sf.student_t_quantile(1e6, p) == pytest.approx(sf.normal_quantile(p), abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the scipy.special wrappers
+# ---------------------------------------------------------------------------
+
+_PROB = hst.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_POS = hst.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+_REAL = hst.floats(min_value=-1e300, max_value=1e300)
+_UNIT = hst.floats(min_value=0.0, max_value=1.0)
+_NONFINITE = hst.sampled_from([math.nan, math.inf, -math.inf])
+_NONPOS = hst.floats(min_value=-1e300, max_value=0.0)
+_OUTSIDE_UNIT_CLOSED = hst.floats(min_value=1.0, max_value=1e300, exclude_min=True) | hst.floats(
+    min_value=-1e300, max_value=0.0, exclude_max=True
+)
+_OUTSIDE_UNIT_OPEN = hst.floats(min_value=1.0, max_value=1e300) | _NONPOS
+
+# wrapper -> per-argument (valid values, out-of-domain finite values or None)
+_WRAPPERS = {
+    "normal_cdf": [(_REAL, None)],
+    "normal_quantile": [(_PROB, _OUTSIDE_UNIT_OPEN)],
+    "log_gamma": [(_POS, _NONPOS)],
+    "reg_inc_beta": [(_UNIT, _OUTSIDE_UNIT_CLOSED), (_POS, _NONPOS), (_POS, _NONPOS)],
+    "reg_inc_betac": [(_UNIT, _OUTSIDE_UNIT_CLOSED), (_POS, _NONPOS), (_POS, _NONPOS)],
+    "student_t_cdf": [(_POS, _NONPOS), (_REAL, None)],
+    "student_t_quantile": [(_POS, _NONPOS), (_PROB, _OUTSIDE_UNIT_OPEN)],
+    "chi2_cdf": [(_POS, _NONPOS), (_REAL, None)],
+    "chi2_quantile": [(_POS, _NONPOS), (_PROB, _OUTSIDE_UNIT_OPEN)],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data(), hst.sampled_from(sorted(_WRAPPERS)))
+def test_wrappers_reject_bad_arguments(data, name):
+    spec = _WRAPPERS[name]
+    args = [data.draw(valid) for valid, _ in spec]
+    pos = data.draw(hst.integers(0, len(spec) - 1))
+    bad = spec[pos][1]
+    args[pos] = data.draw(_NONFINITE if bad is None else _NONFINITE | bad)
+    with pytest.raises(DomainError):
+        getattr(sf, name)(*args)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hst.data(), hst.sampled_from(sorted(_WRAPPERS)))
+def test_wrappers_never_return_nan(data, name):
+    # In-domain arguments give a float that is not NaN, or DomainError where
+    # scipy.special cannot evaluate them (e.g. a subnormal dof).
+    args = [data.draw(valid) for valid, _ in _WRAPPERS[name]]
+    try:
+        value = getattr(sf, name)(*args)
+    except DomainError:
+        return
+    assert isinstance(value, float)
+    assert not math.isnan(value)
+
+
+_ROUNDTRIP_DOF = hst.floats(min_value=0.5, max_value=1e4)
+_ROUNDTRIP_P = hst.floats(min_value=1e-12, max_value=1.0 - 1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ROUNDTRIP_DOF, _ROUNDTRIP_P)
+def test_t_roundtrip_property(nu, p):
+    assert sf.student_t_cdf(nu, sf.student_t_quantile(nu, p)) == pytest.approx(
+        p, rel=1e-9, abs=1e-9 * min(p, 1.0 - p)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ROUNDTRIP_DOF, _ROUNDTRIP_P)
+def test_chi2_roundtrip_property(nu, p):
+    assert sf.chi2_cdf(nu, sf.chi2_quantile(nu, p)) == pytest.approx(
+        p, rel=1e-9, abs=1e-9 * min(p, 1.0 - p)
+    )
+
+
+def test_chi2_quantile_lower_tail_full_accuracy():
+    # chi2_1 CDF is erf(sqrt(x/2)); at x = 2e-24 the CDF is 2 sqrt(1e-24 / pi)
+    # to 1e-24 relative, so the quantile at that p is 2e-24 to that accuracy.
+    p = 2.0 * math.sqrt(1e-24 / math.pi)
+    assert sf.chi2_quantile(1, p) == pytest.approx(2e-24, rel=1e-10)
+
+
+def test_reg_inc_betac_keeps_tiny_tails():
+    # Beta(1, b) survival is (1 - x)^b in closed form.
+    assert sf.reg_inc_betac(0.9, 1.0, 40.0) == pytest.approx(0.1**40, rel=1e-12)
+    assert 1.0 - sf.reg_inc_beta(0.9, 1.0, 40.0) == 0.0
