@@ -289,7 +289,7 @@ def account_small_r(
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    mu_bar = alpha * sens_frob * sens_frob / (sigma * sigma)
+    mu_bar = alpha * (sens_frob / sigma) * (sens_frob / sigma)  # sigma * sigma may underflow
     if not math.isfinite(mu_bar):
         raise DomainError(f"mu_bar = alpha sens_frob^2 / sigma^2 must be finite, got {mu_bar}")
     delta_E = _tradeoff_sup(eps, mu_bar)

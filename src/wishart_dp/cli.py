@@ -8,7 +8,7 @@ Conventions:
   invocations with identical flags are byte-identical;
 * a run manifest (subcommand, params, seed, tool version, output files) is
   embedded in the stdout JSON and written next to --out when present;
-* exit codes: 0 success, 2 usage error, 3 domain/precondition error,
+* exit codes: 0 success, 2 usage error, 3 domain/precondition/config error,
   4 self-test failure.
 """
 
@@ -330,48 +330,32 @@ def _cmd_mia(args) -> int:
 def _cmd_train(args) -> int:
     cfg = trainer.load_config(args.config)
     seed = _seed(args)
-    # Children 0 (adapter) and 1 (steps) are drawn as trainer.fit(task, cfg, seed)
-    # draws them; the data take child 2, a stream of their own.
+    # trainer.train draws the adapter from child 0 and the steps from child 1;
+    # the data take child 2, a stream of their own.
     if args.task == "ridge":
         task = trainer.make_ridge_task(args.n, args.d, seed.child(2), reg=args.reg)
     else:
         task = trainer.make_logistic_task(args.n, args.d, args.classes, seed.child(2), reg=args.reg)
-    budget: tuple[float, float] | None = None
-    if cfg.mechanism is trainer.Mechanism.RP_GD:
-        _, traj = trainer.rp_gd(
-            task, np.zeros(args.d), cfg.eta, cfg.T, cfg.r, cfg.redraw_each_step, seed.child(1)
-        )
-    else:
-        state = trainer.init_lora(np.zeros((task.n_out, args.d)), cfg.r, seed.child(0))
-        if cfg.mechanism is trainer.Mechanism.DP_LORA_FA:
-            state, budget, traj = trainer.dp_lora_fa(task, state, cfg, seed.child(1))
-        elif cfg.mechanism is trainer.Mechanism.NOISE_FREE_LORA:
-            state, traj = trainer.noise_free_lora(task, state, cfg, seed.child(1))
-        else:
-            # the budget is reported at eps_target, or at eps = 1 without one
-            eps = cfg.eps_target if cfg.eps_target is not None else 1.0
-            step_seed = seed.child(1)
-            records = []
-            for t in range(cfg.T):
-                state = trainer.noisy_proj_step(task, state, cfg, step_seed.child(t))
-                delta_so_far = trainer.noisy_proj_budget(cfg, t + 1, eps, task.n_features)
-                records.append(
-                    (state.step, task.loss(state.effective_weights()), math.nan, eps, delta_so_far)
-                )
-            traj = trainer.Trajectory(records)
-            budget = (records[-1][3], records[-1][4])
+    rows = []
+    for t, (W, g) in enumerate(trainer.train(task, cfg, seed), 1):
+        gnorm = math.nan if g is None else float(np.linalg.norm(g))
+        rows.append((t, task.loss(W), gnorm, *trainer.budget_spent(cfg, t, task.n_features)))
+    _, final_loss, _, eps, delta = rows[-1]
     outputs = []
     if args.out:
-        traj.write_csv(args.out)
+        with open(args.out, "w") as fh:
+            fh.write("step,loss,grad_norm,eps_spent,delta_spent\n")
+            for row in rows:
+                fh.write(",".join(map(repr, row)) + "\n")
         outputs.append(args.out)
     payload = {
         "kind": "training_run",
         "mechanism": cfg.mechanism.value,
-        "final_loss": traj.final_loss(),
+        "final_loss": final_loss,
         "steps": cfg.T,
-        "budget": None if budget is None else {"eps": budget[0], "delta": budget[1]},
+        "budget": {"eps": eps, "delta": delta} if cfg.mechanism.private else None,
     }
-    _emit(args, payload, outputs, f"final loss {traj.final_loss():.6g} after {cfg.T} steps")
+    _emit(args, payload, outputs, f"final loss {final_loss:.6g} after {cfg.T} steps")
     return 0
 
 

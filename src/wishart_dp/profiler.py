@@ -64,7 +64,7 @@ def _check_ratio_args(rho: float, d: int, r: int) -> None:
 def sample_ratio_arrays(
     rho: float, d: int, r: int, n: int, seed: Seed
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized sampler for (A, B); the list-of-RatioSample API wraps this."""
+    """n i.i.d. draws of the ratio statistics (A, B) as two arrays."""
     _check_ratio_args(rho, d, r)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -75,11 +75,6 @@ def sample_ratio_arrays(
     A = rho + math.sqrt(max(0.0, 1.0 - rho * rho)) * k2 / np.sqrt(k1)
     B = k1 + k2 * k2 + k3
     return A, B
-
-
-def sample_ratio_stats(rho: float, d: int, r: int, n: int, seed: Seed) -> list[RatioSample]:
-    A, B = sample_ratio_arrays(rho, d, r, n, seed)
-    return [RatioSample(float(a), float(b)) for a, b in zip(A, B)]
 
 
 def privacy_loss(sample: RatioSample, d: int, r: int) -> float:

@@ -177,28 +177,3 @@ def capture_fraction(Z: np.ndarray, delta_v: np.ndarray) -> float:
     P = col_projector(Z)
     captured = float(np.sum((P @ delta_v) ** 2))
     return min(1.0, max(0.0, captured / total))
-
-
-# ---------------------------------------------------------------------------
-# CSV debug format: row-major values with a "# rows cols" header
-# ---------------------------------------------------------------------------
-
-
-def save_matrix_csv(path, X: np.ndarray) -> None:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(f"# {X.shape[0]} {X.shape[1]}\n")
-        for row in X:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise DomainError(f"{path}: missing '# rows cols' header")
-        rows, cols = (int(tok) for tok in header[1:].split())
-        X = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if X.shape != (rows, cols):
-        raise DomainError(f"{path}: header says {rows}x{cols}, data is {X.shape}")
-    return X

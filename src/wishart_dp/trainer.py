@@ -10,14 +10,20 @@ Mechanisms:
   on the summed per-step mu plus a per-step capture-failure term;
 * RP_GD: vector-query projected gradient descent w <- w - eta M grad.
 
-The noise-free and DP LoRA loops share one gradient code path, so setting
-sigma = 0 and clip = inf reproduces the non-private trajectory bit for bit.
-That path clips with ghost norms: for a linear model an example's
-B-gradient is an outer product whose norm is a product of two vector norms
-(Goodfellow 2015, arXiv:1510.01799; Li et al. 2022, arXiv:2110.05679), so no
-per-example gradient is materialized. noisy_proj_step returns only the new
-state; noisy_proj_budget prices the steps. A step builds a random generator
-only when it draws from it.
+train(task, cfg, seed) is the one entry point: it draws the adapter from
+seed.child(0) and the steps from seed.child(1), dispatches on the mechanism
+and yields each step's effective weights and gradient. fit keeps the last
+weights; the CLI prices each step with budget_spent. The per-mechanism loops
+(dp_lora_fa, noisy_proj_step, rp_gd) take an initial state and compute no
+loss or budget.
+
+Noise-free LoRA is the sigma = 0, clip = inf reduction of the DP LoRA loop,
+so the two share one gradient code path bit for bit. That path clips with
+ghost norms: for a linear model an example's B-gradient is an outer product
+whose norm is a product of two vector norms (Goodfellow 2015,
+arXiv:1510.01799; Li et al. 2022, arXiv:2110.05679), so no per-example
+gradient is materialized. A step builds a random generator only when it
+draws from it.
 Budgets never claim amplification by subsampling: with Poisson batches the
 reported budget is the unamplified one.
 """
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +55,11 @@ class Mechanism(enum.Enum):
     DP_LORA_FA = "dp_lora_fa"
     NOISY_PROJ = "noisy_proj"
     RP_GD = "rp_gd"
+
+    @property
+    def private(self) -> bool:
+        """Whether a run of this mechanism reports a privacy budget."""
+        return self in (Mechanism.DP_LORA_FA, Mechanism.NOISY_PROJ)
 
 
 @dataclass(eq=False)
@@ -304,22 +316,6 @@ def _clipped_mean_grad_B(
     return P.T @ XA / divisor
 
 
-@dataclass(eq=False)
-class Trajectory:
-    """Per-step records of a training run, exportable as CSV."""
-
-    records: list[tuple[int, float, float, float, float]]
-
-    def final_loss(self) -> float:
-        return self.records[-1][1]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("step,loss,grad_norm,eps_spent,delta_spent\n")
-            for step, loss, gnorm, eps, delta in self.records:
-                fh.write(f"{step},{loss!r},{gnorm!r},{eps!r},{delta!r}\n")
-
-
 def _lora_fa_sigma(cfg: DpTrainConfig) -> tuple[float, float, float]:
     """Resolve (sigma, per-step eps, per-step delta) for the DP LoRA loop."""
     if cfg.eps_target is not None:
@@ -336,22 +332,21 @@ def _lora_fa_sigma(cfg: DpTrainConfig) -> tuple[float, float, float]:
 
 def dp_lora_fa(
     task: TrainTask, state: LoraState, cfg: DpTrainConfig, seed: Seed
-) -> tuple[LoraState, tuple[float, float], Trajectory]:
+) -> Iterator[tuple[LoraState, np.ndarray, np.ndarray]]:
     """Per-example clipped, noised B-gradient descent for T steps.
 
+    Yields (state, effective weights, noised B-gradient) after each step.
     The per-step mechanism is Gaussian with sensitivity 2 * clip on the summed
-    clipped gradient; the returned budget is the basic T-fold composition of
-    the per-step guarantee (no subsampling amplification is claimed).
+    clipped gradient; budget_spent prices the steps.
     """
     if cfg.mechanism is not Mechanism.DP_LORA_FA:
         raise ConfigError(f"dp_lora_fa called with mechanism {cfg.mechanism}")
-    sigma, eps_step, delta_step = _lora_fa_sigma(cfg)
+    sigma, _, _ = _lora_fa_sigma(cfg)
     draws = sigma > 0.0 or cfg.batch != FULL_BATCH
-    records = []
+    W_eff = state.effective_weights()
     for t in range(cfg.T):
         rng = seed.child(t).generator() if draws else None
         idx, divisor = _batch_indices(task, cfg, rng)
-        W_eff = state.effective_weights()
         ghat = _clipped_mean_grad_B(task, W_eff, state.LoraA, idx, cfg.clip, divisor)
         if task.reg:
             ghat = ghat + (task.reg * W_eff) @ state.LoraA.T
@@ -359,30 +354,8 @@ def dp_lora_fa(
             noise = rng.standard_normal(ghat.shape)
             ghat = ghat + (sigma / divisor) * noise
         state = replace(state, LoraB=state.LoraB - cfg.eta * ghat, step=state.step + 1)
-        eps_spent, delta_spent = accountants.compose_basic([(eps_step, delta_step)], k=t + 1)
-        records.append(
-            (
-                state.step,
-                task.loss(state.effective_weights()),
-                float(np.linalg.norm(ghat)),
-                eps_spent,
-                delta_spent,
-            )
-        )
-    budget = accountants.compose_basic([(eps_step, delta_step)], k=cfg.T)
-    return state, budget, Trajectory(records)
-
-
-def noise_free_lora(
-    task: TrainTask, state: LoraState, cfg: DpTrainConfig, seed: Seed
-) -> tuple[LoraState, Trajectory]:
-    """Non-private LoRA-FA gradient descent (the sigma = 0 reduction)."""
-    reduction = replace(
-        cfg, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, clip=math.inf,
-        eps_target=None, delta_target=None,
-    )
-    state, _, traj = dp_lora_fa(task, state, reduction, seed)
-    return state, traj
+        W_eff = state.effective_weights()
+        yield state, W_eff, ghat
 
 
 def noisy_proj_step(task: TrainTask, state: LoraState, cfg: DpTrainConfig, seed: Seed) -> LoraState:
@@ -428,9 +401,29 @@ def noisy_proj_budget(cfg: DpTrainConfig, T: int, eps: float, d: int) -> float:
     if cfg.sigma is None or not cfg.sigma > 0.0:
         raise ConfigError("noisy_proj_budget requires sigma > 0")
     alpha = cfg.alpha if cfg.alpha is not None else min(1.0, 1.5 * cfg.r / d)
-    mu_step = alpha * (2.0 * cfg.clip) ** 2 / (cfg.sigma**2)
+    # (2 clip / sigma) squared, not (2 clip)^2 / sigma^2: sigma^2 underflows to 0
+    ratio = 2.0 * cfg.clip / cfg.sigma
+    mu_step = alpha * ratio * ratio
+    if not math.isfinite(mu_step):
+        raise DomainError(f"mu_step = alpha (2 clip / sigma)^2 must be finite, got {mu_step}")
     delta_p = accountants.delta_M_bound(cfg.sens_rank, alpha, cfg.r, d) if alpha < 1.0 else 0.0
     return accountants.compose_gaussian_steps([mu_step] * T, eps, delta_p)
+
+
+def budget_spent(cfg: DpTrainConfig, t: int, d: int) -> tuple[float, float]:
+    """(eps, delta) spent after t steps of a run over d features.
+
+    DP-LoRA spends t times its per-step guarantee (basic composition); noisy
+    projection reports delta at eps_target, or at eps = 1 without one; the
+    non-private mechanisms spend (inf, 0).
+    """
+    if cfg.mechanism is Mechanism.DP_LORA_FA:
+        _, eps_step, delta_step = _lora_fa_sigma(cfg)
+        return accountants.compose_basic([(eps_step, delta_step)], k=t)
+    if cfg.mechanism is Mechanism.NOISY_PROJ:
+        eps = cfg.eps_target if cfg.eps_target is not None else 1.0
+        return eps, noisy_proj_budget(cfg, t, eps, d)
+    return math.inf, 0.0
 
 
 def rp_gd(
@@ -442,8 +435,11 @@ def rp_gd(
     redraw_each_step: bool,
     seed: Seed,
     entry_var: float | None = None,
-) -> tuple[np.ndarray, Trajectory]:
-    """Projected gradient descent w <- w - eta M grad on a scalar-output task."""
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Projected gradient descent w <- w - eta M grad on a scalar-output task.
+
+    Yields (w, grad) after each step, grad being the gradient the step used.
+    """
     if task.n_out != 1:
         raise DomainError("rp_gd is defined for scalar-output (vector-query) tasks")
     w = np.asarray(w0, dtype=float).copy()
@@ -454,15 +450,13 @@ def rp_gd(
     if not redraw_each_step:
         Z = sample_gaussian_matrix(d, r, entry_var, seed.child(0))
         M = Z @ Z.T
-    records = []
     for t in range(T):
         if redraw_each_step:
             Z = sample_gaussian_matrix(d, r, entry_var, seed.child(t))
             M = Z @ Z.T
         g = task.grad_W(w[None, :])[0]
         w = w - eta * (M @ g)
-        records.append((t + 1, task.loss(w[None, :]), float(np.linalg.norm(g)), math.inf, 0.0))
-    return w, Trajectory(records)
+        yield w, g
 
 
 @dataclass(frozen=True)
@@ -509,26 +503,42 @@ def clip_compare(n: int, r: int, delta_jl: float, beta: float) -> ClipCompareRes
     )
 
 
-def fit(task: TrainTask, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:
-    """Train from zero initial weights and return the final effective weights."""
-    n_out, d = task.n_out, task.n_features
-    W0 = np.zeros((n_out, d))
+def train(
+    task: TrainTask, cfg: DpTrainConfig, seed: Seed
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Train from zero initial weights, yielding (effective weights, gradient) per step.
+
+    The adapter is drawn from seed.child(0) and the steps from seed.child(1).
+    The gradient is the noised B-gradient for the LoRA mechanisms, the
+    weight gradient for rp_gd, and None for noisy projection, whose gradient
+    stays inside the mechanism.
+    """
+    W0 = np.zeros((task.n_out, task.n_features))
     if cfg.mechanism is Mechanism.RP_GD:
-        w, _ = rp_gd(task, W0[0], cfg.eta, cfg.T, cfg.r, cfg.redraw_each_step, seed.child(1))
-        return w[None, :]
+        for w, g in rp_gd(task, W0[0], cfg.eta, cfg.T, cfg.r, cfg.redraw_each_step, seed.child(1)):
+            yield w[None, :], g
+        return
     state = init_lora(W0, cfg.r, seed.child(0))
-    if cfg.mechanism is Mechanism.NOISE_FREE_LORA:
-        state, _ = noise_free_lora(task, state, cfg, seed.child(1))
-        return state.effective_weights()
-    if cfg.mechanism is Mechanism.DP_LORA_FA:
-        state, _, _ = dp_lora_fa(task, state, cfg, seed.child(1))
-        return state.effective_weights()
     if cfg.mechanism is Mechanism.NOISY_PROJ:
         step_seed = seed.child(1)
         for t in range(cfg.T):
             state = noisy_proj_step(task, state, cfg, step_seed.child(t))
-        return state.effective_weights()
-    raise ConfigError(f"unknown mechanism {cfg.mechanism}")
+            yield state.W0, None  # the step leaves B = 0: W0 is the effective weights
+        return
+    if cfg.mechanism is Mechanism.NOISE_FREE_LORA:
+        cfg = replace(
+            cfg, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, clip=math.inf,
+            eps_target=None, delta_target=None,
+        )
+    for _, W, g in dp_lora_fa(task, state, cfg, seed.child(1)):
+        yield W, g
+
+
+def fit(task: TrainTask, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:
+    """The final effective weights of train(task, cfg, seed)."""
+    for W, _ in train(task, cfg, seed):
+        pass
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +574,18 @@ def load_config(path) -> DpTrainConfig:
             key, val = key.strip(), val.strip()
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key == "mechanism":
-                values[key] = Mechanism(val.lower())
-            elif key == "batch":
-                values[key] = FULL_BATCH if val.lower() == FULL_BATCH else int(val)
-            elif key == "redraw_each_step":
-                values[key] = val.lower() in ("1", "true", "yes")
-            else:
-                caster = _CONFIG_FIELDS[key]
-                values[key] = caster(val) if val.lower() != "none" else None
+            try:
+                if key == "mechanism":
+                    values[key] = Mechanism(val.lower())
+                elif key == "batch":
+                    values[key] = FULL_BATCH if val.lower() == FULL_BATCH else int(val)
+                elif key == "redraw_each_step":
+                    values[key] = val.lower() in ("1", "true", "yes")
+                else:
+                    caster = _CONFIG_FIELDS[key]
+                    values[key] = caster(val) if val.lower() != "none" else None
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: invalid value for {key}: {val!r}") from None
     if "T" not in values or "eta" not in values:
         raise ConfigError(f"{path}: config must set at least T and eta")
     return DpTrainConfig(**values)

@@ -354,6 +354,7 @@ def test_criterion_09_amplification():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_membership_inference():
     t0 = time.perf_counter()
     # (a) noise-free projection training separates near-perfectly

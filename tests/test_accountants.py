@@ -250,7 +250,10 @@ def test_account_small_r_zero_sensitivity():
     assert rep.delta_total == rep.delta_M
 
 
-@pytest.mark.parametrize("sens, sigma", [(math.nan, 1.0), (math.inf, 1.0), (1e200, 1.0)])
+# (1.0, 1e-170): sigma^2 underflows to 0, so mu_bar must overflow to inf rather than divide by 0
+@pytest.mark.parametrize(
+    "sens, sigma", [(math.nan, 1.0), (math.inf, 1.0), (1e200, 1.0), (1.0, 1e-170)]
+)
 def test_account_small_r_rejects_nonfinite_mu_bar(sens, sigma):
     with pytest.raises(DomainError):
         account_small_r(eps=1.0, sens_frob=sens, s=1, d=100, r=10, sigma=sigma, alpha=0.5)

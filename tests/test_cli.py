@@ -169,24 +169,48 @@ def test_train_subcommand(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mechanism_lines",
-    ["mechanism = noise_free_lora\n", "mechanism = dp_lora_fa\nsigma = 0.1\nclip = 1.0\ndelta_target = 1e-5\n"],
-    ids=["noise_free_lora", "dp_lora_fa"],
+    "task_kind, mechanism_lines",
+    [
+        ("ridge", "mechanism = noise_free_lora\n"),
+        ("ridge", "mechanism = dp_lora_fa\nsigma = 0.1\nclip = 1.0\ndelta_target = 1e-5\n"),
+        ("logistic", "mechanism = noisy_proj\nsigma = 0.5\nclip = 1.0\n"),
+        ("ridge", "mechanism = rp_gd\n"),
+    ],
+    ids=["noise_free_lora", "dp_lora_fa", "noisy_proj", "rp_gd"],
 )
-def test_train_matches_library_fit(capsys, tmp_path, mechanism_lines):
-    # The CLI draws the adapter and the steps as trainer.fit(task, cfg, seed)
-    # does, and the data from child 2 of the same seed.
+def test_train_matches_library_fit(capsys, tmp_path, task_kind, mechanism_lines):
+    # The CLI trains through trainer.train(task, cfg, seed), as trainer.fit
+    # does, and draws the data from child 2 of the same seed.
     cfg_path = tmp_path / "train.cfg"
     cfg_path.write_text("T = 50\neta = 0.05\nr = 8\n" + mechanism_lines)
     code, out, _ = run_cli(
         capsys,
-        "train", "--task", "ridge", "--config", str(cfg_path), "--n", "200", "--d", "32",
+        "train", "--task", task_kind, "--config", str(cfg_path), "--n", "200", "--d", "32",
         "--seed", "3",
     )
     assert code == 0
-    task = trainer.make_ridge_task(200, 32, Seed(3).child(2), reg=1e-3)
+    if task_kind == "ridge":
+        task = trainer.make_ridge_task(200, 32, Seed(3).child(2), reg=1e-3)
+    else:
+        task = trainer.make_logistic_task(200, 32, 10, Seed(3).child(2), reg=1e-3)
     W = trainer.fit(task, trainer.load_config(cfg_path), Seed(3))
     assert json.loads(out)["final_loss"] == task.loss(W)
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ["mechanism = bogus\n", "T = five\n", "batch = 2.5\n"],
+    ids=["unknown_mechanism", "unparsable_int", "non_integer_batch"],
+)
+def test_train_bad_config_value_exits_3(capsys, tmp_path, bad_line):
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text("eta = 0.1\nr = 4\n" + bad_line)
+    code, out, err = run_cli(
+        capsys, "train", "--task", "ridge", "--config", str(cfg_path), "--seed", "3"
+    )
+    assert code == 3
+    assert out == ""
+    assert f"{cfg_path}:3:" in err
 
 
 @pytest.mark.parametrize("eps_line, eps", [("", 1.0), ("eps_target = 2.0\ndelta_target = 1e-5\n", 2.0)])

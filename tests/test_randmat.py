@@ -12,10 +12,8 @@ from wishart_dp.randmat import (
     Seed,
     capture_fraction,
     col_projector,
-    load_matrix_csv,
     orthogonal_split,
     sample_gaussian_matrix,
-    save_matrix_csv,
     wishart_draw,
 )
 
@@ -205,12 +203,3 @@ def test_capture_fraction_haar_invariance():
     a = capture_fraction_samples(d, r, u, n, Seed(MASTER, 96))
     b = capture_fraction_samples(d, r, Q @ u, n, Seed(MASTER, 97))
     assert stats.ks_2samp(a, b).statistic < 0.02
-
-
-def test_matrix_csv_roundtrip(tmp_path):
-    X = Seed(MASTER, 98).generator().standard_normal((3, 5))
-    path = tmp_path / "m.csv"
-    save_matrix_csv(path, X)
-    assert load_matrix_csv(path).tolist() == X.tolist()
-    header = path.read_text().splitlines()[0]
-    assert header == "# 3 5"

@@ -17,6 +17,7 @@ from wishart_dp.trainer import (
     Mechanism,
     TaskKind,
     _clipped_mean_grad_B,
+    budget_spent,
     clip_compare,
     dp_lora_fa,
     fit,
@@ -25,10 +26,10 @@ from wishart_dp.trainer import (
     lora_fa_step,
     make_logistic_task,
     make_ridge_task,
-    noise_free_lora,
     noisy_proj_budget,
     noisy_proj_step,
     rp_gd,
+    train,
 )
 
 from conftest import MASTER
@@ -83,8 +84,8 @@ def test_chain_rule_against_finite_differences(ridge_task):
 def test_frozen_factor_invariant(ridge_task):
     st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 405))
     a_before = st.LoraA.copy()
-    cfg = DpTrainConfig(T=25, eta=0.05, mechanism=Mechanism.NOISE_FREE_LORA, r=8)
-    st2, _ = noise_free_lora(ridge_task, st, cfg, Seed(MASTER, 406))
+    cfg = DpTrainConfig(T=25, eta=0.05, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, r=8)
+    *_, (st2, _, _) = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 406))
     assert np.array_equal(st2.LoraA, a_before)
     assert np.array_equal(st.LoraA, a_before)
 
@@ -92,29 +93,27 @@ def test_frozen_factor_invariant(ridge_task):
 def test_effective_weight_accumulation_identity(ridge_task):
     # W_T - W_0 = -eta sum_t grad_W(W_t) (A^T A) for the noise-free loop.
     st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 407))
-    cfg = DpTrainConfig(T=30, eta=0.05, mechanism=Mechanism.NOISE_FREE_LORA, r=8)
+    one_step = DpTrainConfig(T=1, eta=0.05, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, r=8)
     gram = st.LoraA.T @ st.LoraA
     acc = np.zeros((1, 16))
     state = st
-    for t in range(cfg.T):
+    for t in range(30):
         acc += ridge_task.grad_W(state.effective_weights())
-        state, _ = noise_free_lora(ridge_task, state, DpTrainConfig(
-            T=1, eta=cfg.eta, mechanism=Mechanism.NOISE_FREE_LORA, r=8), Seed(MASTER, 408).child(t))
+        [(state, _, _)] = dp_lora_fa(ridge_task, state, one_step, Seed(MASTER, 408).child(t))
     lhs = state.effective_weights() - st.effective_weights()
-    rhs = -cfg.eta * acc @ gram
+    rhs = -one_step.eta * acc @ gram
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(np.linalg.norm(rhs), 1e-12)
 
 
 def test_dp_lora_fa_reduces_to_noise_free_bitwise(ridge_task):
-    st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 409))
     dp_cfg = DpTrainConfig(
         T=20, eta=0.05, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, clip=math.inf, r=8
     )
     free_cfg = DpTrainConfig(T=20, eta=0.05, mechanism=Mechanism.NOISE_FREE_LORA, r=8)
-    st_dp, budget, _ = dp_lora_fa(ridge_task, st, dp_cfg, Seed(MASTER, 410))
-    st_free, _ = noise_free_lora(ridge_task, st, free_cfg, Seed(MASTER, 410))
-    assert np.array_equal(st_dp.LoraB, st_free.LoraB)
-    assert budget == (math.inf, 0.0)
+    W_dp = fit(ridge_task, dp_cfg, Seed(MASTER, 410))
+    W_free = fit(ridge_task, free_cfg, Seed(MASTER, 410))
+    assert np.array_equal(W_dp, W_free)
+    assert budget_spent(dp_cfg, 20, 16) == budget_spent(free_cfg, 20, 16) == (math.inf, 0.0)
 
 
 def test_dp_lora_fa_matches_plain_gd_loop(ridge_task):
@@ -123,7 +122,7 @@ def test_dp_lora_fa_matches_plain_gd_loop(ridge_task):
     cfg = DpTrainConfig(
         T=25, eta=0.05, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, clip=math.inf, r=8
     )
-    st_dp, _, _ = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 412))
+    *_, (st_dp, _, _) = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 412))
     state = st
     for _ in range(25):
         state = lora_fa_step(state, ridge_task.grad_W(state.effective_weights()), 0.05)
@@ -138,21 +137,19 @@ def test_dp_lora_fa_noise_dominates_at_huge_sigma(ridge_task):
         T=10, eta=0.01, mechanism=Mechanism.DP_LORA_FA, sigma=1e6, clip=1.0, r=8,
         delta_target=1e-5,
     )
-    st2, budget, traj = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 414))
+    *_, (_, W, _) = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 414))
     init_loss = ridge_task.loss(st.effective_weights())
-    assert traj.final_loss() > 10 * init_loss  # utility collapses
-    assert budget[0] < 1e-3  # enormous noise buys a tiny eps
+    assert ridge_task.loss(W) > 10 * init_loss  # utility collapses
+    assert budget_spent(cfg, cfg.T, 16)[0] < 1e-3  # enormous noise buys a tiny eps
 
 
 def test_dp_lora_fa_budget_composition(ridge_task):
-    st = init_lora(np.zeros((1, 16)), 4, Seed(MASTER, 415))
     cfg = DpTrainConfig(
         T=7, eta=0.05, mechanism=Mechanism.DP_LORA_FA, eps_target=0.5, delta_target=1e-6,
         clip=1.0, r=4,
     )
-    _, budget, traj = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 416))
-    assert budget == (pytest.approx(3.5), pytest.approx(7e-6))
-    assert traj.records[0][3] == pytest.approx(0.5)
+    assert budget_spent(cfg, 1, 16) == (pytest.approx(0.5), pytest.approx(1e-6))
+    assert budget_spent(cfg, cfg.T, 16) == (pytest.approx(3.5), pytest.approx(7e-6))
     # sigma follows the training algorithm's constant
     sigma = mechanisms.gaussian_sigma(
         1.0, 0.5, 1e-6, mechanisms.SigmaConvention.ALGORITHM
@@ -193,17 +190,17 @@ def test_dp_lora_fa_decreases_loss_within_budget(ridge_task):
     # Non-private GD sets the attainable decrease; the private run at modest
     # noise gets a healthy fraction of it.
     st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 419))
-    f_cfg = DpTrainConfig(T=50, eta=0.1, mechanism=Mechanism.NOISE_FREE_LORA, r=8)
-    st_free, _ = noise_free_lora(ridge_task, st, f_cfg, Seed(MASTER, 420))
+    f_cfg = DpTrainConfig(T=50, eta=0.1, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, r=8)
+    *_, (_, W_free, _) = dp_lora_fa(ridge_task, st, f_cfg, Seed(MASTER, 420))
     init_loss = ridge_task.loss(st.effective_weights())
-    free_loss = ridge_task.loss(st_free.effective_weights())
+    free_loss = ridge_task.loss(W_free)
     assert free_loss < 0.8 * init_loss
     cfg = DpTrainConfig(
         T=50, eta=0.1, mechanism=Mechanism.DP_LORA_FA, eps_target=8.0, delta_target=1e-5,
         clip=2.0, r=8,
     )
-    _, _, traj = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 421))
-    assert traj.final_loss() <= 0.8 * init_loss
+    *_, (_, W, _) = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 421))
+    assert ridge_task.loss(W) <= 0.8 * init_loss
 
 
 def test_noisy_proj_step_requires_config():
@@ -271,8 +268,8 @@ def test_noisy_proj_multi_step_budget():
 def test_rp_gd_stationary_point():
     task = make_ridge_task(50, 8, Seed(MASTER, 440), noise=0.0, reg=0.0)
     w_star = task.ridge_optimum()
-    _, traj = rp_gd(task, w_star, 0.05, 10, 8, False, Seed(MASTER, 441))
-    losses = [rec[1] for rec in traj.records]
+    steps = rp_gd(task, w_star, 0.05, 10, 8, False, Seed(MASTER, 441))
+    losses = [task.loss(w[None, :]) for w, _ in steps]
     assert max(losses) - min(losses) < 1e-20
 
 
@@ -288,8 +285,8 @@ def test_rp_gd_tracks_plain_gd(ridge_task):
     final_plain = ridge_task.loss(w[None, :])
     ratios = []
     for s in range(20):
-        _, traj = rp_gd(ridge_task, np.zeros(d), eta, T, d, True, Seed(MASTER, 442).child(s))
-        ratios.append(traj.final_loss() / final_plain)
+        *_, (w, _) = rp_gd(ridge_task, np.zeros(d), eta, T, d, True, Seed(MASTER, 442).child(s))
+        ratios.append(ridge_task.loss(w[None, :]) / final_plain)
     assert float(np.mean(ratios)) <= 1.1
 
 
@@ -298,7 +295,7 @@ def test_rp_gd_rank_one_confinement():
 
     task = make_ridge_task(40, 10, Seed(MASTER, 443))
     # with a fixed rank-1 M every update stays along the single factor column
-    w, _ = rp_gd(task, np.zeros(10), 0.05, 5, 1, False, Seed(MASTER, 444))
+    *_, (w, _) = rp_gd(task, np.zeros(10), 0.05, 5, 1, False, Seed(MASTER, 444))
     Z = sample_gaussian_matrix(10, 1, 1.0, Seed(MASTER, 444).child(0))
     direction = Z[:, 0] / np.linalg.norm(Z)
     resid = w - direction * float(w @ direction)
@@ -347,6 +344,31 @@ def test_fit_dispatches_all_mechanisms():
         assert W.shape == (3, 8)
         assert np.all(np.isfinite(W))
         assert np.array_equal(W, fit(task, cfg, Seed(MASTER, 461)))
+
+
+
+@pytest.mark.parametrize("mech, extra", [
+    (Mechanism.NOISE_FREE_LORA, {}),
+    (Mechanism.DP_LORA_FA, {"sigma": 0.1, "clip": 1.0, "batch": 10}),
+    (Mechanism.NOISY_PROJ, {"sigma": 0.1, "clip": 1.0}),
+    (Mechanism.RP_GD, {}),
+])
+def test_train_yields_every_step(mech, extra):
+    # one (weights, gradient) pair per step; fit returns the last weights
+    task = make_ridge_task(40, 8, Seed(MASTER, 462))
+    cfg = DpTrainConfig(T=6, eta=0.1, mechanism=mech, r=4, **extra)
+    steps = list(train(task, cfg, Seed(MASTER, 463)))
+    assert len(steps) == 6
+    assert all(W.shape == (1, 8) for W, _ in steps)
+    assert all((g is None) == (mech is Mechanism.NOISY_PROJ) for _, g in steps)
+    assert np.array_equal(steps[-1][0], fit(task, cfg, Seed(MASTER, 463)))
+
+
+def test_noisy_proj_budget_rejects_underflowing_sigma():
+    # sigma^2 underflows to 0 here; mu_step overflows to inf instead
+    cfg = DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.NOISY_PROJ, sigma=1e-170, clip=1.0, r=4)
+    with pytest.raises(DomainError):
+        noisy_proj_budget(cfg, 1, 1.0, 100)
 
 
 def test_config_validation():
