@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     DegenerateInputError,
@@ -37,12 +36,6 @@ from .randmat import Seed
 from .specialfn import chi2_quantile, normal_cdf, reg_inc_betac, student_t_quantile
 
 DEFAULT_SUPPORT_SAMPLES = 10**6
-
-# Trade-off safeguard grid: the tail expression is provably nondecreasing in
-# mu, but the small-r bound leans on that monotonicity, so the accountant
-# evaluates a coarse grid up to mu_bar and takes the max rather than trusting
-# the endpoint blindly.
-_MU_GRID_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -209,16 +202,6 @@ def gaussian_tradeoff(eps: float, mu: float) -> float:
     return normal_cdf((-eps - mu / 2.0) / root) + normal_cdf(-(eps - mu / 2.0) / root)
 
 
-def _tradeoff_sup(eps: float, mu_bar: float) -> float:
-    # Max of the trade-off over a coarse grid up to mu_bar (monotonicity guard),
-    # with T(eps; mu) evaluated as in gaussian_tradeoff, on the whole grid at once.
-    if mu_bar == 0.0:
-        return 0.0
-    mu = np.geomspace(max(mu_bar * 1e-6, 1e-12), mu_bar, _MU_GRID_POINTS)
-    root = np.sqrt(mu)
-    return float(np.max(ndtr((-eps - mu / 2.0) / root) + ndtr(-(eps - mu / 2.0) / root)))
-
-
 def delta_M_bound(s: int, alpha: float, r: int, d: int) -> float:
     """Union bound on the capture event: P(capture > alpha) <= s (1 - I_alpha(r/2, (d-r)/2))."""
     if s < 1:
@@ -292,7 +275,9 @@ def account_small_r(
     mu_bar = alpha * (sens_frob / sigma) * (sens_frob / sigma)  # sigma * sigma may underflow
     if not math.isfinite(mu_bar):
         raise DomainError(f"mu_bar = alpha sens_frob^2 / sigma^2 must be finite, got {mu_bar}")
-    delta_E = _tradeoff_sup(eps, mu_bar)
+    # T(eps; mu) is nondecreasing in mu, so its value at mu_bar covers every
+    # captured sensitivity up to alpha ||dV||_F^2.
+    delta_E = gaussian_tradeoff(eps, mu_bar)
     if alpha == 1.0:
         delta_M = 0.0
     else:

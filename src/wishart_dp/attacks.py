@@ -17,7 +17,6 @@ representation effects.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -178,12 +177,6 @@ class MiaResult:
             "balanced_acc": self.balanced_acc,
             "threshold": self.threshold,
         }
-
-    def to_json(self) -> str:
-        payload = self.to_dict()
-        payload["scores_in"] = [float(s) for s in self.scores_in]
-        payload["scores_out"] = [float(s) for s in self.scores_out]
-        return json.dumps(payload)
 
     def write_scores_csv(self, path) -> None:
         """Two-column (label, score) CSV; label 1 marks IN models."""

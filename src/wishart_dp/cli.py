@@ -173,7 +173,7 @@ def _cmd_profile_mc(args) -> int:
         grid = args.eps_grid
     else:
         grid = list(np.round(np.arange(0.0, args.eps_max + 1e-12, args.eps_step), 12))
-    rows = []
+    profiles = []
     per_rank = []
     for r in args.r:
         prof = profiler.mc_privacy_profile(
@@ -189,22 +189,11 @@ def _cmd_profile_mc(args) -> int:
             eps_hat = prof.eps_at_delta(args.delta)
         except WishartDpError:
             eps_hat = math.nan
-        per_rank.append(
-            {
-                "r": r,
-                "eps_hat": eps_hat,
-                "delta_support": prof.delta_support_hat[0],
-                "delta_support_stderr": prof.delta_support_hat[1],
-            }
-        )
-        for e, dh, se in prof.grid:
-            rows.append((e, dh, se, args.n, args.rho, args.d, r, f"{args.seed}:{r}"))
+        per_rank.append({"r": r, "eps_hat": eps_hat})
+        profiles.append(prof)
     outputs = []
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("eps,delta_hat,stderr,n,rho,d,r,seed\n")
-            for row in rows:
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        profiler.write_profiles_csv(args.out, profiles)
         outputs.append(args.out)
     payload = {
         "kind": "privacy_profile_sweep",

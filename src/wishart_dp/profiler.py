@@ -18,21 +18,24 @@ with independent K1 ~ chi2_r, K2 ~ N(0, 1), K3 ~ chi2_{d-2}. The loss is
 
 with A <= 0 mapped to +inf (the output escapes the neighbor law's support).
 delta(eps) is estimated on an eps grid as the fraction of draws with L > eps
-(draws with A <= 0 count in every tail) plus a Monte Carlo estimate of the
-support-failure mass. Both chi-square variables come from numpy's gamma-based
+in one sampling pass. A draw with A <= 0 has L = +inf, so the
+support-failure mass P(A <= 0) is counted once, in every tail, and needs no
+separate estimate. Both chi-square variables come from numpy's gamma-based
 sampler, which is exact in distribution at every dof. Tail counts on a sorted
 grid are nonincreasing, so the estimated profile is nonincreasing in eps
 without any correction.
 
-All loops are chunked over substream seeds, so estimates do not depend on the
-worker count used to evaluate them.
+Sampling is chunked over the substreams seed.child(0), seed.child(1), ..., so
+estimates do not depend on the worker count used to evaluate them.
+delta_support, a Monte Carlo estimate of P(A <= 0) alone, serves the vector
+accountants; the profile does not call it.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -92,16 +95,9 @@ def privacy_loss_array(A: np.ndarray, B: np.ndarray, d: int, r: int) -> np.ndarr
     return out
 
 
-def _chunk_seeds(seed: Seed, n: int, offset: int) -> list[tuple[Seed, int]]:
-    chunks = []
-    index = offset
-    remaining = n
-    while remaining > 0:
-        size = min(_CHUNK, remaining)
-        chunks.append((seed.child(index), size))
-        index += 1
-        remaining -= size
-    return chunks
+def _chunk_seeds(seed: Seed, n: int) -> list[tuple[Seed, int]]:
+    """(seed.child(i), size) for the i-th chunk of at most _CHUNK draws."""
+    return [(seed.child(i), min(_CHUNK, n - start)) for i, start in enumerate(range(0, n, _CHUNK))]
 
 
 def _map_chunks(fn, chunks, threads: int):
@@ -111,9 +107,7 @@ def _map_chunks(fn, chunks, threads: int):
         return list(pool.map(fn, chunks))
 
 
-def delta_support(
-    rho: float, r: int, n: int, seed: Seed, threads: int = 1
-) -> tuple[float, float]:
+def delta_support(rho: float, r: int, n: int, seed: Seed) -> tuple[float, float]:
     """Monte Carlo mean of Phi(-rho sqrt(X) / sqrt(1 - rho^2)) over X ~ chi2_r."""
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"delta_support requires rho in (0, 1], got {rho}")
@@ -124,17 +118,11 @@ def delta_support(
     if rho == 1.0:
         return 0.0, 0.0
     scale = rho / math.sqrt(1.0 - rho * rho)
-
-    def one_chunk(item):
-        chunk_seed, size = item
-        rng = chunk_seed.generator()
-        x = rng.chisquare(r, size)
-        vals = ndtr(-scale * np.sqrt(x))
-        return float(np.sum(vals)), float(np.sum(vals * vals)), size
-
-    totals = _map_chunks(one_chunk, _chunk_seeds(seed, n, offset=0), threads)
-    s1 = sum(t[0] for t in totals)
-    s2 = sum(t[1] for t in totals)
+    s1 = s2 = 0.0
+    for chunk_seed, size in _chunk_seeds(seed, n):
+        vals = ndtr(-scale * np.sqrt(chunk_seed.generator().chisquare(r, size)))
+        s1 += float(np.sum(vals))
+        s2 += float(np.sum(vals * vals))
     mean = s1 / n
     var = max(0.0, s2 / n - mean * mean)
     return mean, math.sqrt(var / n)
@@ -152,52 +140,35 @@ class PrivacyProfile:
     stderr: np.ndarray
     n_samples: int
     seed: Seed
-    delta_support_hat: tuple[float, float]
-    grid: list[tuple[float, float, float]] = field(init=False)
-
-    def __post_init__(self):
-        self.grid = [
-            (float(e), float(dh), float(se))
-            for e, dh, se in zip(self.eps_grid, self.delta_hat, self.stderr)
-        ]
 
     def eps_at_delta(self, target_delta: float) -> float:
-        """Smallest grid eps whose estimated delta is <= target_delta."""
-        for e, dh, _ in self.grid:
-            if dh <= target_delta:
-                return e
-        raise DomainError(
-            f"no grid point reaches delta <= {target_delta}; extend the eps grid "
-            f"(largest grid delta_hat is {self.grid[-1][1]:.4g})"
-        )
+        """Smallest grid eps whose estimated delta is <= target_delta.
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "privacy_profile",
-            "inputs": {
-                "rho": self.rho,
-                "d": self.d,
-                "r": self.r,
-                "n": self.n_samples,
-                "seed": {"master": self.seed.master, "stream": self.seed.stream},
-            },
-            "delta_support": {
-                "estimate": self.delta_support_hat[0],
-                "stderr": self.delta_support_hat[1],
-            },
-            "grid": [
-                {"eps": e, "delta_hat": dh, "stderr": se} for e, dh, se in self.grid
-            ],
-        }
+        A target below 1/n cannot be told apart from a tail with zero hits,
+        so it is rejected rather than answered from an empty tail.
+        """
+        if not target_delta * self.n_samples >= 1.0:
+            raise DomainError(
+                f"target delta {target_delta} is below the resolution 1/n = "
+                f"{1.0 / self.n_samples:.3g} of a {self.n_samples}-sample profile"
+            )
+        hits = np.flatnonzero(self.delta_hat <= target_delta)
+        if hits.size == 0:
+            raise DomainError(
+                f"no grid point reaches delta <= {target_delta}; extend the eps grid "
+                f"(largest grid delta_hat is {self.delta_hat[-1]:.4g})"
+            )
+        return float(self.eps_grid[hits[0]])
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("eps,delta_hat,stderr,n,rho,d,r,seed\n")
-            for e, dh, se in self.grid:
-                fh.write(
-                    f"{e!r},{dh!r},{se!r},{self.n_samples},{self.rho!r},"
-                    f"{self.d},{self.r},{self.seed.master}:{self.seed.stream}\n"
-                )
+
+def write_profiles_csv(path, profiles) -> None:
+    """One CSV row per grid point of each profile, under one header."""
+    with open(path, "w") as fh:
+        fh.write("eps,delta_hat,stderr,n,rho,d,r,seed\n")
+        for p in profiles:
+            tail = f"{p.n_samples},{p.rho!r},{p.d},{p.r},{p.seed.master}:{p.seed.stream}"
+            for e, dh, se in zip(p.eps_grid.tolist(), p.delta_hat.tolist(), p.stderr.tolist()):
+                fh.write(f"{e!r},{dh!r},{se!r},{tail}\n")
 
 
 def mc_privacy_profile(
@@ -208,9 +179,13 @@ def mc_privacy_profile(
     n: int,
     seed: Seed,
     threads: int = 1,
-    support_n: int | None = None,
 ) -> PrivacyProfile:
-    """Estimate delta(eps) = P(L > eps) + delta_support on an increasing eps grid."""
+    """Estimate delta(eps) = P(L > eps) on an increasing eps grid in one pass.
+
+    Draws with A <= 0 have L = +inf and so fall in every tail: the
+    support-failure mass is counted once, through the loss itself. The
+    stderr is the binomial sqrt(p (1 - p) / n).
+    """
     _check_ratio_args(rho, d, r)
     if not rho > 0.0:
         raise DomainError(f"the profile is defined for rho in (0, 1], got {rho}")
@@ -220,8 +195,6 @@ def mc_privacy_profile(
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
 
-    loss_chunks = _chunk_seeds(seed, n, offset=0)
-
     def one_chunk(item):
         chunk_seed, size = item
         A, B = sample_ratio_arrays(rho, d, r, size, chunk_seed)
@@ -229,26 +202,16 @@ def mc_privacy_profile(
         # count of losses strictly above each grid eps
         return size - np.searchsorted(losses, eps, side="right")
 
-    counts = sum(_map_chunks(one_chunk, loss_chunks, threads))
-
-    if rho == 1.0:
-        ds_est, ds_se = 0.0, 0.0
-    else:
-        support_seed = seed.child(len(loss_chunks))
-        ds_est, ds_se = delta_support(rho, r, support_n or n, support_seed, threads=threads)
-
-    tail = counts / n
-    stderr = np.sqrt(tail * (1.0 - tail) / n + ds_se * ds_se)
+    delta_hat = sum(_map_chunks(one_chunk, _chunk_seeds(seed, n), threads)) / n
     return PrivacyProfile(
         rho=rho,
         d=d,
         r=r,
         eps_grid=eps,
-        delta_hat=np.clip(tail + ds_est, 0.0, 1.0),
-        stderr=stderr,
+        delta_hat=delta_hat,
+        stderr=np.sqrt(delta_hat * (1.0 - delta_hat) / n),
         n_samples=n,
         seed=seed,
-        delta_support_hat=(ds_est, ds_se),
     )
 
 

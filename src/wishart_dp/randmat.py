@@ -51,9 +51,6 @@ class Seed:
         mixed = _splitmix64((self.stream ^ _splitmix64(index + 1)) & _MASK64)
         return Seed(self.master, mixed)
 
-    def spawn(self, n: int) -> list["Seed"]:
-        return [self.child(i) for i in range(n)]
-
 
 def sample_gaussian_matrix(rows: int, cols: int, var: float, seed: Seed) -> np.ndarray:
     """rows x cols matrix with i.i.d. N(0, var) entries, deterministic under seed."""
@@ -77,9 +74,6 @@ class WishartDraw:
     @cached_property
     def M(self) -> np.ndarray:
         return self.Z @ self.Z.T
-
-    def projector(self) -> np.ndarray:
-        return col_projector(self.Z)
 
     def nonzero_eigenvalues(self) -> np.ndarray:
         """Nonzero spectrum of M via singular values of Z (cheap for r << d)."""

@@ -559,6 +559,7 @@ _CONFIG_FIELDS = {
     "sens_rank": int,
     "redraw_each_step": None,
 }
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def load_config(path) -> DpTrainConfig:
@@ -580,11 +581,11 @@ def load_config(path) -> DpTrainConfig:
                 elif key == "batch":
                     values[key] = FULL_BATCH if val.lower() == FULL_BATCH else int(val)
                 elif key == "redraw_each_step":
-                    values[key] = val.lower() in ("1", "true", "yes")
+                    values[key] = _BOOLS[val.lower()]
                 else:
                     caster = _CONFIG_FIELDS[key]
                     values[key] = caster(val) if val.lower() != "none" else None
-            except ValueError:
+            except (KeyError, ValueError):
                 raise ConfigError(f"{path}:{lineno}: invalid value for {key}: {val!r}") from None
     if "T" not in values or "eta" not in values:
         raise ConfigError(f"{path}: config must set at least T and eta")

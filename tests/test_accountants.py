@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats
 
 from wishart_dp.accountants import (
@@ -188,6 +190,19 @@ def test_gaussian_tradeoff_monotone_in_mu():
         grid = np.geomspace(1e-6, 1e3, 200)
         vals = [gaussian_tradeoff(eps, float(m)) for m in grid]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    eps=hst.floats(min_value=0.0, max_value=60.0),
+    mu=hst.lists(hst.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=2),
+)
+def test_gaussian_tradeoff_nondecreasing_in_mu_property(eps, mu):
+    # account_small_r evaluates T only at mu_bar, which bounds every captured
+    # sensitivity below it only because T is nondecreasing in mu; the slack
+    # is rounding in the two Phi terms.
+    lo, hi = sorted(mu)
+    assert gaussian_tradeoff(eps, lo) <= gaussian_tradeoff(eps, hi) * (1.0 + 1e-12)
 
 
 def test_delta_M_bound_values():

@@ -199,8 +199,8 @@ def test_train_matches_library_fit(capsys, tmp_path, task_kind, mechanism_lines)
 
 @pytest.mark.parametrize(
     "bad_line",
-    ["mechanism = bogus\n", "T = five\n", "batch = 2.5\n"],
-    ids=["unknown_mechanism", "unparsable_int", "non_integer_batch"],
+    ["mechanism = bogus\n", "T = five\n", "batch = 2.5\n", "redraw_each_step = ture\n"],
+    ids=["unknown_mechanism", "unparsable_int", "non_integer_batch", "misspelt_bool"],
 )
 def test_train_bad_config_value_exits_3(capsys, tmp_path, bad_line):
     cfg_path = tmp_path / "train.cfg"

@@ -1,5 +1,5 @@
 """Profile estimator tests: distributional representation, loss identities,
-support-failure estimation, density normalization, worker-count independence."""
+support-failure mass, density normalization, worker-count independence."""
 
 import math
 
@@ -10,8 +10,11 @@ from hypothesis import strategies as hst
 from scipy import stats
 
 from wishart_dp.errors import DomainError, OutsideSupportError
+from scipy.special import stdtr
+
 from wishart_dp.profiler import (
     RatioSample,
+    _chunk_seeds,
     delta_support,
     log_density_mv,
     mc_privacy_profile,
@@ -19,6 +22,7 @@ from wishart_dp.profiler import (
     privacy_loss_array,
     ratio_from_point,
     sample_ratio_arrays,
+    write_profiles_csv,
 )
 from wishart_dp.randmat import Seed, wishart_draw
 
@@ -103,7 +107,7 @@ def test_delta_support_rejects_nonpositive_rho():
 
 def test_profile_perfect_alignment_is_zero():
     prof = mc_privacy_profile(1.0, 10, 3, [0.1, 1.0, 2.0], 10**4, Seed(MASTER, 320))
-    assert all(dh == 0.0 for _, dh, _ in prof.grid)
+    assert np.all(prof.delta_hat == 0.0)
 
 
 def test_profile_matches_ratio_sampler_by_construction():
@@ -113,21 +117,28 @@ def test_profile_matches_ratio_sampler_by_construction():
     eps_grid = [0.0, 0.25, 0.5, 1.0, 2.0]
     seed = Seed(MASTER, 321)
     prof = mc_privacy_profile(rho, d, r, eps_grid, n, seed)
-    from wishart_dp.profiler import _chunk_seeds
-
     losses = []
-    for chunk_seed, size in _chunk_seeds(seed, n, 0):
+    for chunk_seed, size in _chunk_seeds(seed, n):
         A, B = sample_ratio_arrays(rho, d, r, size, chunk_seed)
         losses.append(privacy_loss_array(A, B, d, r))
     L = np.concatenate(losses)
-    for eps, dh, _ in prof.grid:
-        rebuilt = float(np.mean(L > eps)) + prof.delta_support_hat[0]
-        assert dh == pytest.approx(rebuilt, abs=1e-12)
+    for eps, dh in zip(prof.eps_grid, prof.delta_hat):
+        assert dh == np.count_nonzero(L > eps) / n
+
+
+def test_profile_counts_support_failure_once():
+    # Draws with A <= 0 carry L = +inf, so far in the tail delta_hat is the
+    # support-failure mass P(A <= 0) = F_{t_r}(-rho sqrt(r) / sqrt(1 - rho^2))
+    # counted once, within binomial error.
+    rho, d, r, n = 0.8, 20, 2, 10**5
+    prof = mc_privacy_profile(rho, d, r, [1e3], n, Seed(MASTER, 327))
+    exact = float(stdtr(r, -rho * math.sqrt(r) / math.sqrt(1.0 - rho * rho)))
+    assert abs(prof.delta_hat[0] - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n)
 
 
 def test_profile_is_nonincreasing_and_clamped():
     prof = mc_privacy_profile(0.9, 40, 8, np.linspace(0, 3, 31), 10**5, Seed(MASTER, 322))
-    dh = [p[1] for p in prof.grid]
+    dh = list(prof.delta_hat)
     assert all(b <= a + 1e-15 for a, b in zip(dh, dh[1:]))
     assert all(0.0 <= v <= 1.0 for v in dh)
 
@@ -164,18 +175,25 @@ def test_profile_eps_at_delta_inversion():
         prof.eps_at_delta(0.0)
 
 
+def test_profile_eps_at_delta_rejects_unreachable_targets():
+    prof = mc_privacy_profile(0.9, 20, 4, [0.0, 0.5], 10**3, Seed(MASTER, 328))
+    with pytest.raises(DomainError, match="resolution"):
+        prof.eps_at_delta(0.5e-3)  # below one hit in n
+    with pytest.raises(DomainError, match="extend the eps grid"):
+        prof.eps_at_delta(2e-3)  # resolvable, but beyond the grid
+
+
 def test_profile_independent_of_thread_count():
     kwargs = dict(rho=0.95, d=20, r=4, eps_grid=[0.5, 1.0], n=2 * 10**4, seed=Seed(MASTER, 324))
     a = mc_privacy_profile(**kwargs, threads=1)
     b = mc_privacy_profile(**kwargs, threads=4)
     assert np.array_equal(a.delta_hat, b.delta_hat)
-    assert a.delta_support_hat == b.delta_support_hat
 
 
 def test_profile_csv_export(tmp_path):
     prof = mc_privacy_profile(0.9, 20, 4, [0.5, 1.0], 10**4, Seed(MASTER, 325))
     path = tmp_path / "profile.csv"
-    prof.write_csv(path)
+    write_profiles_csv(path, [prof])
     lines = path.read_text().splitlines()
     assert lines[0] == "eps,delta_hat,stderr,n,rho,d,r,seed"
     assert len(lines) == 3
@@ -272,7 +290,7 @@ def test_profile_lies_below_certified_frontier():
     # quantiles (independent of the accountant's kernels).
     rho, d, r, n = 0.99, 60, 8, 2 * 10**5
     prof = mc_privacy_profile(rho, d, r, np.linspace(0.5, 6.0, 12), n, Seed(MASTER, 340))
-    ds = prof.delta_support_hat[0]
+    ds = float(stats.t.cdf(-rho * math.sqrt(r) / math.sqrt(1.0 - rho * rho), r))
 
     def eps_bound(delta_prime):
         t = stats.t.ppf(1 - delta_prime, r)
@@ -294,5 +312,5 @@ def test_profile_lies_below_certified_frontier():
                 lo = mid
         return ds + 3 * hi
 
-    for eps, dh, se in prof.grid:
+    for eps, dh, se in zip(prof.eps_grid, prof.delta_hat, prof.stderr):
         assert dh <= frontier_delta(eps) + 3 * se

@@ -405,6 +405,16 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.alpha == 0.2 and cfg.sens_rank == 1 and cfg.redraw_each_step
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1", True), ("True", True), ("YES", True), ("0", False), ("false", False), ("No", False)],
+)
+def test_load_config_reads_redraw_flag(tmp_path, value, expected):
+    path = tmp_path / "train.cfg"
+    path.write_text(f"T = 5\neta = 0.1\nredraw_each_step = {value}\n")
+    assert load_config(path).redraw_each_step is expected
+
+
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("T = 5\neta = 0.1\nbogus = 3\n")
