@@ -82,7 +82,7 @@ def alignment_lower_bound(L: float, c0: float, n: int) -> float:
     """
     if not c0 > 0.0:
         raise DomainError(f"c0 must be > 0, got {c0}")
-    if L < 0.0:
+    if not L >= 0.0:
         raise DomainError(f"L must be >= 0, got {L}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -521,6 +521,8 @@ def compose_basic(budgets, k: int | None = None) -> tuple[float, float]:
     budgets = [(float(e), float(dl)) for e, dl in budgets]
     if not budgets:
         raise DegenerateInputError("compose_basic: empty budget list")
+    if any(math.isnan(e) or math.isnan(dl) for e, dl in budgets):
+        raise DomainError(f"compose_basic: NaN in budgets {budgets}")
     if k is not None:
         if k < 1:
             raise DomainError(f"k must be >= 1, got {k}")

@@ -135,6 +135,8 @@ def roc_auc(scores_in, scores_out) -> tuple[float, float, float]:
     s_out = np.asarray(list(scores_out), dtype=float)
     if s_in.size == 0 or s_out.size == 0:
         raise DomainError("roc_auc: both score lists must be nonempty")
+    if np.isnan(s_in).any() or np.isnan(s_out).any():
+        raise DomainError("roc_auc: scores must not be NaN")
     wins = (s_in[:, None] < s_out[None, :]).sum()
     ties = (s_in[:, None] == s_out[None, :]).sum()
     auc = (wins + 0.5 * ties) / (s_in.size * s_out.size)

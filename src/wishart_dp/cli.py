@@ -32,12 +32,17 @@ _EXIT_DOMAIN = 3
 _EXIT_SELFTEST = 4
 
 
-def _default_threads() -> int:
-    env = os.environ.get("WISHART_DP_THREADS", "")
+def _thread_count(text: str) -> int:
+    """--threads value; argparse also runs it on the WISHART_DP_THREADS default."""
     try:
-        return max(1, int(env))
+        n = int(text)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"--threads (default from WISHART_DP_THREADS) must be a positive integer, got {text!r}"
+        )
+    return n
 
 
 def _int_list(text: str) -> list[int]:
@@ -520,8 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-grid", type=_float_list, default=None, help="explicit comma-separated grid")
     p.add_argument("--eps-max", type=float, default=8.0, help="grid upper end (default 8)")
     p.add_argument("--eps-step", type=float, default=0.02, help="grid step (default 0.02)")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="Monte Carlo chunk parallelism (default WISHART_DP_THREADS or 1)")
+    p.add_argument("--threads", type=_thread_count, default=os.environ.get("WISHART_DP_THREADS", "1"),
+                   help="Monte Carlo chunk parallelism, capped at the CPU count "
+                        "(default WISHART_DP_THREADS or 1)")
     p.add_argument("--out", type=str, default=None, help="CSV output path")
     _add_seed(p)
     p.set_defaults(func=_cmd_profile_mc)

@@ -108,15 +108,11 @@ def noisy_mech(
 ) -> np.ndarray:
     """Apply the configured variant; Z then Xi are drawn from the seed in that order.
 
-    Passing a pre-drawn ``draw`` fixes M and uses the seed for Xi only.
+    Passing a pre-drawn ``draw`` fixes M and uses the seed for Xi only. The
+    noisy-projection training step applies M2 to V = G^T, the transposed
+    weight gradient, with clip_beta set to its clipping threshold.
     """
-    return _apply_noisy(mech_input.V, params, seed, draw)[0]
-
-
-def _apply_noisy(
-    V: np.ndarray, params: NoisyMechParams, seed: Seed, draw: WishartDraw | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """noisy_mech on a d x n array, also returning the factor Z it applied."""
+    V = mech_input.V
     if params.clip_beta is not None:
         V = clip_frobenius(V, params.clip_beta)
     d, n = V.shape
@@ -128,11 +124,11 @@ def _apply_noisy(
     else:
         Z = draw.Z
     if params.variant is Variant.NOISE_FREE:
-        return Z @ (Z.T @ V), Z
+        return Z @ (Z.T @ V)
     xi = rng.standard_normal((d, n)) * params.sigma_G
     if params.variant is Variant.M1:
-        return Z @ (Z.T @ V) + xi, Z
-    return Z @ (Z.T @ (V + xi)), Z
+        return Z @ (Z.T @ V) + xi
+    return Z @ (Z.T @ (V + xi))
 
 
 def gaussian_mech(v: np.ndarray, sigma: float, seed: Seed) -> np.ndarray:

@@ -34,6 +34,7 @@ accountants; the profile does not call it.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -101,9 +102,11 @@ def _chunk_seeds(seed: Seed, n: int) -> list[tuple[Seed, int]]:
 
 
 def _map_chunks(fn, chunks, threads: int):
-    if threads <= 1 or len(chunks) <= 1:
+    """fn over the chunks on at most min(threads, CPUs, chunks) worker threads."""
+    workers = min(threads, os.cpu_count() or 1, len(chunks))
+    if workers <= 1:
         return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))
 
 
@@ -192,6 +195,8 @@ def mc_privacy_profile(
     eps = np.asarray(sorted(float(e) for e in eps_grid), dtype=float)
     if eps.size == 0:
         raise DomainError("eps_grid must be nonempty")
+    if np.isnan(eps).any():
+        raise DomainError("eps_grid must not contain NaN")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
 

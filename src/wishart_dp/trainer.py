@@ -5,17 +5,18 @@ Mechanisms:
 * NOISE_FREE_LORA: frozen-factor low-rank training, update B <- B - eta G A^T;
 * DP_LORA_FA: per-example clipping of the B-gradient plus Gaussian noise,
   budget reported by basic composition of the per-step guarantee;
-* NOISY_PROJ: clip the full W-gradient, add Gaussian noise, right-multiply by
-  A^T A with a fresh A every step; accounted by the exact Gaussian trade-off
-  on the summed per-step mu plus a per-step capture-failure term;
+* NOISY_PROJ: update the weights W <- W - eta (M (clip(G)^T + Xi))^T with a
+  fresh M = Z Z^T every step; accounted by the exact Gaussian trade-off on
+  the summed per-step mu plus a per-step capture-failure term;
 * RP_GD: vector-query projected gradient descent w <- w - eta M grad.
 
-train(task, cfg, seed) is the one entry point: it draws the adapter from
-seed.child(0) and the steps from seed.child(1), dispatches on the mechanism
-and yields each step's effective weights and gradient. fit keeps the last
-weights; the CLI prices each step with budget_spent. The per-mechanism loops
-(dp_lora_fa, noisy_proj_step, rp_gd) take an initial state and compute no
-loss or budget.
+train(task, cfg, seed) is the one entry point: it draws the steps from
+seed.child(1), dispatches on the mechanism and yields each step's effective
+weights and gradient. Only the LoRA mechanisms carry an adapter, drawn from
+seed.child(0); noisy projection and rp_gd act on the weights alone. fit keeps
+the last weights; the CLI prices each step with budget_spent. The
+per-mechanism loops (dp_lora_fa, noisy_proj_step, rp_gd) take an initial
+state and compute no loss or budget.
 
 Noise-free LoRA is the sigma = 0, clip = inf reduction of the DP LoRA loop,
 so the two share one gradient code path bit for bit. That path clips with
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import accountants, mechanisms
 from .errors import ConfigError, DomainError
-from .mechanisms import NoisyMechParams, SigmaConvention, Variant
+from .mechanisms import MechanismInput, NoisyMechParams, SigmaConvention, Variant
 from .randmat import Seed, sample_gaussian_matrix
 
 FULL_BATCH = "full"
@@ -206,7 +207,6 @@ class LoraState:
     W0: np.ndarray
     LoraB: np.ndarray
     LoraA: np.ndarray
-    step: int = 0
 
     @property
     def r(self) -> int:
@@ -217,15 +217,11 @@ class LoraState:
 
 
 def init_lora(W0: np.ndarray, r: int, seed: Seed) -> LoraState:
-    """B starts at zero; A has i.i.d. N(0, 1/r) entries so E[A^T A] = I.
-
-    A is materialized as the transpose of a (d x r) draw so that replaying the
-    same seed through the noisy mechanism reconstructs the identical factor.
-    """
+    """B starts at zero; A = Z^T for a (d x r) draw Z of i.i.d. N(0, 1/r) entries, so E[A^T A] = I."""
     W0 = np.asarray(W0, dtype=float)
     n_out, d = W0.shape
     Z = sample_gaussian_matrix(d, r, 1.0 / r, seed)
-    return LoraState(W0=W0.copy(), LoraB=np.zeros((n_out, r)), LoraA=Z.T, step=0)
+    return LoraState(W0=W0.copy(), LoraB=np.zeros((n_out, r)), LoraA=Z.T)
 
 
 def lora_fa_step(state: LoraState, grad_W: np.ndarray, eta: float) -> LoraState:
@@ -234,7 +230,7 @@ def lora_fa_step(state: LoraState, grad_W: np.ndarray, eta: float) -> LoraState:
     if grad_W.shape != state.W0.shape:
         raise DomainError(f"grad_W shape {grad_W.shape} does not match weights {state.W0.shape}")
     newB = state.LoraB - eta * (grad_W @ state.LoraA.T)
-    return replace(state, LoraB=newB, step=state.step + 1)
+    return replace(state, LoraB=newB)
 
 
 @dataclass(frozen=True)
@@ -261,6 +257,11 @@ class DpTrainConfig:
                 raise ConfigError("set either sigma or (eps_target, delta_target), not both")
             if self.eps_target is not None and not math.isfinite(self.clip):
                 raise ConfigError("a privacy target needs a finite clipping threshold")
+        if self.mechanism is Mechanism.NOISY_PROJ:
+            if self.sigma is None or not self.sigma > 0.0:
+                raise ConfigError(f"noisy projection requires sigma > 0, got {self.sigma}")
+            if not math.isfinite(self.clip):
+                raise ConfigError("noisy projection requires a finite clipping threshold")
         if self.eps_target is not None and self.delta_target is None:
             raise ConfigError("eps_target requires delta_target")
         if self.batch != FULL_BATCH and (not isinstance(self.batch, int) or self.batch < 1):
@@ -353,28 +354,22 @@ def dp_lora_fa(
         if sigma > 0.0:
             noise = rng.standard_normal(ghat.shape)
             ghat = ghat + (sigma / divisor) * noise
-        state = replace(state, LoraB=state.LoraB - cfg.eta * ghat, step=state.step + 1)
+        state = replace(state, LoraB=state.LoraB - cfg.eta * ghat)
         W_eff = state.effective_weights()
         yield state, W_eff, ghat
 
 
-def noisy_proj_step(task: TrainTask, state: LoraState, cfg: DpTrainConfig, seed: Seed) -> LoraState:
-    """One clipped noisy-projection step applied to effective weights.
+def noisy_proj_step(task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:
+    """One clipped noisy-projection step: the next weights W - eta (M (clip(G)^T + Xi))^T.
 
-    Draws a fresh factor A each step (update = (clip(G) + sigma E) A^T A), so
-    prior low-rank state is first folded into the base weights; the returned
-    state has B = 0 and carries this step's factor. The step's privacy cost
-    is priced by noisy_proj_budget.
+    The M2 mechanism draws the fresh factor of M = Z Z^T and the noise Xi
+    from seed.child(0); a Poisson batch draws from seed itself. The step's
+    privacy cost is priced by noisy_proj_budget.
     """
     if cfg.mechanism is not Mechanism.NOISY_PROJ:
         raise ConfigError(f"noisy_proj_step called with mechanism {cfg.mechanism}")
-    if cfg.sigma is None or not cfg.sigma > 0.0:
-        raise ConfigError("noisy_proj_step requires sigma > 0")
-    if not math.isfinite(cfg.clip):
-        raise ConfigError("noisy_proj_step requires a finite clipping threshold")
-    W_eff = state.effective_weights()
     idx, _ = _batch_indices(task, cfg, None if cfg.batch == FULL_BATCH else seed.generator())
-    G = task.grad_W(W_eff, idx)
+    G = task.grad_W(W, idx)
     params = NoisyMechParams(
         variant=Variant.M2,
         r=cfg.r,
@@ -382,13 +377,7 @@ def noisy_proj_step(task: TrainTask, state: LoraState, cfg: DpTrainConfig, seed:
         sigma_G=cfg.sigma,
         clip_beta=cfg.clip,
     )
-    out, Z = mechanisms._apply_noisy(G.T, params, seed.child(0))
-    return LoraState(
-        W0=W_eff - cfg.eta * out.T,
-        LoraB=np.zeros((W_eff.shape[0], cfg.r)),
-        LoraA=Z.T,
-        step=state.step + 1,
-    )
+    return W - cfg.eta * mechanisms.noisy_mech(MechanismInput(G.T), params, seed.child(0)).T
 
 
 def noisy_proj_budget(cfg: DpTrainConfig, T: int, eps: float, d: int) -> float:
@@ -398,8 +387,8 @@ def noisy_proj_budget(cfg: DpTrainConfig, T: int, eps: float, d: int) -> float:
     Gaussian trade-off and one capture-failure probability delta_p; the total
     is T(eps; sum mu_t) + T delta_p.
     """
-    if cfg.sigma is None or not cfg.sigma > 0.0:
-        raise ConfigError("noisy_proj_budget requires sigma > 0")
+    if cfg.mechanism is not Mechanism.NOISY_PROJ:
+        raise ConfigError(f"noisy_proj_budget called with mechanism {cfg.mechanism}")
     alpha = cfg.alpha if cfg.alpha is not None else min(1.0, 1.5 * cfg.r / d)
     # (2 clip / sigma) squared, not (2 clip)^2 / sigma^2: sigma^2 underflows to 0
     ratio = 2.0 * cfg.clip / cfg.sigma
@@ -427,35 +416,26 @@ def budget_spent(cfg: DpTrainConfig, t: int, d: int) -> tuple[float, float]:
 
 
 def rp_gd(
-    task: TrainTask,
-    w0: np.ndarray,
-    eta: float,
-    T: int,
-    r: int,
-    redraw_each_step: bool,
-    seed: Seed,
-    entry_var: float | None = None,
+    task: TrainTask, w0: np.ndarray, cfg: DpTrainConfig, seed: Seed
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Projected gradient descent w <- w - eta M grad on a scalar-output task.
 
-    Yields (w, grad) after each step, grad being the gradient the step used.
+    M = Z Z^T with Z a (d x r) factor of entry variance 1/r, drawn from
+    seed.child(t) at step t when cfg.redraw_each_step, else once from
+    seed.child(0). Yields (w, grad) after each step, grad being the gradient
+    the step used.
     """
+    if cfg.mechanism is not Mechanism.RP_GD:
+        raise ConfigError(f"rp_gd called with mechanism {cfg.mechanism}")
     if task.n_out != 1:
         raise DomainError("rp_gd is defined for scalar-output (vector-query) tasks")
     w = np.asarray(w0, dtype=float).copy()
-    d = w.shape[0]
-    if entry_var is None:
-        entry_var = 1.0 / r
-    M = None
-    if not redraw_each_step:
-        Z = sample_gaussian_matrix(d, r, entry_var, seed.child(0))
-        M = Z @ Z.T
-    for t in range(T):
-        if redraw_each_step:
-            Z = sample_gaussian_matrix(d, r, entry_var, seed.child(t))
+    for t in range(cfg.T):
+        if t == 0 or cfg.redraw_each_step:
+            Z = sample_gaussian_matrix(w.shape[0], cfg.r, 1.0 / cfg.r, seed.child(t))
             M = Z @ Z.T
         g = task.grad_W(w[None, :])[0]
-        w = w - eta * (M @ g)
+        w = w - cfg.eta * (M @ g)
         yield w, g
 
 
@@ -508,29 +488,28 @@ def train(
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Train from zero initial weights, yielding (effective weights, gradient) per step.
 
-    The adapter is drawn from seed.child(0) and the steps from seed.child(1).
-    The gradient is the noised B-gradient for the LoRA mechanisms, the
-    weight gradient for rp_gd, and None for noisy projection, whose gradient
-    stays inside the mechanism.
+    The steps draw from seed.child(1); the LoRA mechanisms draw their adapter
+    from seed.child(0). The gradient is the noised B-gradient for the LoRA
+    mechanisms, the weight gradient for rp_gd, and None for noisy projection,
+    whose gradient stays inside the mechanism.
     """
     W0 = np.zeros((task.n_out, task.n_features))
     if cfg.mechanism is Mechanism.RP_GD:
-        for w, g in rp_gd(task, W0[0], cfg.eta, cfg.T, cfg.r, cfg.redraw_each_step, seed.child(1)):
+        for w, g in rp_gd(task, W0[0], cfg, seed.child(1)):
             yield w[None, :], g
         return
-    state = init_lora(W0, cfg.r, seed.child(0))
     if cfg.mechanism is Mechanism.NOISY_PROJ:
-        step_seed = seed.child(1)
+        W, step_seed = W0, seed.child(1)
         for t in range(cfg.T):
-            state = noisy_proj_step(task, state, cfg, step_seed.child(t))
-            yield state.W0, None  # the step leaves B = 0: W0 is the effective weights
+            W = noisy_proj_step(task, W, cfg, step_seed.child(t))
+            yield W, None
         return
     if cfg.mechanism is Mechanism.NOISE_FREE_LORA:
         cfg = replace(
             cfg, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, clip=math.inf,
             eps_target=None, delta_target=None,
         )
-    for _, W, g in dp_lora_fa(task, state, cfg, seed.child(1)):
+    for _, W, g in dp_lora_fa(task, init_lora(W0, cfg.r, seed.child(0)), cfg, seed.child(1)):
         yield W, g
 
 

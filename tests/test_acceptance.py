@@ -142,7 +142,6 @@ def test_criterion_02_claim_on_augmented_sweep():
         " non-monotonicity check cannot hold in expectation; the effect is"
         " asserted on the augmented sweep instead"
     ),
-    strict=False,
 )
 def test_criterion_02_sweep_non_monotone_as_stated():
     profiles, _ = _sweep_profiles()

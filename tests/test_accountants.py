@@ -72,6 +72,8 @@ def test_alignment_lower_bound_values():
     assert alignment_lower_bound(0.0, 1.0, 7) == 1.0
     assert alignment_lower_bound(1.0, 1.0, 4) == pytest.approx(0.5, abs=1e-15)
     assert alignment_lower_bound(10.0, 0.1, 1) == -1.0
+    with pytest.raises(DomainError):
+        alignment_lower_bound(math.nan, 1.0, 3)
 
 
 def test_alignment_lower_bound_brute_force_neighbors():
@@ -397,6 +399,11 @@ def test_compose_basic_single():
 
 def test_compose_basic_additive():
     assert compose_basic([(0.5, 0.0), (0.5, 0.0)]) == (1.0, 0.0)
+    # an unbounded step (a noise-free DP-LoRA run) composes to inf; NaN is rejected
+    assert compose_basic([(math.inf, 0.0), (0.5, 1e-6)]) == (math.inf, 1e-6)
+    for bad in ([(math.nan, 0.0)], [(0.5, math.nan)]):
+        with pytest.raises(DomainError):
+            compose_basic(bad)
 
 
 def test_compose_basic_order_independent_and_associative():

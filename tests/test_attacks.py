@@ -1,5 +1,7 @@
 """Attack tests: separation of images, ROC machinery, canary protocol, MIA wiring."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,10 @@ def test_roc_auc_balanced_accuracy_floor():
 def test_roc_auc_rejects_empty():
     with pytest.raises(DomainError):
         roc_auc([], [1.0])
+    # a NaN score on either side has no rank
+    for s_in, s_out in (([math.nan, 1.0], [0.0, 1.0]), ([0.0, 1.0], [1.0, math.nan])):
+        with pytest.raises(DomainError):
+            roc_auc(s_in, s_out)
 
 
 @pytest.fixture(scope="module")

@@ -118,6 +118,33 @@ def test_profile_mc_threads_do_not_change_results(capsys):
     assert json.loads(out1)["per_rank"] == json.loads(out4)["per_rank"]
 
 
+_PROFILE_SMALL = (
+    "profile-mc", "--rho", "0.99", "--d", "30", "--r", "4",
+    "--delta", "0.05", "--n", "1000", "--seed", "11", "--eps-grid", "0.5,1",
+)
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1"])
+def test_profile_mc_rejects_malformed_thread_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("WISHART_DP_THREADS", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(_PROFILE_SMALL))
+    assert exc.value.code == 2
+    assert "WISHART_DP_THREADS" in capsys.readouterr().err
+    # an explicit --threads overrides the variable, and other subcommands never read it
+    code, out, _ = run_cli(capsys, *_PROFILE_SMALL, "--threads", "1")
+    assert code == 0
+    assert json.loads(out)["manifest"]["params"]["threads"] == 1
+    assert run_cli(capsys, "selftest")[0] == 0
+
+
+def test_profile_mc_reads_thread_env(capsys, monkeypatch):
+    monkeypatch.setenv("WISHART_DP_THREADS", "2")
+    code, out, _ = run_cli(capsys, *_PROFILE_SMALL)
+    assert code == 0
+    assert json.loads(out)["manifest"]["params"]["threads"] == 2
+
+
 def test_amplify_subcommand(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -213,6 +240,17 @@ def test_train_bad_config_value_exits_3(capsys, tmp_path, bad_line):
     assert f"{cfg_path}:3:" in err
 
 
+def test_train_noisy_proj_without_sigma_exits_3(capsys, tmp_path):
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text("T = 5\neta = 0.1\nmechanism = noisy_proj\nclip = 1.0\nr = 4\n")
+    code, out, err = run_cli(
+        capsys, "train", "--task", "ridge", "--config", str(cfg_path), "--seed", "3"
+    )
+    assert code == 3
+    assert out == ""
+    assert "sigma" in err
+
+
 @pytest.mark.parametrize("eps_line, eps", [("", 1.0), ("eps_target = 2.0\ndelta_target = 1e-5\n", 2.0)])
 def test_train_noisy_proj_budget_columns(capsys, tmp_path, eps_line, eps):
     # each step reports eps_target (1 without one) and noisy_proj_budget at that eps
@@ -259,6 +297,10 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["profile-mc", "--rho", "0.9", "--d", "30", "--r", "4", "--delta", "0.1"])
     assert exc.value.code == 2  # --seed is required
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["profile-mc", "--rho", "0.9", "--d", "30", "--r", "4", "--delta", "0.1",
+                  "--seed", "1", "--threads", "0"])
+    assert exc.value.code == 2  # the thread count must be a positive integer
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import stats
 
+from wishart_dp import profiler
 from wishart_dp.errors import DomainError, OutsideSupportError
 from scipy.special import stdtr
 
@@ -183,11 +184,55 @@ def test_profile_eps_at_delta_rejects_unreachable_targets():
         prof.eps_at_delta(2e-3)  # resolvable, but beyond the grid
 
 
+def test_profile_rejects_empty_or_nan_grid():
+    for grid in ([], [math.nan, 1.0]):
+        with pytest.raises(DomainError):
+            mc_privacy_profile(0.9, 20, 4, grid, 10**3, Seed(MASTER, 329))
+
+
 def test_profile_independent_of_thread_count():
     kwargs = dict(rho=0.95, d=20, r=4, eps_grid=[0.5, 1.0], n=2 * 10**4, seed=Seed(MASTER, 324))
     a = mc_privacy_profile(**kwargs, threads=1)
     b = mc_privacy_profile(**kwargs, threads=4)
     assert np.array_equal(a.delta_hat, b.delta_hat)
+    # a request far above the CPU count is capped, not honoured
+    c = mc_privacy_profile(**kwargs, threads=100000)
+    assert np.array_equal(a.delta_hat, c.delta_hat)
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Swap the profiler's thread pool for a serial stand-in; returns the max_workers it got."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(profiler, "ThreadPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, n_chunks, workers",
+    [(100000, 3, 10, 3), (2, 3, 10, 2), (8, 16, 4, 4), (4, None, 10, None), (1, 8, 10, None)],
+)
+def test_map_chunks_caps_worker_count(monkeypatch, pool_sizes, threads, cpus, n_chunks, workers):
+    # the pool never exceeds the thread request, the CPU count or the chunk count;
+    # None means the chunks run serially without a pool
+    monkeypatch.setattr(profiler.os, "cpu_count", lambda: cpus)
+    out = profiler._map_chunks(lambda c: 2 * c, list(range(n_chunks)), threads)
+    assert out == [2 * c for c in range(n_chunks)]
+    assert pool_sizes == ([] if workers is None else [workers])
 
 
 def test_profile_csv_export(tmp_path):

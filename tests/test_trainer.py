@@ -44,7 +44,6 @@ def test_lora_step_zero_gradient(ridge_task):
     st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 401))
     st2 = lora_fa_step(st, np.zeros((1, 16)), 0.5)
     assert np.array_equal(st2.LoraB, st.LoraB)
-    assert st2.step == st.step + 1
 
 
 def test_lora_step_weight_identity(ridge_task):
@@ -204,53 +203,45 @@ def test_dp_lora_fa_decreases_loss_within_budget(ridge_task):
 
 
 def test_noisy_proj_step_requires_config():
-    task = make_ridge_task(30, 8, Seed(MASTER, 430))
-    st = init_lora(np.zeros((1, 8)), 4, Seed(MASTER, 431))
-    bad = DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.NOISY_PROJ, sigma=0.0, clip=1.0, r=4)
-    with pytest.raises(ConfigError):
-        noisy_proj_step(task, st, bad, Seed(MASTER, 432))
-    bad2 = DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, r=4)
-    with pytest.raises(ConfigError):
-        noisy_proj_step(task, st, bad2, Seed(MASTER, 432))
+    # a missing or zero sigma and an unbounded clip are rejected when the config is built
+    for extra in ({"clip": 1.0}, {"sigma": 0.0, "clip": 1.0}, {"sigma": 0.5}):
+        with pytest.raises(ConfigError):
+            DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.NOISY_PROJ, r=4, **extra)
 
 
 def test_noisy_proj_step_zero_clip_limit():
     # A tiny clipping threshold leaves an essentially pure projected-noise update.
     task = make_ridge_task(30, 8, Seed(MASTER, 433))
-    st = init_lora(np.zeros((1, 8)), 4, Seed(MASTER, 434))
+    W = Seed(MASTER, 434).generator().standard_normal((1, 8))
     cfg = DpTrainConfig(T=1, eta=1.0, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1e-12, r=4)
-    st2 = noisy_proj_step(task, st, cfg, Seed(MASTER, 435))
+    W2 = noisy_proj_step(task, W, cfg, Seed(MASTER, 435))
     seed = Seed(MASTER, 435).child(0)
     gen = seed.generator()
     Z = gen.standard_normal((8, 4)) * math.sqrt(0.25)
     xi = gen.standard_normal((8, 1)) * 0.5
     pure_noise_update = (xi.T @ (Z @ Z.T)).reshape(1, 8)
-    assert np.abs((st.effective_weights() - st2.W0) - pure_noise_update).max() < 1e-9
+    assert np.abs((W - W2) - pure_noise_update).max() < 1e-9
 
 
 def test_noisy_proj_step_equals_m2_mechanism_bitwise():
     task = make_ridge_task(40, 12, Seed(MASTER, 436))
-    st = init_lora(np.zeros((1, 12)), 6, Seed(MASTER, 437))
+    W = Seed(MASTER, 437).generator().standard_normal((1, 12))
     cfg = DpTrainConfig(
         T=1, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.4, clip=0.7, r=6,
         eps_target=None, delta_target=None,
     )
     step_seed = Seed(MASTER, 438)
-    st2 = noisy_proj_step(task, st, cfg, step_seed)
-    G = task.grad_W(st.effective_weights())
+    W2 = noisy_proj_step(task, W, cfg, step_seed)
+    G = task.grad_W(W)
     params = mechanisms.NoisyMechParams(
         variant=mechanisms.Variant.M2, r=6, entry_var=1.0 / 6, sigma_G=0.4, clip_beta=0.7
     )
     out = mechanisms.noisy_mech(mechanisms.MechanismInput(V=G.T), params, step_seed.child(0))
-    assert np.array_equal(st2.W0, st.effective_weights() - 0.3 * out.T)
+    assert np.array_equal(W2, W - 0.3 * out.T)
     # the step is priced at sensitivity 2 * clip: mu_step = alpha (2 clip)^2 / sigma^2
     alpha = 1.5 * 6 / 12
     expected = compose_gaussian_steps([alpha * (2 * 0.7) ** 2 / 0.4**2], 1.0, delta_M_bound(2, alpha, 6, 12))
     assert noisy_proj_budget(cfg, 1, 1.0, 12) == pytest.approx(expected, rel=1e-12)
-    # fresh factor is recorded and B resets
-    assert st2.LoraB.shape == (1, 6)
-    assert np.abs(st2.LoraB).max() == 0.0
-    assert not np.array_equal(st2.LoraA, st.LoraA)
 
 
 def test_noisy_proj_multi_step_budget():
@@ -265,10 +256,14 @@ def test_noisy_proj_multi_step_budget():
     assert noisy_proj_budget(cfg, 5, 1.0, d) == pytest.approx(expected, rel=1e-12)
 
 
+def _rp_cfg(eta, T, r, redraw):
+    return DpTrainConfig(T=T, eta=eta, mechanism=Mechanism.RP_GD, r=r, redraw_each_step=redraw)
+
+
 def test_rp_gd_stationary_point():
     task = make_ridge_task(50, 8, Seed(MASTER, 440), noise=0.0, reg=0.0)
     w_star = task.ridge_optimum()
-    steps = rp_gd(task, w_star, 0.05, 10, 8, False, Seed(MASTER, 441))
+    steps = rp_gd(task, w_star, _rp_cfg(0.05, 10, 8, False), Seed(MASTER, 441))
     losses = [task.loss(w[None, :]) for w, _ in steps]
     assert max(losses) - min(losses) < 1e-20
 
@@ -285,7 +280,7 @@ def test_rp_gd_tracks_plain_gd(ridge_task):
     final_plain = ridge_task.loss(w[None, :])
     ratios = []
     for s in range(20):
-        *_, (w, _) = rp_gd(ridge_task, np.zeros(d), eta, T, d, True, Seed(MASTER, 442).child(s))
+        *_, (w, _) = rp_gd(ridge_task, np.zeros(d), _rp_cfg(eta, T, d, True), Seed(MASTER, 442).child(s))
         ratios.append(ridge_task.loss(w[None, :]) / final_plain)
     assert float(np.mean(ratios)) <= 1.1
 
@@ -295,11 +290,20 @@ def test_rp_gd_rank_one_confinement():
 
     task = make_ridge_task(40, 10, Seed(MASTER, 443))
     # with a fixed rank-1 M every update stays along the single factor column
-    *_, (w, _) = rp_gd(task, np.zeros(10), 0.05, 5, 1, False, Seed(MASTER, 444))
+    *_, (w, _) = rp_gd(task, np.zeros(10), _rp_cfg(0.05, 5, 1, False), Seed(MASTER, 444))
     Z = sample_gaussian_matrix(10, 1, 1.0, Seed(MASTER, 444).child(0))
     direction = Z[:, 0] / np.linalg.norm(Z)
     resid = w - direction * float(w @ direction)
     assert np.linalg.norm(resid) < 1e-10
+
+
+def test_rp_gd_fixed_and_redrawn_share_first_step(ridge_task):
+    # both modes draw step 0's M from seed.child(0); they part only from step 1 on
+    w0 = Seed(MASTER, 445).generator().standard_normal(16)
+    fixed = list(rp_gd(ridge_task, w0, _rp_cfg(0.05, 3, 4, False), Seed(MASTER, 446)))
+    redrawn = list(rp_gd(ridge_task, w0, _rp_cfg(0.05, 3, 4, True), Seed(MASTER, 446)))
+    assert np.array_equal(fixed[0][0], redrawn[0][0])
+    assert not np.array_equal(fixed[-1][0], redrawn[-1][0])
 
 
 def test_clip_compare_collapses_at_large_rank():
