@@ -9,7 +9,7 @@ matrices (randmat), the randomized maps (mechanisms), closed-form accounting
 __version__ = "0.1.0"
 
 from .randmat import Seed, WishartDraw, wishart_draw  # noqa: F401
-from .mechanisms import MechanismInput, NoisyMechParams, Variant  # noqa: F401
+from .mechanisms import NoisyMechParams, Variant  # noqa: F401
 from .accountants import (  # noqa: F401
     AlignmentSpec,
     LargeRReport,

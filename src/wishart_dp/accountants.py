@@ -65,7 +65,7 @@ def min_alignment(pairs) -> float:
         u = np.asarray(u, dtype=float)
         w = np.asarray(w, dtype=float)
         nu, nw = float(np.linalg.norm(u)), float(np.linalg.norm(w))
-        if abs(nu - 1.0) > 1e-8 or abs(nw - 1.0) > 1e-8:
+        if not (abs(nu - 1.0) <= 1e-8 and abs(nw - 1.0) <= 1e-8):
             raise DomainError(
                 f"min_alignment expects unit vectors within 1e-8 (norms {nu:.3g}, {nw:.3g})"
             )
@@ -191,9 +191,9 @@ def gaussian_tradeoff(eps: float, mu: float) -> float:
     T(eps; mu) = Phi((-eps - mu/2)/sqrt(mu)) + 1 - Phi((eps - mu/2)/sqrt(mu)),
     with T(eps; 0) = 0 by convention (the loss is identically zero).
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise DomainError(f"eps must be >= 0, got {eps}")
-    if mu < 0.0:
+    if not mu >= 0.0:
         raise DomainError(f"mu must be >= 0, got {mu}")
     if mu == 0.0:
         return 0.0
@@ -521,8 +521,9 @@ def compose_basic(budgets, k: int | None = None) -> tuple[float, float]:
     budgets = [(float(e), float(dl)) for e, dl in budgets]
     if not budgets:
         raise DegenerateInputError("compose_basic: empty budget list")
-    if any(math.isnan(e) or math.isnan(dl) for e, dl in budgets):
-        raise DomainError(f"compose_basic: NaN in budgets {budgets}")
+    # +inf eps is an unbounded step (a noise-free DP-LoRA run); NaN fails both tests
+    if not all(e >= 0.0 and dl >= 0.0 for e, dl in budgets):
+        raise DomainError(f"compose_basic: budgets need eps >= 0 and delta >= 0, got {budgets}")
     if k is not None:
         if k < 1:
             raise DomainError(f"k must be >= 1, got {k}")
@@ -541,9 +542,9 @@ def compose_gaussian_steps(mu_list, eps: float, per_step_delta_p: float) -> floa
     its capture-failure probability through a union bound.
     """
     mu_list = [float(m) for m in mu_list]
-    if any(m < 0.0 for m in mu_list):
+    if not all(m >= 0.0 for m in mu_list):
         raise DomainError("all mu_t must be >= 0")
-    if per_step_delta_p < 0.0:
+    if not per_step_delta_p >= 0.0:
         raise DomainError(f"per_step_delta_p must be >= 0, got {per_step_delta_p}")
     total = gaussian_tradeoff(eps, sum(mu_list)) + len(mu_list) * per_step_delta_p
     return min(1.0, total)

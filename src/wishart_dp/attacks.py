@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .randmat import Seed
+from .randmat import Seed, wishart_factor
 from . import trainer as trainer_mod
 
 _SEPARATION_RTOL = 1e-9
@@ -49,24 +49,21 @@ def separation_trial(
     V: np.ndarray,
     Vprime: np.ndarray,
     r: int,
-    entry_var: float,
     n_trials: int,
     seed: Seed,
 ) -> SeparationResult:
     """Count Wishart draws for which M V and M V' coincide (expected: none).
 
-    A trial counts as equal when ||M dV||_F <= 1e-9 ||dV||_F ||M||_F for
-    dV = V - V'; the tolerance is relative so rescaling dV cannot change the
-    outcome.
+    Each trial draws a fresh d x r factor of randmat's convention; chunk j of
+    up to 512 trials draws its factors from seed.child(j). A trial counts as
+    equal when ||M dV||_F <= 1e-9 ||dV||_F ||M||_F for dV = V - V'; the
+    tolerance is relative in both dV and M, so rescaling either cannot change
+    the outcome.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     Vprime = np.atleast_2d(np.asarray(Vprime, dtype=float))
     if V.shape != Vprime.shape:
         raise DomainError(f"V and V' must share a shape, got {V.shape} vs {Vprime.shape}")
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
-    if not entry_var > 0.0:
-        raise DomainError(f"entry_var must be > 0, got {entry_var}")
     if n_trials < 1:
         raise DomainError(f"n_trials must be >= 1, got {n_trials}")
     dV = V - Vprime
@@ -78,11 +75,9 @@ def separation_trial(
     max_residual = 0.0
     done = 0
     chunk_idx = 0
-    scale = math.sqrt(entry_var)
     while done < n_trials:
         b = min(_SEPARATION_BATCH, n_trials - done)
-        rng = seed.child(chunk_idx).generator()
-        Zs = rng.standard_normal((b, d, r)) * scale
+        Zs = wishart_factor(seed.child(chunk_idx).generator(), b, d, r)
         # M dV = Z (Z^T dV) without materializing the d x d Gram matrices
         ZtdV = np.einsum("bdr,dn->brn", Zs, dV)
         MdV = np.einsum("bdr,brn->bdn", Zs, ZtdV)

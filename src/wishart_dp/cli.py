@@ -221,7 +221,6 @@ def _cmd_amplify(args) -> int:
     }
     if args.trials:
         seed = _seed(args)
-        params = mechanisms.AmplifyParams(gamma=args.gamma, target_delta=args.delta)
         v = np.zeros(args.d)
         v[0] = 1.0
         v2 = np.zeros(args.d)
@@ -230,8 +229,8 @@ def _cmd_amplify(args) -> int:
         hits = 0
         for t in range(args.trials):
             trial_seed = seed.child(t)
-            a = mechanisms.amplify_alignment(v, params, trial_seed)
-            b = mechanisms.amplify_alignment(v2, params, trial_seed)
+            a = mechanisms.amplify_alignment(v, args.gamma, trial_seed)
+            b = mechanisms.amplify_alignment(v2, args.gamma, trial_seed)
             cos = float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
             hits += cos >= args.rho + gain
         payload["empirical"] = {"trials": args.trials, "success_rate": hits / args.trials}
@@ -255,10 +254,7 @@ def _cmd_separate(args) -> int:
     V = rng.standard_normal((args.d, args.n))
     Vp = V.copy()
     Vp[:, 0] = rng.standard_normal(args.d)
-    result = attacks.separation_trial(
-        V, Vp, r=args.r, entry_var=args.entry_var or 1.0 / args.r,
-        n_trials=args.trials, seed=seed.child(1),
-    )
+    result = attacks.separation_trial(V, Vp, r=args.r, n_trials=args.trials, seed=seed.child(1))
     _emit(
         args,
         result.to_dict(),
@@ -270,20 +266,17 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    entry_var = args.entry_var if args.entry_var is not None else 1.0 / args.r
-    scale = args.r * entry_var
-    lo = (math.sqrt(args.d / args.r) - 1.0 - args.t / math.sqrt(args.r)) ** 2 * scale
-    hi = (math.sqrt(args.d / args.r) + 1.0 + args.t / math.sqrt(args.r)) ** 2 * scale
-    lo = max(lo, 0.0)
+    lo = max((math.sqrt(args.d / args.r) - 1.0 - args.t / math.sqrt(args.r)) ** 2, 0.0)
+    hi = (math.sqrt(args.d / args.r) + 1.0 + args.t / math.sqrt(args.r)) ** 2
     seed = _seed(args)
     within = 0
     for i in range(args.draws):
-        draw = wishart_draw(args.d, args.r, entry_var, seed.child(i))
+        draw = wishart_draw(args.d, args.r, seed.child(i))
         eigs = draw.nonzero_eigenvalues()
         within += bool(eigs.min() >= lo and eigs.max() <= hi)
     payload = {
         "kind": "wishart_spectrum",
-        "inputs": {"d": args.d, "r": args.r, "t": args.t, "entry_var": entry_var},
+        "inputs": {"d": args.d, "r": args.r, "t": args.t},
         "interval": [lo, hi],
         "draws": args.draws,
         "n_within": within,
@@ -408,7 +401,7 @@ def _selftest_checks():
         1.0,
         1e-15,
     )
-    draw = wishart_draw(12, 5, None, Seed(1, 0))
+    draw = wishart_draw(12, 5, Seed(1, 0))
     x = Seed(2, 0).generator().standard_normal(12)
     quad = float(x @ draw.M @ x)
     yield "wishart PSD quadratic form", min(quad, 0.0), 0.0, 1e-9
@@ -546,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="columns of the query output")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--entry-var", type=float, default=None, help="factor entry variance (default 1/r)")
     _add_seed(p)
     p.set_defaults(func=_cmd_separate)
 
@@ -555,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=float, default=4.0, help="deviation parameter (default 4)")
     p.add_argument("--draws", type=int, default=100)
-    p.add_argument("--entry-var", type=float, default=None)
     _add_seed(p)
     p.set_defaults(func=_cmd_spectrum)
 

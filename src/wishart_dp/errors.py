@@ -20,7 +20,7 @@ class DegenerateInputError(DomainError):
 
 
 class ConfigError(WishartDpError, ValueError):
-    """Inconsistent configuration (e.g. noise scale set for a noise-free variant)."""
+    """Inconsistent configuration (e.g. a noisy variant without noise, or sigma with eps_target)."""
 
 
 class PreconditionError(WishartDpError, ValueError):

@@ -1,12 +1,14 @@
 """The randomized maps: noise-free projection, noisy variants, Gaussian baseline.
 
-The two noisy variants share one Wishart factor M = Z Z^T and one Gaussian
-noise block Xi with i.i.d. N(0, sigma_G^2) columns:
+project(V, draw) is the noise-free map M V. noisy_mech covers the two noisy
+variants, which share one Wishart factor M = Z Z^T and one Gaussian noise
+block Xi with i.i.d. N(0, sigma_G^2) columns:
 
     M1(V) = M V + Xi          (noise added after projection)
     M2(V) = M (V + Xi)        (noise added before projection)
 
-Draw order under a single seed is fixed (Z first, then Xi) so that callers
+Both take V as a d x n array (a d-vector is one column). Draw order under a
+single seed is fixed (Z first, then Xi, from one generator) so that callers
 which replay the same seed reconstruct both blocks bit for bit. M is applied
 as Z (Z^T .), never formed as a d x d matrix. Clipping, when requested,
 rescales V to Frobenius norm at most clip_beta before anything is sampled.
@@ -22,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, OutOfStatedRangeWarning, PreconditionError
-from .randmat import Seed, WishartDraw
+from .randmat import Seed, WishartDraw, wishart_factor
 
 
 class Variant(enum.Enum):
-    NOISE_FREE = "noise_free"
     M1 = "m1"
     M2 = "m2"
 
@@ -44,40 +45,35 @@ class SigmaConvention(enum.Enum):
     ALGORITHM = "algorithm"
 
 
-@dataclass(frozen=True)
-class MechanismInput:
-    """Query output V (d x n); vector queries use n = 1."""
+def _as_matrix(V) -> np.ndarray:
+    """Query output as a d x n float array; vector queries become n = 1."""
+    V = np.asarray(V, dtype=float)
+    if V.ndim == 1:
+        V = V[:, None]
+    if V.ndim != 2:
+        raise DomainError(f"mechanism input must be a d x n matrix, got ndim={V.ndim}")
+    return V
 
-    V: np.ndarray
 
-    def __post_init__(self):
-        V = np.asarray(self.V, dtype=float)
-        if V.ndim == 1:
-            V = V[:, None]
-        if V.ndim != 2:
-            raise DomainError(f"mechanism input must be a d x n matrix, got ndim={V.ndim}")
-        object.__setattr__(self, "V", V)
+def _check_finite(V: np.ndarray) -> None:
+    if not np.isfinite(V).all():
+        raise DomainError("mechanism input must be finite")
 
 
 @dataclass(frozen=True)
 class NoisyMechParams:
     variant: Variant
     r: int
-    entry_var: float
-    sigma_G: float = 0.0
+    sigma_G: float
     clip_beta: float | None = None
 
     def __post_init__(self):
         if self.r < 1:
             raise DomainError(f"rank r must be >= 1, got {self.r}")
-        if not self.entry_var > 0.0:
-            raise DomainError(f"entry_var must be > 0, got {self.entry_var}")
-        if self.sigma_G < 0.0:
-            raise DomainError(f"sigma_G must be >= 0, got {self.sigma_G}")
-        if self.variant in (Variant.M1, Variant.M2) and not self.sigma_G > 0.0:
-            raise ConfigError(f"variant {self.variant.name} requires sigma_G > 0")
-        if self.variant is Variant.NOISE_FREE and self.sigma_G > 0.0:
-            raise ConfigError("NOISE_FREE with sigma_G > 0 is ambiguous; pick M1 or M2")
+        if not 0.0 < self.sigma_G < math.inf:
+            raise ConfigError(
+                f"variant {self.variant.name} requires a finite sigma_G > 0, got {self.sigma_G}"
+            )
         if self.clip_beta is not None and not self.clip_beta > 0.0:
             raise DomainError(f"clip_beta must be > 0, got {self.clip_beta}")
 
@@ -87,24 +83,26 @@ def clip_frobenius(X: np.ndarray, beta: float) -> np.ndarray:
     if not beta > 0.0:
         raise DomainError(f"clipping threshold must be > 0, got {beta}")
     norm = float(np.linalg.norm(X))
+    if not math.isfinite(norm):
+        raise DomainError(f"cannot clip a matrix of Frobenius norm {norm}")
     if norm <= beta:
         return X
     return X * (beta / norm)
 
 
-def project(mech_input: MechanismInput, draw: WishartDraw) -> np.ndarray:
+def project(V, draw: WishartDraw) -> np.ndarray:
     """Noise-free projection M V."""
-    V = mech_input.V
-    if draw.d != V.shape[0]:
-        raise DomainError(f"dimension mismatch: draw has d={draw.d}, input has d={V.shape[0]}")
+    V = _as_matrix(V)
+    _check_finite(V)
+    if draw.Z.shape[0] != V.shape[0]:
+        raise DomainError(
+            f"dimension mismatch: draw has d={draw.Z.shape[0]}, input has d={V.shape[0]}"
+        )
     return draw.M @ V
 
 
 def noisy_mech(
-    mech_input: MechanismInput,
-    params: NoisyMechParams,
-    seed: Seed,
-    draw: WishartDraw | None = None,
+    V, params: NoisyMechParams, seed: Seed, draw: WishartDraw | None = None
 ) -> np.ndarray:
     """Apply the configured variant; Z then Xi are drawn from the seed in that order.
 
@@ -112,19 +110,19 @@ def noisy_mech(
     noisy-projection training step applies M2 to V = G^T, the transposed
     weight gradient, with clip_beta set to its clipping threshold.
     """
-    V = mech_input.V
+    V = _as_matrix(V)
     if params.clip_beta is not None:
         V = clip_frobenius(V, params.clip_beta)
+    else:
+        _check_finite(V)
     d, n = V.shape
     rng = seed.generator()
     if draw is None:
-        Z = rng.standard_normal((d, params.r)) * math.sqrt(params.entry_var)
-    elif draw.d != d:
-        raise DomainError(f"dimension mismatch: draw has d={draw.d}, input has d={d}")
+        Z = wishart_factor(rng, d, params.r)
+    elif draw.Z.shape[0] != d:
+        raise DomainError(f"dimension mismatch: draw has d={draw.Z.shape[0]}, input has d={d}")
     else:
         Z = draw.Z
-    if params.variant is Variant.NOISE_FREE:
-        return Z @ (Z.T @ V)
     xi = rng.standard_normal((d, n)) * params.sigma_G
     if params.variant is Variant.M1:
         return Z @ (Z.T @ V) + xi
@@ -147,10 +145,10 @@ def gaussian_sigma(
     convention: SigmaConvention = SigmaConvention.ALGORITHM,
 ) -> float:
     """Noise scale calibrating a Gaussian mechanism of sensitivity delta_sens."""
-    if not delta_sens > 0.0:
-        raise DomainError(f"sensitivity must be > 0, got {delta_sens}")
-    if not eps > 0.0:
-        raise DomainError(f"eps must be > 0, got {eps}")
+    if not 0.0 < delta_sens < math.inf:
+        raise DomainError(f"sensitivity must be finite and > 0, got {delta_sens}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and > 0, got {eps}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     if eps >= 1.0:
@@ -166,35 +164,23 @@ def gaussian_sigma(
     return 2.0 * delta_sens * math.sqrt(log_term) / eps
 
 
-@dataclass(frozen=True)
-class AmplifyParams:
-    """Shared-direction noise used to raise the alignment of neighbor outputs."""
-
-    gamma: float
-    target_delta: float
-
-    def __post_init__(self):
-        if not self.gamma >= 0.0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-        if not 0.0 < self.target_delta < 1.0:
-            raise DomainError(f"target_delta must lie in (0, 1), got {self.target_delta}")
-
-
-def amplify_alignment(v: np.ndarray, params: AmplifyParams, seed: Seed) -> np.ndarray:
+def amplify_alignment(v: np.ndarray, gamma: float, seed: Seed) -> np.ndarray:
     """Return v + gamma * z/||z|| with z ~ N(0, I); output is NOT renormalized.
 
     Consumers that feed the declared alignment of amplified vectors into an
     accountant must renormalize explicitly, since the guarantee is stated for
     the angle of the un-normalized sums.
     """
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise DomainError(f"amplify_alignment expects a unit vector, got norm {norm}")
-    if params.gamma == 0.0:
+    if gamma == 0.0:
         return v.copy()
     z = seed.generator().standard_normal(v.shape)
-    return v + params.gamma * z / float(np.linalg.norm(z))
+    return v + gamma * z / float(np.linalg.norm(z))
 
 
 def amplification_threshold(rho: float, d: int, delta: float) -> float:

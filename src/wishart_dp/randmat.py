@@ -5,10 +5,15 @@ index) backed by the counter-based Philox generator, so identical seeds
 reproduce identical draws bit for bit and parallel Monte Carlo loops can hand
 each chunk its own substream without coordination. Matrices are plain numpy
 arrays treated as immutable values.
+
+Every Wishart matrix in the package is M = Z Z^T with the r columns of Z
+holding i.i.d. N(0, 1/r) entries, so that E[M] = I; wishart_factor is the
+only sampler of Z.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,24 +57,22 @@ class Seed:
         return Seed(self.master, mixed)
 
 
-def sample_gaussian_matrix(rows: int, cols: int, var: float, seed: Seed) -> np.ndarray:
-    """rows x cols matrix with i.i.d. N(0, var) entries, deterministic under seed."""
-    if rows < 1 or cols < 1:
-        raise DomainError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
-    if not var > 0.0:
-        raise DomainError(f"entry variance must be > 0, got {var!r}")
-    rng = seed.generator()
-    return rng.standard_normal((rows, cols)) * np.sqrt(var)
+def wishart_factor(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Wishart factor Z of the given shape in the convention above, with r = shape[-1].
+
+    Leading dimensions batch independent factors. The product with
+    sqrt(1/r) is part of the seeded stream: Z / sqrt(r) rounds differently.
+    """
+    if not shape or min(shape) < 1:
+        raise DomainError(f"factor dimensions must be >= 1, got {shape}")
+    return rng.standard_normal(shape) * math.sqrt(1.0 / shape[-1])
 
 
 @dataclass(eq=False)
 class WishartDraw:
-    """A sampled factor Z (d x r) together with its Gram matrix M = Z Z^T."""
+    """A sampled d x r factor Z together with its Gram matrix M = Z Z^T."""
 
     Z: np.ndarray
-    entry_var: float
-    d: int
-    r: int
 
     @cached_property
     def M(self) -> np.ndarray:
@@ -80,14 +83,9 @@ class WishartDraw:
         return np.linalg.svd(self.Z, compute_uv=False) ** 2
 
 
-def wishart_draw(d: int, r: int, entry_var: float | None, seed: Seed) -> WishartDraw:
-    """Draw Z with i.i.d. N(0, entry_var) entries; entry_var None means 1/r (gives E[M] = I_d)."""
-    if d < 1 or r < 1:
-        raise DomainError(f"Wishart dimensions must be >= 1, got d={d}, r={r}")
-    if entry_var is None:
-        entry_var = 1.0 / r
-    Z = sample_gaussian_matrix(d, r, entry_var, seed)
-    return WishartDraw(Z=Z, entry_var=float(entry_var), d=d, r=r)
+def wishart_draw(d: int, r: int, seed: Seed) -> WishartDraw:
+    """Draw a d x r Wishart factor from seed's stream."""
+    return WishartDraw(Z=wishart_factor(seed.generator(), d, r))
 
 
 def _default_rank_tol(s: np.ndarray, shape: tuple[int, ...]) -> float:

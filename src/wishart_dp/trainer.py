@@ -40,8 +40,8 @@ import numpy as np
 
 from . import accountants, mechanisms
 from .errors import ConfigError, DomainError
-from .mechanisms import MechanismInput, NoisyMechParams, SigmaConvention, Variant
-from .randmat import Seed, sample_gaussian_matrix
+from .mechanisms import NoisyMechParams, SigmaConvention, Variant
+from .randmat import Seed, wishart_draw
 
 FULL_BATCH = "full"
 
@@ -217,11 +217,10 @@ class LoraState:
 
 
 def init_lora(W0: np.ndarray, r: int, seed: Seed) -> LoraState:
-    """B starts at zero; A = Z^T for a (d x r) draw Z of i.i.d. N(0, 1/r) entries, so E[A^T A] = I."""
+    """B starts at zero; A = Z^T for a (d x r) Wishart factor Z, so E[A^T A] = I."""
     W0 = np.asarray(W0, dtype=float)
     n_out, d = W0.shape
-    Z = sample_gaussian_matrix(d, r, 1.0 / r, seed)
-    return LoraState(W0=W0.copy(), LoraB=np.zeros((n_out, r)), LoraA=Z.T)
+    return LoraState(W0=W0.copy(), LoraB=np.zeros((n_out, r)), LoraA=wishart_draw(d, r, seed).Z.T)
 
 
 def lora_fa_step(state: LoraState, grad_W: np.ndarray, eta: float) -> LoraState:
@@ -251,6 +250,12 @@ class DpTrainConfig:
     def __post_init__(self):
         if self.T < 1:
             raise DomainError(f"T must be >= 1, got {self.T}")
+        if not math.isfinite(self.eta):
+            raise ConfigError(f"eta must be finite, got {self.eta}")
+        if self.sigma is not None and not 0.0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.delta_target is not None and not 0.0 < self.delta_target < 1.0:
+            raise ConfigError(f"delta_target must lie in (0, 1), got {self.delta_target}")
         if self.mechanism is Mechanism.DP_LORA_FA:
             # there sigma derives from the budget (or vice versa), never both
             if self.sigma is not None and self.eps_target is not None:
@@ -370,14 +375,8 @@ def noisy_proj_step(task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seed: Se
         raise ConfigError(f"noisy_proj_step called with mechanism {cfg.mechanism}")
     idx, _ = _batch_indices(task, cfg, None if cfg.batch == FULL_BATCH else seed.generator())
     G = task.grad_W(W, idx)
-    params = NoisyMechParams(
-        variant=Variant.M2,
-        r=cfg.r,
-        entry_var=1.0 / cfg.r,
-        sigma_G=cfg.sigma,
-        clip_beta=cfg.clip,
-    )
-    return W - cfg.eta * mechanisms.noisy_mech(MechanismInput(G.T), params, seed.child(0)).T
+    params = NoisyMechParams(variant=Variant.M2, r=cfg.r, sigma_G=cfg.sigma, clip_beta=cfg.clip)
+    return W - cfg.eta * mechanisms.noisy_mech(G.T, params, seed.child(0)).T
 
 
 def noisy_proj_budget(cfg: DpTrainConfig, T: int, eps: float, d: int) -> float:
@@ -420,9 +419,8 @@ def rp_gd(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Projected gradient descent w <- w - eta M grad on a scalar-output task.
 
-    M = Z Z^T with Z a (d x r) factor of entry variance 1/r, drawn from
-    seed.child(t) at step t when cfg.redraw_each_step, else once from
-    seed.child(0). Yields (w, grad) after each step, grad being the gradient
+    M = Z Z^T for a (d x r) Wishart factor Z, drawn from seed.child(t) at
+    step t when cfg.redraw_each_step, else once from seed.child(0). Yields (w, grad) after each step, grad being the gradient
     the step used.
     """
     if cfg.mechanism is not Mechanism.RP_GD:
@@ -432,8 +430,7 @@ def rp_gd(
     w = np.asarray(w0, dtype=float).copy()
     for t in range(cfg.T):
         if t == 0 or cfg.redraw_each_step:
-            Z = sample_gaussian_matrix(w.shape[0], cfg.r, 1.0 / cfg.r, seed.child(t))
-            M = Z @ Z.T
+            M = wishart_draw(w.shape[0], cfg.r, seed.child(t)).M
         g = task.grad_W(w[None, :])[0]
         w = w - cfg.eta * (M @ g)
         yield w, g
@@ -447,16 +444,6 @@ class ClipCompareResult:
     interval_low: float
     interval_high: float
     vacuous: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "clip_compare",
-            "beta": self.beta,
-            "beta_prime": self.beta_prime,
-            "zeta": self.zeta,
-            "interval": [self.interval_low, self.interval_high],
-            "vacuous": self.vacuous,
-        }
 
 
 def clip_compare(n: int, r: int, delta_jl: float, beta: float) -> ClipCompareResult:

@@ -48,7 +48,7 @@ def test_criterion_01_separation():
     V = rng.standard_normal((64, 8))
     Vp = V.copy()
     Vp[:, 0] += rng.standard_normal(64)
-    res = attacks.separation_trial(V, Vp, r=8, entry_var=1.0 / 8, n_trials=10**4, seed=SEED.child(2))
+    res = attacks.separation_trial(V, Vp, r=8, n_trials=10**4, seed=SEED.child(2))
     elapsed = time.perf_counter() - t0
     _report(
         1,
@@ -208,7 +208,7 @@ def test_criterion_04_density_loss_identity():
 
 def test_criterion_05_conditional_privacy_loss():
     d, r, sigma, n_cols, n_samples = 40, 30, 1.0, 3, 10**5
-    draw = wishart_draw(d, r, 1.0 / r, SEED.child(5))
+    draw = wishart_draw(d, r, SEED.child(5))
     M = draw.M
     rng = SEED.child(6).generator()
     V = rng.standard_normal((d, n_cols))
@@ -314,7 +314,7 @@ def test_criterion_08_wishart_spectrum():
     hi = (math.sqrt(d / r) + 1 + t / math.sqrt(r)) ** 2
     within = 0
     for i in range(100):
-        eigs = wishart_draw(d, r, 1.0 / r, SEED.child(10).child(i)).nonzero_eigenvalues()
+        eigs = wishart_draw(d, r, SEED.child(10).child(i)).nonzero_eigenvalues()
         within += bool(eigs.min() >= lo and eigs.max() <= hi)
     _report(8, within >= 99, f"{within}/100 draws inside [{lo:.3f}, {hi:.3f}] (need >= 99)")
 
@@ -332,13 +332,12 @@ def test_criterion_09_amplification():
     w = np.zeros(d)
     w[0] = rho
     w[1] = math.sqrt(1 - rho * rho)
-    params = mechanisms.AmplifyParams(gamma=gamma, target_delta=delta)
     base = SEED.child(11)
     hits = 0
     trials = 10**4
     for i in range(trials):
-        a = mechanisms.amplify_alignment(v, params, base.child(i))
-        b = mechanisms.amplify_alignment(w, params, base.child(i))
+        a = mechanisms.amplify_alignment(v, gamma, base.child(i))
+        b = mechanisms.amplify_alignment(w, gamma, base.child(i))
         cos = float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
         hits += cos >= rho + gain
     _report(

@@ -66,6 +66,10 @@ def test_min_alignment_picks_minimum():
 def test_min_alignment_empty():
     with pytest.raises(DegenerateInputError):
         min_alignment([])
+    # a NaN vector has no norm within 1e-8 of 1 and no alignment
+    v = np.array([1.0, 0.0])
+    with pytest.raises(DomainError):
+        min_alignment([(v, np.array([math.nan, 0.0]))])
 
 
 def test_alignment_lower_bound_values():
@@ -401,7 +405,10 @@ def test_compose_basic_additive():
     assert compose_basic([(0.5, 0.0), (0.5, 0.0)]) == (1.0, 0.0)
     # an unbounded step (a noise-free DP-LoRA run) composes to inf; NaN is rejected
     assert compose_basic([(math.inf, 0.0), (0.5, 1e-6)]) == (math.inf, 1e-6)
-    for bad in ([(math.nan, 0.0)], [(0.5, math.nan)]):
+    # opposite infinities would sum to NaN, and a delta below 0 is no budget
+    for bad in (
+        [(math.nan, 0.0)], [(0.5, math.nan)], [(-math.inf, 0.0), (math.inf, 0.0)], [(0.5, -0.2)],
+    ):
         with pytest.raises(DomainError):
             compose_basic(bad)
 
@@ -426,6 +433,8 @@ def test_compose_gaussian_single_step_matches_small_r():
 
 def test_compose_gaussian_zero_mu():
     assert compose_gaussian_steps([0.0, 0.0, 0.0], 1.0, 1e-3) == pytest.approx(3e-3, abs=1e-15)
+    with pytest.raises(DomainError):
+        compose_gaussian_steps([1.0], 1.0, math.nan)
 
 
 def test_compose_gaussian_against_loss_monte_carlo():

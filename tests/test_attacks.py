@@ -24,7 +24,7 @@ def test_separation_never_observes_equality():
     V = rng.standard_normal((8, 3))
     Vp = V.copy()
     Vp[:, 1] += rng.standard_normal(8)
-    res = separation_trial(V, Vp, r=2, entry_var=0.5, n_trials=10**4, seed=Seed(MASTER, 501))
+    res = separation_trial(V, Vp, r=2, n_trials=10**4, seed=Seed(MASTER, 501))
     assert res.n_equal == 0
     assert res.n_trials == 10**4
     assert res.max_residual > 0.0
@@ -34,7 +34,7 @@ def test_separation_rank_one_difference():
     # A rank-1 difference reduces to Z^T u never vanishing.
     V = np.array([[1.0], [0.0]])
     Vp = np.array([[0.0], [0.0]])
-    res = separation_trial(V, Vp, r=1, entry_var=1.0, n_trials=5000, seed=Seed(MASTER, 502))
+    res = separation_trial(V, Vp, r=1, n_trials=5000, seed=Seed(MASTER, 502))
     assert res.n_equal == 0
 
 
@@ -42,14 +42,14 @@ def test_separation_scale_invariance():
     rng = Seed(MASTER, 503).generator()
     V = rng.standard_normal((6, 2))
     Vp = V + 1e-12 * rng.standard_normal((6, 2))
-    res = separation_trial(V, Vp, r=3, entry_var=1.0 / 3, n_trials=2000, seed=Seed(MASTER, 504))
+    res = separation_trial(V, Vp, r=3, n_trials=2000, seed=Seed(MASTER, 504))
     assert res.n_equal == 0
 
 
 def test_separation_rejects_equal_inputs():
     V = np.ones((4, 2))
     with pytest.raises(DegenerateInputError):
-        separation_trial(V, V.copy(), r=2, entry_var=0.5, n_trials=10, seed=Seed(1))
+        separation_trial(V, V.copy(), r=2, n_trials=10, seed=Seed(1))
 
 
 def test_roc_auc_perfect_separation():

@@ -200,10 +200,11 @@ def test_train_subcommand(capsys, tmp_path):
     [
         ("ridge", "mechanism = noise_free_lora\n"),
         ("ridge", "mechanism = dp_lora_fa\nsigma = 0.1\nclip = 1.0\ndelta_target = 1e-5\n"),
+        ("ridge", "mechanism = dp_lora_fa\nsigma = 0\nclip = 1.0\n"),
         ("logistic", "mechanism = noisy_proj\nsigma = 0.5\nclip = 1.0\n"),
         ("ridge", "mechanism = rp_gd\n"),
     ],
-    ids=["noise_free_lora", "dp_lora_fa", "noisy_proj", "rp_gd"],
+    ids=["noise_free_lora", "dp_lora_fa", "dp_lora_fa_sigma0", "noisy_proj", "rp_gd"],
 )
 def test_train_matches_library_fit(capsys, tmp_path, task_kind, mechanism_lines):
     # The CLI trains through trainer.train(task, cfg, seed), as trainer.fit
@@ -249,6 +250,33 @@ def test_train_noisy_proj_without_sigma_exits_3(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "sigma" in err
+
+
+@pytest.mark.parametrize(
+    "bad_lines, field",
+    [
+        ("eta = 0.1\nsigma = nan\n", "sigma"),
+        ("eta = 0.1\nsigma = inf\n", "sigma"),
+        ("eta = 0.1\nsigma = -0.5\n", "sigma"),
+        ("eta = nan\nsigma = 0.1\n", "eta"),
+        ("eta = inf\nsigma = 0.1\n", "eta"),
+        ("eta = 0.1\nsigma = 0.1\ndelta_target = 0\n", "delta_target"),
+        ("eta = 0.1\nsigma = 0.1\ndelta_target = 1.5\n", "delta_target"),
+        ("eta = 0.1\nsigma = 0.1\ndelta_target = nan\n", "delta_target"),
+    ],
+    ids=["sigma_nan", "sigma_inf", "sigma_negative", "eta_nan", "eta_inf",
+         "delta_zero", "delta_above_one", "delta_nan"],
+)
+def test_train_non_finite_or_out_of_range_config_exits_3(capsys, tmp_path, bad_lines, field):
+    # DP-LoRA would read a NaN sigma as "no noise"; a NaN eta gives a NaN loss
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text("T = 5\nr = 4\nmechanism = dp_lora_fa\nclip = 1.0\n" + bad_lines)
+    code, out, err = run_cli(
+        capsys, "train", "--task", "ridge", "--config", str(cfg_path), "--seed", "3"
+    )
+    assert code == 3
+    assert out == ""
+    assert field in err
 
 
 @pytest.mark.parametrize("eps_line, eps", [("", 1.0), ("eps_target = 2.0\ndelta_target = 1e-5\n", 2.0)])
@@ -310,11 +338,11 @@ def test_unknown_flag_gets_suggestion(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(
             ["separate", "--d", "8", "--n", "3", "--r", "2", "--trials", "10",
-             "--seed", "7", "--entry-bar", "0.5"]
+             "--seed", "7", "--trails", "10"]
         )
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "did you mean --entry-var" in err
+    assert "did you mean --trials" in err
 
 
 def test_domain_error_exit_code_and_message(capsys):

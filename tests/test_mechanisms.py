@@ -8,8 +8,6 @@ import pytest
 
 from wishart_dp.errors import ConfigError, DomainError, OutOfStatedRangeWarning, PreconditionError
 from wishart_dp.mechanisms import (
-    AmplifyParams,
-    MechanismInput,
     NoisyMechParams,
     SigmaConvention,
     Variant,
@@ -28,13 +26,13 @@ from conftest import MASTER
 
 
 def test_project_zero_input():
-    draw = wishart_draw(5, 3, None, Seed(MASTER, 100))
-    out = project(MechanismInput(V=np.zeros((5, 2))), draw)
+    draw = wishart_draw(5, 3, Seed(MASTER, 100))
+    out = project(np.zeros((5, 2)), draw)
     assert np.abs(out).max() == 0.0
 
 
 def test_project_mean_is_identity():
-    # E[M] = I at entry_var = 1/r, so the averaged projection recovers v.
+    # E[M] = I, so the averaged projection recovers v.
     d = r = 64
     v = Seed(MASTER, 101).generator().standard_normal(d)
     v /= np.linalg.norm(v)
@@ -42,30 +40,33 @@ def test_project_mean_is_identity():
     base = Seed(MASTER, 102)
     n = 10**4
     for i in range(n):
-        acc += project(MechanismInput(V=v[:, None]), wishart_draw(d, r, None, base.child(i)))[:, 0]
+        acc += project(v, wishart_draw(d, r, base.child(i)))[:, 0]
     assert np.linalg.norm(acc / n - v) < 0.03
 
 
 def test_project_fixed_factor_is_projector():
     Z = np.array([[1.0], [0.0]])
-    draw = WishartDraw(Z=Z, entry_var=1.0, d=2, r=1)
-    out = project(MechanismInput(V=np.array([1.0, 0.0])[:, None]), draw)
+    draw = WishartDraw(Z=Z)
+    out = project(np.array([1.0, 0.0])[:, None], draw)
     assert np.allclose(out[:, 0], [1.0, 0.0])
 
 
 def test_project_dimension_mismatch():
-    draw = wishart_draw(4, 2, None, Seed(MASTER, 103))
+    draw = wishart_draw(4, 2, Seed(MASTER, 103))
     with pytest.raises(DomainError):
-        project(MechanismInput(V=np.zeros((5, 1))), draw)
+        project(np.zeros((5, 1)), draw)
+    # a NaN input has no projection
+    with pytest.raises(DomainError):
+        project(np.full((4, 1), math.nan), draw)
 
 
 def test_noisy_mech_m1_pure_noise_covariance():
     # V = 0 makes M1 pure Gaussian noise with column covariance sigma^2 I.
     d, n_draws, sigma = 6, 10**5, 1.0
-    params = NoisyMechParams(variant=Variant.M1, r=3, entry_var=1.0 / 3, sigma_G=sigma)
+    params = NoisyMechParams(variant=Variant.M1, r=3, sigma_G=sigma)
     base = Seed(MASTER, 110)
     samples = np.stack(
-        [noisy_mech(MechanismInput(V=np.zeros((d, 1))), params, base.child(i))[:, 0]
+        [noisy_mech(np.zeros((d, 1)), params, base.child(i))[:, 0]
          for i in range(n_draws)]
     )
     cov = samples.T @ samples / n_draws
@@ -77,12 +78,12 @@ def test_noisy_mech_m1_pure_noise_covariance():
 def test_noisy_mech_m2_conditional_covariance():
     # Conditional on M, the M2 columns have covariance sigma^2 M^2.
     d, sigma = 5, 0.7
-    draw = wishart_draw(d, 4, None, Seed(MASTER, 111))
-    params = NoisyMechParams(variant=Variant.M2, r=4, entry_var=0.25, sigma_G=sigma)
+    draw = wishart_draw(d, 4, Seed(MASTER, 111))
+    params = NoisyMechParams(variant=Variant.M2, r=4, sigma_G=sigma)
     base = Seed(MASTER, 112)
     n_draws = 10**5
     samples = np.stack(
-        [noisy_mech(MechanismInput(V=np.zeros((d, 1))), params, base.child(i), draw=draw)[:, 0]
+        [noisy_mech(np.zeros((d, 1)), params, base.child(i), draw=draw)[:, 0]
          for i in range(n_draws)]
     )
     cov = samples.T @ samples / n_draws
@@ -97,32 +98,41 @@ def test_noisy_mech_clipping_contract():
     clipped = clip_frobenius(V, 1.0)
     assert np.linalg.norm(clipped) == pytest.approx(1.0, abs=1e-12)
     # the mechanism applies the same clipping before projecting
-    params = NoisyMechParams(variant=Variant.NOISE_FREE, r=2, entry_var=0.5, clip_beta=1.0)
+    params = NoisyMechParams(variant=Variant.M2, r=2, sigma_G=0.5, clip_beta=1.0)
     seed = Seed(MASTER, 113)
-    out = noisy_mech(MechanismInput(V=V), params, seed)
-    direct = noisy_mech(MechanismInput(V=clipped), params, seed)
+    out = noisy_mech(V, params, seed)
+    direct = noisy_mech(clipped, params, seed)
     assert np.array_equal(out, direct)
+    # a non-finite input has no Frobenius norm to clip to, clipped or not
+    bad = np.full((d, 2), math.nan)
+    with pytest.raises(DomainError):
+        clip_frobenius(bad, 1.0)
+    with pytest.raises(DomainError):
+        noisy_mech(bad, params, seed)
+    with pytest.raises(DomainError):
+        noisy_mech(bad, NoisyMechParams(variant=Variant.M1, r=2, sigma_G=0.5), seed)
 
 
 def test_noisy_mech_param_validation():
     with pytest.raises(ConfigError):
-        NoisyMechParams(variant=Variant.M1, r=2, entry_var=0.5, sigma_G=0.0)
-    with pytest.raises(ConfigError):
-        NoisyMechParams(variant=Variant.NOISE_FREE, r=2, entry_var=0.5, sigma_G=1.0)
+        NoisyMechParams(variant=Variant.M1, r=2, sigma_G=0.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            NoisyMechParams(variant=Variant.M2, r=2, sigma_G=bad)
 
 
 def test_noisy_mech_m1_marginal_mean():
-    # Over (M, Xi), E[M1(V)] = r * entry_var * V.
-    d, r, ev = 8, 4, 0.5
+    # Over (M, Xi), E[M1(V)] = V, since E[M] = I and Xi is centred.
+    d, r = 8, 4
     rng = Seed(MASTER, 114).generator()
     V = rng.standard_normal((d, 2))
-    params = NoisyMechParams(variant=Variant.M1, r=r, entry_var=ev, sigma_G=0.5)
+    params = NoisyMechParams(variant=Variant.M1, r=r, sigma_G=0.5)
     base = Seed(MASTER, 115)
     acc = np.zeros((d, 2))
     n = 2 * 10**4
     for i in range(n):
-        acc += noisy_mech(MechanismInput(V=V), params, base.child(i))
-    assert np.abs(acc / n - r * ev * V).max() < 0.05 * np.abs(r * ev * V).max()
+        acc += noisy_mech(V, params, base.child(i))
+    assert np.abs(acc / n - V).max() < 0.05 * np.abs(V).max()
 
 
 def test_gaussian_mech_vanishing_noise():
@@ -171,27 +181,32 @@ def test_gaussian_sigma_out_of_range_warning():
         sigma = gaussian_sigma(1.0, 2.0, 1e-5)
     assert any(issubclass(w.category, OutOfStatedRangeWarning) for w in caught)
     assert sigma > 0.0
+    # an infinite eps would calibrate sigma = 0
+    with pytest.raises(DomainError):
+        gaussian_sigma(1.0, math.inf, 0.1)
 
 
 def test_amplify_alignment_gamma_zero():
     v = np.zeros(8)
     v[0] = 1.0
-    out = amplify_alignment(v, AmplifyParams(gamma=0.0, target_delta=0.01), Seed(MASTER, 130))
+    out = amplify_alignment(v, 0.0, Seed(MASTER, 130))
     assert np.array_equal(out, v)
 
 
 def test_amplify_alignment_norm_envelope():
     v = np.zeros(16)
     v[0] = 1.0
-    params = AmplifyParams(gamma=0.3, target_delta=0.01)
     for i in range(50):
-        out = amplify_alignment(v, params, Seed(MASTER, 131).child(i))
+        out = amplify_alignment(v, 0.3, Seed(MASTER, 131).child(i))
         assert 1.0 - 0.3 - 1e-12 <= np.linalg.norm(out) <= 1.0 + 0.3 + 1e-12
 
 
 def test_amplify_alignment_requires_unit_vector():
     with pytest.raises(DomainError):
-        amplify_alignment(np.ones(4), AmplifyParams(gamma=0.1, target_delta=0.01), Seed(1))
+        amplify_alignment(np.ones(4), 0.1, Seed(1))
+    # a NaN norm is not within 1e-8 of 1
+    with pytest.raises(DomainError):
+        amplify_alignment(np.array([math.nan, 0.0]), 0.1, Seed(1))
 
 
 def test_amplification_gain_large_d_limit():
@@ -229,13 +244,12 @@ def test_amplification_empirical_frequency():
     w = np.zeros(d)
     w[0] = rho
     w[1] = math.sqrt(1 - rho**2)
-    params = AmplifyParams(gamma=gamma, target_delta=delta)
     hits = 0
     trials = 2000
     base = Seed(MASTER, 132)
     for i in range(trials):
-        a = amplify_alignment(v, params, base.child(i))
-        b = amplify_alignment(w, params, base.child(i))
+        a = amplify_alignment(v, gamma, base.child(i))
+        b = amplify_alignment(w, gamma, base.child(i))
         cos = float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
         hits += cos >= rho + gain
     assert hits >= 0.99 * trials

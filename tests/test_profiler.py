@@ -60,7 +60,7 @@ def test_ratio_stats_against_direct_mechanism_simulation():
     base = Seed(MASTER, 303)
     direct = np.empty(n)
     for i in range(n):
-        y = wishart_draw(d, r, 1.0 / r, base.child(i)).M @ v
+        y = wishart_draw(d, r, base.child(i)).M @ v
         direct[i] = privacy_loss(ratio_from_point(y, v, vp, r), d, r)
     A, B = sample_ratio_arrays(rho, d, r, n, Seed(MASTER, 304))
     modeled = privacy_loss_array(A, B, d, r)

@@ -13,19 +13,21 @@ from wishart_dp.randmat import (
     capture_fraction,
     col_projector,
     orthogonal_split,
-    sample_gaussian_matrix,
     wishart_draw,
+    wishart_factor,
 )
 
 from conftest import MASTER, capture_fraction_samples
 
 
 def test_seed_determinism_bitwise():
-    a = sample_gaussian_matrix(2, 2, 1.0, Seed(MASTER, 1))
-    b = sample_gaussian_matrix(2, 2, 1.0, Seed(MASTER, 1))
+    a = wishart_factor(Seed(MASTER, 1).generator(), 2, 2)
+    b = wishart_factor(Seed(MASTER, 1).generator(), 2, 2)
     assert np.array_equal(a, b)
-    c = sample_gaussian_matrix(2, 2, 1.0, Seed(MASTER, 2))
+    c = wishart_factor(Seed(MASTER, 2).generator(), 2, 2)
     assert not np.array_equal(a, c)
+    # wishart_draw is the factor of seed's stream
+    assert np.array_equal(wishart_draw(2, 2, Seed(MASTER, 1)).Z, a)
 
 
 def test_seed_children_are_distinct():
@@ -42,25 +44,32 @@ def test_seed_validation():
 
 
 def test_gaussian_matrix_law_of_large_numbers():
-    X = sample_gaussian_matrix(1000, 1000, 1.0, Seed(MASTER, 10))
+    # entries have mean 0 and variance 1/r, r the last dimension
+    X = wishart_factor(Seed(MASTER, 10).generator(), 1000, 1000) * math.sqrt(1000)
     assert -0.01 <= X.mean() <= 0.01
     assert 0.99 <= X.var() <= 1.01
+    # a batched shape keeps the variance 1/r of the last dimension
+    Zs = wishart_factor(Seed(MASTER, 11).generator(), 100, 100, 4)
+    assert Zs.shape == (100, 100, 4)
+    assert 0.98 <= Zs.var() * 4 <= 1.02
 
 
 def test_gaussian_matrix_frobenius_expectation():
-    # E ||Z||_F^2 = d r var; mean over 1e4 draws within 5%.
+    # E ||Z||_F^2 = d r (1/r) = d; mean over 1e4 draws within 5%.
     total = 0.0
     for i in range(10**4):
-        Z = sample_gaussian_matrix(3, 2, 0.5, Seed(MASTER, 20).child(i))
+        Z = wishart_factor(Seed(MASTER, 20).child(i).generator(), 3, 2)
         total += float(np.sum(Z * Z))
     assert total / 10**4 == pytest.approx(3.0, rel=0.05)
 
 
 def test_gaussian_matrix_rejects_bad_args():
+    rng = Seed(1).generator()
+    for shape in ((0, 3), (3, 0), (2, 0, 3), ()):
+        with pytest.raises(DomainError):
+            wishart_factor(rng, *shape)
     with pytest.raises(DomainError):
-        sample_gaussian_matrix(0, 3, 1.0, Seed(1))
-    with pytest.raises(DomainError):
-        sample_gaussian_matrix(3, 3, 0.0, Seed(1))
+        wishart_draw(3, 0, Seed(1))
 
 
 def test_wishart_mean_is_identity():
@@ -68,12 +77,12 @@ def test_wishart_mean_is_identity():
     n = 10**5
     base = Seed(MASTER, 30)
     for i in range(n):
-        acc += wishart_draw(4, 4, 0.25, base.child(i)).M
+        acc += wishart_draw(4, 4, base.child(i)).M
     assert np.abs(acc / n - np.eye(4)).max() < 0.02
 
 
 def test_wishart_rank_one():
-    draw = wishart_draw(3, 1, None, Seed(MASTER, 40))
+    draw = wishart_draw(3, 1, Seed(MASTER, 40))
     assert np.linalg.matrix_rank(draw.M) == 1
 
 
@@ -84,14 +93,14 @@ def test_wishart_spectrum_concentration():
     hi = (math.sqrt(d / r) + 1 + t / math.sqrt(r)) ** 2
     inside = 0
     for i in range(100):
-        draw = wishart_draw(d, r, 1.0 / r, Seed(MASTER, 50).child(i))
+        draw = wishart_draw(d, r, Seed(MASTER, 50).child(i))
         eigs = draw.nonzero_eigenvalues()
         inside += bool(eigs.min() >= lo and eigs.max() <= hi)
     assert inside >= 99
 
 
 def test_wishart_psd_quadratic_forms():
-    draw = wishart_draw(30, 7, None, Seed(MASTER, 60))
+    draw = wishart_draw(30, 7, Seed(MASTER, 60))
     op_norm = float(np.linalg.norm(draw.M, 2))
     rng = Seed(MASTER, 61).generator()
     for _ in range(100):

@@ -234,9 +234,9 @@ def test_noisy_proj_step_equals_m2_mechanism_bitwise():
     W2 = noisy_proj_step(task, W, cfg, step_seed)
     G = task.grad_W(W)
     params = mechanisms.NoisyMechParams(
-        variant=mechanisms.Variant.M2, r=6, entry_var=1.0 / 6, sigma_G=0.4, clip_beta=0.7
+        variant=mechanisms.Variant.M2, r=6, sigma_G=0.4, clip_beta=0.7
     )
-    out = mechanisms.noisy_mech(mechanisms.MechanismInput(V=G.T), params, step_seed.child(0))
+    out = mechanisms.noisy_mech(G.T, params, step_seed.child(0))
     assert np.array_equal(W2, W - 0.3 * out.T)
     # the step is priced at sensitivity 2 * clip: mu_step = alpha (2 clip)^2 / sigma^2
     alpha = 1.5 * 6 / 12
@@ -286,12 +286,12 @@ def test_rp_gd_tracks_plain_gd(ridge_task):
 
 
 def test_rp_gd_rank_one_confinement():
-    from wishart_dp.randmat import sample_gaussian_matrix
+    from wishart_dp.randmat import wishart_draw
 
     task = make_ridge_task(40, 10, Seed(MASTER, 443))
     # with a fixed rank-1 M every update stays along the single factor column
     *_, (w, _) = rp_gd(task, np.zeros(10), _rp_cfg(0.05, 5, 1, False), Seed(MASTER, 444))
-    Z = sample_gaussian_matrix(10, 1, 1.0, Seed(MASTER, 444).child(0))
+    Z = wishart_draw(10, 1, Seed(MASTER, 444).child(0)).Z
     direction = Z[:, 0] / np.linalg.norm(Z)
     resid = w - direction * float(w @ direction)
     assert np.linalg.norm(resid) < 1e-10
