@@ -12,7 +12,9 @@ Three regimes are covered:
   block (Gaussian mechanism with a high-probability operator bound Gamma_beta)
   and a residual block accounted by the vector bound at reduced dimensions.
 
-Every report keeps its unclamped delta alongside the [0, 1]-clamped value.
+Each report holds only what its accountant computed: the intermediates and the
+(eps, delta) pair, with the unclamped delta alongside the [0, 1]-clamped value.
+The caller's inputs are not echoed back; the CLI builds the JSON shape.
 """
 
 from __future__ import annotations
@@ -97,10 +99,9 @@ def vec_admissibility_threshold(r: int, delta_prime: float) -> float:
 
 @dataclass(frozen=True)
 class VecAccountReport:
-    rho: float
-    d: int
-    r: int
-    delta_prime: float
+    """What the vector bound computed: the quantile intermediates, the support
+    term with its Monte Carlo stderr, and (eps, delta) with delta unclamped."""
+
     K: float
     a_minus: float
     a_plus: float
@@ -110,28 +111,6 @@ class VecAccountReport:
     eps_rho: float
     delta_rho: float
     delta_rho_unclamped: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "vec_account",
-            "inputs": {
-                "rho": self.rho,
-                "d": self.d,
-                "r": self.r,
-                "delta_prime": self.delta_prime,
-            },
-            "intermediates": {
-                "K": self.K,
-                "a_minus": self.a_minus,
-                "a_plus": self.a_plus,
-                "b": self.b,
-                "delta_support": self.delta_support,
-                "delta_support_stderr": self.delta_support_stderr,
-                "delta_unclamped": self.delta_rho_unclamped,
-            },
-            "epsilon": self.eps_rho,
-            "delta": self.delta_rho,
-        }
 
 
 def account_vec(
@@ -169,10 +148,6 @@ def account_vec(
         ds_est, ds_se = profiler.delta_support(rho, r, support_samples, seed)
     delta_raw = ds_est + 3.0 * delta_prime
     return VecAccountReport(
-        rho=rho,
-        d=d,
-        r=r,
-        delta_prime=delta_prime,
         K=K,
         a_minus=a_minus,
         a_plus=a_plus,
@@ -224,40 +199,14 @@ def beta_tail_bound(eta: float, r: int) -> float:
 
 @dataclass(frozen=True)
 class SmallRReport:
-    eps: float
-    sens_frob: float
-    s: int
-    d: int
-    r: int
-    sigma: float
-    alpha: float
+    """What the small-rank bound computed: the captured sensitivity mu_bar, the
+    trade-off and capture terms, and their sum, clamped and unclamped."""
+
     mu_bar: float
     delta_E: float
     delta_M: float
     delta_total: float
     delta_total_unclamped: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "small_r_account",
-            "inputs": {
-                "eps": self.eps,
-                "sens_frob": self.sens_frob,
-                "s": self.s,
-                "d": self.d,
-                "r": self.r,
-                "sigma": self.sigma,
-                "alpha": self.alpha,
-            },
-            "intermediates": {
-                "mu_bar": self.mu_bar,
-                "delta_E": self.delta_E,
-                "delta_M": self.delta_M,
-                "delta_unclamped": self.delta_total_unclamped,
-            },
-            "epsilon": self.eps,
-            "delta": self.delta_total,
-        }
 
 
 def account_small_r(
@@ -284,13 +233,6 @@ def account_small_r(
         delta_M = delta_M_bound(s, alpha, r, d)
     raw = delta_E + delta_M
     return SmallRReport(
-        eps=eps,
-        sens_frob=sens_frob,
-        s=s,
-        d=d,
-        r=r,
-        sigma=sigma,
-        alpha=alpha,
         mu_bar=mu_bar,
         delta_E=delta_E,
         delta_M=delta_M,
@@ -389,17 +331,9 @@ def choose_alpha(
 
 @dataclass(frozen=True)
 class LargeRReport:
-    d: int
-    r: int
-    s: int
-    p: int
-    delta_v: float
-    sigma_G: float
-    sigma_M: float
-    beta: float
-    delta_par: float
-    rho_perp: float
-    delta_prime_perp: float
+    """What the large-rank bound computed: the operator-bound terms, the
+    parallel and residual blocks, and their totals with delta unclamped."""
+
     g_beta: float
     Gamma_beta: float
     eps_par: float
@@ -408,34 +342,6 @@ class LargeRReport:
     eps_total: float
     delta_total: float
     delta_total_unclamped: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "large_r_account",
-            "inputs": {
-                "d": self.d,
-                "r": self.r,
-                "s": self.s,
-                "p": self.p,
-                "delta_v": self.delta_v,
-                "sigma_G": self.sigma_G,
-                "sigma_M": self.sigma_M,
-                "beta": self.beta,
-                "delta_par": self.delta_par,
-                "rho_perp": self.rho_perp,
-                "delta_prime_perp": self.delta_prime_perp,
-            },
-            "intermediates": {
-                "g_beta": self.g_beta,
-                "Gamma_beta": self.Gamma_beta,
-                "eps_par": self.eps_par,
-                "eps_perp": self.eps_perp,
-                "delta_perp": self.delta_perp,
-                "delta_unclamped": self.delta_total_unclamped,
-            },
-            "epsilon": self.eps_total,
-            "delta": self.delta_total,
-        }
 
 
 def account_large_r(
@@ -494,17 +400,6 @@ def account_large_r(
     eps_total = eps_par + residual.eps_rho
     delta_raw = delta_par + residual.delta_rho + beta
     return LargeRReport(
-        d=d,
-        r=r,
-        s=s,
-        p=p,
-        delta_v=delta_v,
-        sigma_G=sigma_G,
-        sigma_M=sigma_M,
-        beta=beta,
-        delta_par=delta_par,
-        rho_perp=rho_perp,
-        delta_prime_perp=delta_prime_perp,
         g_beta=g_beta,
         Gamma_beta=gamma_beta,
         eps_par=eps_par,

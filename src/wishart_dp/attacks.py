@@ -36,14 +36,6 @@ class SeparationResult:
     n_equal: int
     max_residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "separation",
-            "n_trials": self.n_trials,
-            "n_equal": self.n_equal,
-            "max_residual": self.max_residual,
-        }
-
 
 def separation_trial(
     V: np.ndarray,
@@ -163,26 +155,6 @@ class MiaResult:
         q2 = 2.0 * a * a / (1.0 + a)
         var = (a * (1 - a) + (n1 - 1) * (q1 - a * a) + (n2 - 1) * (q2 - a * a)) / (n1 * n2)
         return math.sqrt(max(var, 0.0))
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "mia",
-            "n_in": int(self.scores_in.size),
-            "n_out": int(self.scores_out.size),
-            "auc": self.auc,
-            "auc_stderr": self.auc_stderr(),
-            "balanced_acc": self.balanced_acc,
-            "threshold": self.threshold,
-        }
-
-    def write_scores_csv(self, path) -> None:
-        """Two-column (label, score) CSV; label 1 marks IN models."""
-        with open(path, "w") as fh:
-            fh.write("label,score\n")
-            for s in self.scores_in:
-                fh.write(f"1,{float(s)!r}\n")
-            for s in self.scores_out:
-                fh.write(f"0,{float(s)!r}\n")
 
 
 def run_mia(

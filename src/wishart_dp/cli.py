@@ -3,7 +3,9 @@
 Conventions:
 
 * machine-readable JSON on stdout, human summary on stderr, bulk data in the
-  CSV named by --out;
+  CSV named by --out; both formats are built here and nowhere else: library
+  calls return what they computed, and this module turns it into JSON keys
+  and CSV rows (one writer, _write_csv, serves every subcommand);
 * every randomized subcommand requires --seed (no silent entropy); repeated
   invocations with identical flags are byte-identical;
 * a run manifest (subcommand, params, seed, tool version, output files) is
@@ -15,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import json
 import math
@@ -60,11 +63,11 @@ def _manifest(args: argparse.Namespace, outputs: list[str]) -> dict:
         if k not in ("func", "command") and not callable(v)
     }
     seed = params.pop("seed", None)
-    stream = params.pop("stream", 0)
     manifest = {
         "subcommand": args.command,
         "params": params,
-        "seed": None if seed is None else {"master": seed, "stream": stream},
+        # every subcommand draws from stream 0 of the master seed
+        "seed": None if seed is None else {"master": seed, "stream": 0},
         "tool_version": __version__,
         "outputs": outputs,
     }
@@ -84,8 +87,38 @@ def _emit(args: argparse.Namespace, payload: dict, outputs: list[str], summary: 
     print(summary, file=sys.stderr)
 
 
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write a header line, then each row's values joined by commas.
+
+    str of a Python float is its shortest round-trip repr, so rows hold Python
+    scalars (from .tolist()), never numpy ones.
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def _account_payload(kind: str, inputs: dict, report, epsilon: str | None, delta: str) -> dict:
+    """JSON of an accountant report: {kind, inputs, intermediates, epsilon, delta}.
+
+    epsilon and delta name the report fields holding the pair; epsilon is None
+    when the bound is stated at the input eps. Every other field of the report
+    is an intermediate, its unclamped delta under the key delta_unclamped.
+    """
+    intermediates = dataclasses.asdict(report)
+    intermediates["delta_unclamped"] = intermediates.pop(delta + "_unclamped")
+    return {
+        "kind": kind,
+        "inputs": inputs,
+        "epsilon": inputs["eps"] if epsilon is None else intermediates.pop(epsilon),
+        "delta": intermediates.pop(delta),
+        "intermediates": intermediates,
+    }
+
+
 def _seed(args: argparse.Namespace) -> Seed:
-    return Seed(args.seed, getattr(args, "stream", 0))
+    return Seed(args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +127,7 @@ def _seed(args: argparse.Namespace) -> Seed:
 
 
 def _cmd_account_vec(args) -> int:
+    inputs = {"rho": args.rho, "d": args.d, "r": args.r, "delta_prime": args.delta_prime}
     report = accountants.account_vec(
         accountants.AlignmentSpec(rho=args.rho, d=args.d, r=args.r),
         args.delta_prime,
@@ -102,7 +136,7 @@ def _cmd_account_vec(args) -> int:
     )
     _emit(
         args,
-        report.to_dict(),
+        _account_payload("vec_account", inputs, report, "eps_rho", "delta_rho"),
         [],
         f"vector bound: eps = {report.eps_rho:.6g}, delta = {report.delta_rho:.6g}",
     )
@@ -110,18 +144,13 @@ def _cmd_account_vec(args) -> int:
 
 
 def _cmd_account_small_r(args) -> int:
-    report = accountants.account_small_r(
-        eps=args.eps,
-        sens_frob=args.sens,
-        s=args.s,
-        d=args.d,
-        r=args.r,
-        sigma=args.sigma,
-        alpha=args.alpha,
+    inputs = dict(
+        eps=args.eps, sens_frob=args.sens, s=args.s, d=args.d, r=args.r, sigma=args.sigma, alpha=args.alpha
     )
+    report = accountants.account_small_r(**inputs)
     _emit(
         args,
-        report.to_dict(),
+        _account_payload("small_r_account", inputs, report, None, "delta_total"),
         [],
         f"small-r bound: delta({args.eps}) = {report.delta_total:.6g} "
         f"(trade-off {report.delta_E:.4g} + capture {report.delta_M:.4g})",
@@ -130,7 +159,7 @@ def _cmd_account_small_r(args) -> int:
 
 
 def _cmd_account_large_r(args) -> int:
-    report = accountants.account_large_r(
+    inputs = dict(
         d=args.d,
         r=args.r,
         s=args.s,
@@ -142,12 +171,11 @@ def _cmd_account_large_r(args) -> int:
         delta_par=args.delta_par,
         rho_perp=args.rho_perp,
         delta_prime_perp=args.delta_prime_perp,
-        seed=_seed(args),
-        support_samples=args.support_samples,
     )
+    report = accountants.account_large_r(**inputs, seed=_seed(args), support_samples=args.support_samples)
     _emit(
         args,
-        report.to_dict(),
+        _account_payload("large_r_account", inputs, report, "eps_total", "delta_total"),
         [],
         f"large-r bound: eps = {report.eps_total:.6g} "
         f"(parallel {report.eps_par:.4g} + residual {report.eps_perp:.4g}), "
@@ -160,7 +188,11 @@ def _cmd_choose_alpha(args) -> int:
     alpha, report = accountants.choose_alpha(
         eps=args.eps, mu=args.mu, s=args.s, d=args.d, r=args.r, eta=args.eta
     )
-    payload = report.to_dict()
+    # the small-r account choose_alpha certified: sensitivity sqrt(mu) at sigma = 1
+    inputs = dict(
+        eps=args.eps, sens_frob=math.sqrt(args.mu), s=args.s, d=args.d, r=args.r, sigma=1.0, alpha=alpha
+    )
+    payload = _account_payload("small_r_account", inputs, report, None, "delta_total")
     payload["alpha"] = alpha
     payload["delta_gauss"] = accountants.gaussian_tradeoff(args.eps, args.mu)
     _emit(
@@ -198,7 +230,15 @@ def _cmd_profile_mc(args) -> int:
         profiles.append(prof)
     outputs = []
     if args.out:
-        profiler.write_profiles_csv(args.out, profiles)
+        _write_csv(
+            args.out,
+            "eps,delta_hat,stderr,n,rho,d,r,seed",
+            (
+                (e, dh, se, p.n_samples, p.rho, p.d, p.r, f"{p.seed.master}:{p.seed.stream}")
+                for p in profiles
+                for e, dh, se in zip(p.eps_grid.tolist(), p.delta_hat.tolist(), p.stderr.tolist())
+            ),
+        )
         outputs.append(args.out)
     payload = {
         "kind": "privacy_profile_sweep",
@@ -257,7 +297,7 @@ def _cmd_separate(args) -> int:
     result = attacks.separation_trial(V, Vp, r=args.r, n_trials=args.trials, seed=seed.child(1))
     _emit(
         args,
-        result.to_dict(),
+        {"kind": "separation", **dataclasses.asdict(result)},
         [],
         f"{result.n_equal} coincidences in {result.n_trials} trials "
         f"(max residual {result.max_residual:.4g})",
@@ -300,10 +340,20 @@ def _cmd_mia(args) -> int:
     result = attacks.run_mia(task, cfg, canary, args.n_in, args.n_out, seed.child(2))
     outputs = []
     if args.out:
-        result.write_scores_csv(args.out)
+        # label 1 marks the models trained with the canary
+        rows = [(1, s) for s in result.scores_in.tolist()] + [(0, s) for s in result.scores_out.tolist()]
+        _write_csv(args.out, "label,score", rows)
         outputs.append(args.out)
-    payload = result.to_dict()
-    payload["canary_label"] = canary.y_q
+    payload = {
+        "kind": "mia",
+        "n_in": result.scores_in.size,
+        "n_out": result.scores_out.size,
+        "auc": result.auc,
+        "auc_stderr": result.auc_stderr(),
+        "balanced_acc": result.balanced_acc,
+        "threshold": result.threshold,
+        "canary_label": canary.y_q,
+    }
     _emit(
         args,
         payload,
@@ -330,10 +380,7 @@ def _cmd_train(args) -> int:
     _, final_loss, _, eps, delta = rows[-1]
     outputs = []
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("step,loss,grad_norm,eps_spent,delta_spent\n")
-            for row in rows:
-                fh.write(",".join(map(repr, row)) + "\n")
+        _write_csv(args.out, "step,loss,grad_norm,eps_spent,delta_spent", rows)
         outputs.append(args.out)
     payload = {
         "kind": "training_run",
@@ -429,7 +476,6 @@ def _cmd_selftest(args) -> int:
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True, help="master seed (required; no silent entropy)")
-    p.add_argument("--stream", type=int, default=0, help="substream index (default 0)")
 
 
 class _Parser(argparse.ArgumentParser):

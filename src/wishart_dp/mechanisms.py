@@ -131,9 +131,11 @@ def noisy_mech(
 
 def gaussian_mech(v: np.ndarray, sigma: float, seed: Seed) -> np.ndarray:
     """Additive Gaussian baseline v + N(0, sigma^2 I)."""
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise DomainError("gaussian_mech: v must be finite")
     rng = seed.generator()
     return v + sigma * rng.standard_normal(v.shape)
 

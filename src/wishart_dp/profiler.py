@@ -164,16 +164,6 @@ class PrivacyProfile:
         return float(self.eps_grid[hits[0]])
 
 
-def write_profiles_csv(path, profiles) -> None:
-    """One CSV row per grid point of each profile, under one header."""
-    with open(path, "w") as fh:
-        fh.write("eps,delta_hat,stderr,n,rho,d,r,seed\n")
-        for p in profiles:
-            tail = f"{p.n_samples},{p.rho!r},{p.d},{p.r},{p.seed.master}:{p.seed.stream}"
-            for e, dh, se in zip(p.eps_grid.tolist(), p.delta_hat.tolist(), p.stderr.tolist()):
-                fh.write(f"{e!r},{dh!r},{se!r},{tail}\n")
-
-
 def mc_privacy_profile(
     rho: float,
     d: int,

@@ -97,6 +97,8 @@ def col_projector(Z: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
         Z = Z[:, None]
+    if not np.isfinite(Z).all():
+        raise DomainError("col_projector: Z must be finite")
     U, s, _ = np.linalg.svd(Z, full_matrices=False)
     tol = _default_rank_tol(s, Z.shape) if rank_tol is None else rank_tol
     k = int(np.sum(s > tol))
@@ -130,6 +132,8 @@ def orthogonal_split(Z: np.ndarray, U: np.ndarray, rank_tol: float | None = None
     d, r = Z.shape
     if U.ndim != 2 or U.shape[0] != d:
         raise DomainError(f"U must be d x s with d={d}, got shape {U.shape}")
+    if not (np.isfinite(Z).all() and np.isfinite(U).all()):
+        raise DomainError("orthogonal_split: Z and U must be finite")
     s = U.shape[1]
     if s > 0:
         gram = U.T @ U
@@ -163,6 +167,8 @@ def capture_fraction(Z: np.ndarray, delta_v: np.ndarray) -> float:
     delta_v = np.asarray(delta_v, dtype=float)
     if delta_v.ndim == 1:
         delta_v = delta_v[:, None]
+    if not np.isfinite(delta_v).all():
+        raise DomainError("capture_fraction: delta_v must be finite")
     total = float(np.sum(delta_v**2))
     if total == 0.0:
         raise DegenerateInputError("capture_fraction: delta_v is zero")

@@ -137,11 +137,12 @@ def test_account_vec_formula_oracle():
 
 
 def test_account_vec_report_reproduces_formula_from_intermediates():
+    rho, d, r = 0.98, 100, 16
     rep = account_vec(
-        AlignmentSpec(0.98, 100, 16), 0.01, seed=Seed(MASTER, 212), support_samples=10**4
+        AlignmentSpec(rho, d, r), 0.01, seed=Seed(MASTER, 212), support_samples=10**4
     )
-    rebuilt = (rep.d - rep.r + 1) / 2 * math.log(rep.a_plus) + (
-        (1 - rep.rho + rep.K) * rep.b / (2 * (rep.rho - rep.K))
+    rebuilt = (d - r + 1) / 2 * math.log(rep.a_plus) + (
+        (1 - rho + rep.K) * rep.b / (2 * (rho - rep.K))
     )
     assert rep.eps_rho == pytest.approx(rebuilt, abs=1e-12)
 
@@ -357,7 +358,7 @@ def test_account_large_r_formula_oracle():
     assert rep.eps_perp == pytest.approx(eps_perp, rel=1e-9)
     assert rep.eps_total == pytest.approx(rep.eps_par + rep.eps_perp, rel=1e-12)
     assert rep.delta_total == pytest.approx(
-        rep.delta_par + rep.delta_perp + rep.beta, abs=1e-15
+        _LARGE_R_ARGS["delta_par"] + rep.delta_perp + _LARGE_R_ARGS["beta"], abs=1e-15
     )
     assert math.isfinite(rep.eps_total)
 

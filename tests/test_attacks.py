@@ -153,17 +153,3 @@ def test_run_mia_noise_dominated_is_chance(small_task):
     res = run_mia(small_task, cfg, canary, 60, 60, Seed(MASTER, 528))
     se = res.auc_stderr()
     assert abs(res.auc - 0.5) <= 3 * max(se, 0.05)
-
-
-def test_mia_result_exports(tmp_path, small_task, small_cfg):
-    canary = craft_canary(small_task, small_cfg, Seed(MASTER, 529))
-    res = run_mia(small_task, small_cfg, canary, 5, 5, Seed(MASTER, 530))
-    payload = res.to_dict()
-    assert payload["n_in"] == 5 and payload["n_out"] == 5
-    path = tmp_path / "scores.csv"
-    res.write_scores_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "label,score"
-    assert len(lines) == 11
-    labels = [line.split(",")[0] for line in lines[1:]]
-    assert labels == ["1"] * 5 + ["0"] * 5

@@ -315,7 +315,75 @@ def test_mia_subcommand_fast(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert 0.0 <= payload["auc"] <= 1.0
-    assert out_csv.exists()
+    assert payload["n_in"] == 8 and payload["n_out"] == 8
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "label,score"
+    assert len(lines) == 1 + 16
+    # label 1 marks the models trained with the canary; they come first
+    assert [line.split(",")[0] for line in lines[1:]] == ["1"] * 8 + ["0"] * 8
+
+
+_ACCOUNT_KEYS = {"kind", "inputs", "intermediates", "epsilon", "delta", "manifest"}
+_SMALL_R_INPUTS = {"eps", "sens_frob", "s", "d", "r", "sigma", "alpha"}
+_SMALL_R_INTERMEDIATES = {"mu_bar", "delta_E", "delta_M", "delta_unclamped"}
+
+
+@pytest.mark.parametrize(
+    "argv, top, inputs, intermediates",
+    [
+        (
+            "account-vec --rho 0.999 --d 400 --r 128 --delta-prime 1e-3 --seed 7 --support-samples 1000",
+            _ACCOUNT_KEYS,
+            {"rho", "d", "r", "delta_prime"},
+            {"K", "a_minus", "a_plus", "b", "delta_support", "delta_support_stderr", "delta_unclamped"},
+        ),
+        (
+            "account-small-r --eps 1 --sens 1 --s 1 --d 2048 --r 32 --sigma 0.5 --alpha 0.0235",
+            _ACCOUNT_KEYS,
+            _SMALL_R_INPUTS,
+            _SMALL_R_INTERMEDIATES,
+        ),
+        (
+            "account-large-r --d 200 --r 150 --s 20 --p 20 --delta-v 0.1 --sigma-g 1.0 --sigma-m 0.0816 "
+            "--beta 0.01 --delta-par 1e-5 --rho-perp 0.999 --delta-prime-perp 1e-3 --seed 3 "
+            "--support-samples 1000",
+            _ACCOUNT_KEYS,
+            {"d", "r", "s", "p", "delta_v", "sigma_G", "sigma_M", "beta", "delta_par", "rho_perp",
+             "delta_prime_perp"},
+            {"g_beta", "Gamma_beta", "eps_par", "eps_perp", "delta_perp", "delta_unclamped"},
+        ),
+        (
+            "choose-alpha --eps 1 --mu 4 --s 1 --d 2048 --r 64 --eta 0.5",
+            _ACCOUNT_KEYS | {"alpha", "delta_gauss"},
+            _SMALL_R_INPUTS,
+            _SMALL_R_INTERMEDIATES,
+        ),
+        (
+            "separate --d 8 --n 3 --r 2 --trials 10 --seed 7",
+            {"kind", "n_trials", "n_equal", "max_residual", "manifest"},
+            None,
+            None,
+        ),
+        (
+            "mia --n-data 30 --d 6 --classes 3 --mechanism noise_free_lora --r 4 --steps 5 "
+            "--eta 1.0 --n-in 2 --n-out 2 --seed 21",
+            {"kind", "n_in", "n_out", "auc", "auc_stderr", "balanced_acc", "threshold",
+             "canary_label", "manifest"},
+            None,
+            None,
+        ),
+    ],
+    ids=["account-vec", "account-small-r", "account-large-r", "choose-alpha", "separate", "mia"],
+)
+def test_stdout_key_sets(capsys, argv, top, inputs, intermediates):
+    # The JSON shapes are built in cli alone; this pins them key by key.
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == top
+    if inputs is not None:
+        assert set(payload["inputs"]) == inputs
+        assert set(payload["intermediates"]) == intermediates
 
 
 def test_usage_error_exit_code(capsys):
@@ -332,6 +400,10 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["profile-mc", "--rho", "0.9", "--d", "30", "--r", "4", "--delta", "0.1",
+                  "--seed", "1", "--stream", "5"])
+    assert exc.value.code == 2  # no subcommand takes a substream; all draw from stream 0
 
 
 def test_unknown_flag_gets_suggestion(capsys):

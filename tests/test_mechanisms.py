@@ -139,6 +139,11 @@ def test_gaussian_mech_vanishing_noise():
     v = np.array([1.0, -2.0, 3.0])
     out = gaussian_mech(v, 1e-12, Seed(MASTER, 120))
     assert np.abs(out - v).max() < 1e-9
+    # an infinite scale releases only +-inf, and a NaN entry has no release
+    with pytest.raises(DomainError):
+        gaussian_mech(v, math.inf, Seed(MASTER, 120))
+    with pytest.raises(DomainError):
+        gaussian_mech([math.nan, 1.0], 1.0, Seed(MASTER, 120))
 
 
 def test_gaussian_mech_variance():

@@ -23,7 +23,6 @@ from wishart_dp.profiler import (
     privacy_loss_array,
     ratio_from_point,
     sample_ratio_arrays,
-    write_profiles_csv,
 )
 from wishart_dp.randmat import Seed, wishart_draw
 
@@ -233,15 +232,6 @@ def test_map_chunks_caps_worker_count(monkeypatch, pool_sizes, threads, cpus, n_
     out = profiler._map_chunks(lambda c: 2 * c, list(range(n_chunks)), threads)
     assert out == [2 * c for c in range(n_chunks)]
     assert pool_sizes == ([] if workers is None else [workers])
-
-
-def test_profile_csv_export(tmp_path):
-    prof = mc_privacy_profile(0.9, 20, 4, [0.5, 1.0], 10**4, Seed(MASTER, 325))
-    path = tmp_path / "profile.csv"
-    write_profiles_csv(path, [prof])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "eps,delta_hat,stderr,n,rho,d,r,seed"
-    assert len(lines) == 3
 
 
 def test_log_density_matches_privacy_loss():

@@ -132,6 +132,9 @@ def test_col_projector_properties():
 def test_col_projector_rejects_zero():
     with pytest.raises(DegenerateInputError):
         col_projector(np.zeros((4, 2)))
+    # numpy's SVD would raise a bare LinAlgError on a NaN factor
+    with pytest.raises(DomainError):
+        col_projector([[np.nan], [1.0]])
 
 
 def _random_split(d, r, s, stream) -> tuple[np.ndarray, np.ndarray, OrthogonalSplit]:
@@ -180,6 +183,11 @@ def test_orthogonal_split_rejects_non_orthonormal():
     Z = rng.standard_normal((5, 2))
     with pytest.raises(DomainError):
         orthogonal_split(Z, rng.standard_normal((5, 2)))
+    # a NaN factor: the SVD of U^T Z fails, and an empty U would give NaN blocks
+    Z_nan = np.array([[np.nan], [1.0]])
+    for U in (np.eye(2)[:, :1], np.zeros((2, 0))):
+        with pytest.raises(DomainError):
+            orthogonal_split(Z_nan, U)
 
 
 def test_capture_fraction_extremes():
@@ -194,6 +202,9 @@ def test_capture_fraction_extremes():
     assert capture_fraction(Z, v) == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(DegenerateInputError):
         capture_fraction(Z, np.zeros(6))
+    # a NaN entry has no capture fraction; 0 would be the most optimistic one
+    with pytest.raises(DomainError):
+        capture_fraction(np.eye(3)[:, :1], [np.nan, 1.0, 0.0])
 
 
 def test_capture_fraction_beta_law(capture_samples_d100_r10):
