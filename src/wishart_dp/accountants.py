@@ -375,10 +375,10 @@ def account_large_r(
         )
     if d <= s:
         raise DomainError(f"need d > s, got d={d}, s={s}")
-    if delta_v < 0.0:
-        raise DomainError(f"delta_v must be >= 0, got {delta_v}")
-    if not sigma_G > 0.0 or not sigma_M > 0.0:
-        raise DomainError("sigma_G and sigma_M must be > 0")
+    if not 0.0 <= delta_v < math.inf:
+        raise DomainError(f"delta_v must be finite and >= 0, got {delta_v}")
+    if not 0.0 < sigma_G < math.inf or not 0.0 < sigma_M < math.inf:
+        raise DomainError(f"sigma_G and sigma_M must be finite and > 0, got {sigma_G}, {sigma_M}")
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     if not 0.0 < delta_par < 1.0:

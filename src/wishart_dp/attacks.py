@@ -56,6 +56,8 @@ def separation_trial(
     Vprime = np.atleast_2d(np.asarray(Vprime, dtype=float))
     if V.shape != Vprime.shape:
         raise DomainError(f"V and V' must share a shape, got {V.shape} vs {Vprime.shape}")
+    if not (np.isfinite(V).all() and np.isfinite(Vprime).all()):
+        raise DomainError("V and V' must be finite")
     if n_trials < 1:
         raise DomainError(f"n_trials must be >= 1, got {n_trials}")
     dV = V - Vprime

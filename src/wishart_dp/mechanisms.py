@@ -204,6 +204,8 @@ def amplification_gain(rho: float, gamma: float, d: int, delta: float) -> float:
     c = sqrt((2/d) ln(8/delta)); requires gamma above the stated threshold and
     additionally large enough that s > 0 (at rho = 1 no gain is possible).
     """
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma}")
     thr = amplification_threshold(rho, d, delta)
     if not gamma > thr:
         raise PreconditionError(

@@ -83,6 +83,8 @@ def sample_ratio_arrays(
 
 def privacy_loss(sample: RatioSample, d: int, r: int) -> float:
     """Log density ratio at one (A, B) draw; +inf when A <= 0."""
+    if math.isnan(sample.A) or not math.isfinite(sample.B):
+        raise DomainError(f"need a non-NaN A and a finite B, got {sample}")
     if sample.A <= 0.0:
         return math.inf
     return 0.5 * (d - r + 1) * math.log(sample.A) + 0.5 * sample.B * (1.0 / sample.A - 1.0)
@@ -215,6 +217,8 @@ def ratio_from_point(y: np.ndarray, v: np.ndarray, v_prime: np.ndarray, r: int) 
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     v_prime = np.asarray(v_prime, dtype=float)
+    if not (np.isfinite(y).all() and np.isfinite(v).all() and np.isfinite(v_prime).all()):
+        raise DomainError("y, v and v' must be finite")
     vy = float(v @ y)
     if vy <= 0.0:
         raise DomainError("ratio_from_point requires v^T y > 0")
@@ -234,6 +238,8 @@ def log_density_mv(y: np.ndarray, v: np.ndarray, r: int, sigma2: float) -> float
     v = np.asarray(v, dtype=float)
     if y.shape != v.shape or y.ndim != 1:
         raise DomainError("y and v must be vectors of the same dimension")
+    if not (np.isfinite(y).all() and np.isfinite(v).all()):
+        raise DomainError("y and v must be finite")
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
     if not sigma2 > 0.0:

@@ -2,24 +2,27 @@
 
 Mechanisms:
 
-* NOISE_FREE_LORA: frozen-factor low-rank training, update B <- B - eta G A^T;
-* DP_LORA_FA: per-example clipping of the B-gradient plus Gaussian noise,
-  budget reported by basic composition of the per-step guarantee;
+* NOISE_FREE_LORA: frozen-factor low-rank training (LoRA-FA, Zhang et al.
+  2023, arXiv:2308.03303) of the weights W = B A, update B <- B - eta G A^T,
+  so W moves by -eta G A^T A;
+* DP_LORA_FA: the same loop with per-example clipping of the B-gradient plus
+  Gaussian noise, budget reported by basic composition of the per-step
+  guarantee;
 * NOISY_PROJ: update the weights W <- W - eta (M (clip(G)^T + Xi))^T with a
   fresh M = Z Z^T every step; accounted by the exact Gaussian trade-off on
   the summed per-step mu plus a per-step capture-failure term;
 * RP_GD: vector-query projected gradient descent w <- w - eta M grad.
 
 train(task, cfg, seed) is the one entry point: it draws the steps from
-seed.child(1), dispatches on the mechanism and yields each step's effective
-weights and gradient. Only the LoRA mechanisms carry an adapter, drawn from
+seed.child(1), dispatches on the mechanism and yields each step's weights
+and gradient. Only the LoRA mechanisms draw a frozen factor A, from
 seed.child(0); noisy projection and rp_gd act on the weights alone. fit keeps
-the last weights; the CLI prices each step with budget_spent. The
-per-mechanism loops (dp_lora_fa, noisy_proj_step, rp_gd) take an initial
-state and compute no loss or budget.
+the last weights; the CLI prices each step with budget_spent. Each
+per-mechanism loop (dp_lora_fa, noisy_proj_step, rp_gd) holds only the state
+its step reads and computes no loss or budget.
 
-Noise-free LoRA is the sigma = 0, clip = inf reduction of the DP LoRA loop,
-so the two share one gradient code path bit for bit. That path clips with
+dp_lora_fa runs both LoRA mechanisms: noise-free LoRA is its sigma = 0,
+clip = inf case, so the two share one gradient code path. That path clips with
 ghost norms: for a linear model an example's B-gradient is an outer product
 whose norm is a product of two vector norms (Goodfellow 2015,
 arXiv:1510.01799; Li et al. 2022, arXiv:2110.05679), so no per-example
@@ -34,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,6 +93,8 @@ class TrainTask:
                 raise DomainError("labels must be valid class indices")
         else:
             self.y = np.asarray(self.y, dtype=float)
+            if not np.all(np.isfinite(self.y)):
+                raise DomainError("ridge targets must be finite")
 
     @property
     def n_examples(self) -> int:
@@ -150,7 +155,10 @@ class TrainTask:
 
     def example_loss(self, W: np.ndarray, x: np.ndarray, y) -> float:
         """Loss of a single probe example (no regularizer)."""
-        z = W @ np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if not (np.all(np.isfinite(x)) and np.isfinite(y)):
+            raise DomainError("probe example must be finite")
+        z = W @ x
         if self.kind is TaskKind.RIDGE:
             return 0.5 * float((z[0] - y) ** 2)
         z = z - z.max()
@@ -193,43 +201,6 @@ def make_logistic_task(n: int, d: int, n_classes: int, seed: Seed, reg: float = 
     W_true = rng.standard_normal((n_classes, d)) / math.sqrt(d)
     y = np.argmax(X @ W_true.T, axis=1)
     return TrainTask(kind=TaskKind.LOGISTIC, n_features=d, n_classes=n_classes, X=X, y=y, reg=reg)
-
-
-# ---------------------------------------------------------------------------
-# LoRA state and steps
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class LoraState:
-    """Frozen-down-projection adapter state; effective weights W0 + B A."""
-
-    W0: np.ndarray
-    LoraB: np.ndarray
-    LoraA: np.ndarray
-
-    @property
-    def r(self) -> int:
-        return self.LoraA.shape[0]
-
-    def effective_weights(self) -> np.ndarray:
-        return self.W0 + self.LoraB @ self.LoraA
-
-
-def init_lora(W0: np.ndarray, r: int, seed: Seed) -> LoraState:
-    """B starts at zero; A = Z^T for a (d x r) Wishart factor Z, so E[A^T A] = I."""
-    W0 = np.asarray(W0, dtype=float)
-    n_out, d = W0.shape
-    return LoraState(W0=W0.copy(), LoraB=np.zeros((n_out, r)), LoraA=wishart_draw(d, r, seed).Z.T)
-
-
-def lora_fa_step(state: LoraState, grad_W: np.ndarray, eta: float) -> LoraState:
-    """One frozen-factor step: B <- B - eta (grad_W A^T)."""
-    grad_W = np.asarray(grad_W, dtype=float)
-    if grad_W.shape != state.W0.shape:
-        raise DomainError(f"grad_W shape {grad_W.shape} does not match weights {state.W0.shape}")
-    newB = state.LoraB - eta * (grad_W @ state.LoraA.T)
-    return replace(state, LoraB=newB)
 
 
 @dataclass(frozen=True)
@@ -295,7 +266,7 @@ def _batch_indices(task: TrainTask, cfg: DpTrainConfig, rng: np.random.Generator
 
 def _clipped_mean_grad_B(
     task: TrainTask,
-    W_eff: np.ndarray,
+    W: np.ndarray,
     A: np.ndarray,
     idx: np.ndarray | None,
     clip: float,
@@ -308,12 +279,12 @@ def _clipped_mean_grad_B(
     per-example clip factors ("ghost" norms: Goodfellow 2015, arXiv:1510.01799;
     Li et al. 2022, arXiv:2110.05679). No per-example gradient is formed.
 
-    Shared by the noise-free and DP LoRA loops so the sigma = 0, clip = inf
-    configuration reduces to non-private training exactly.
+    At clip = inf (noise-free LoRA) the clipping is skipped, so the step is
+    plain gradient descent on B.
     """
-    X, P = task.output_grad(W_eff, idx)
+    X, P = task.output_grad(W, idx)
     if X.shape[0] == 0:
-        return np.zeros((W_eff.shape[0], A.shape[0]))
+        return np.zeros((W.shape[0], A.shape[0]))
     XA = X @ A.T
     if math.isfinite(clip):
         norms = np.linalg.norm(P, axis=1) * np.linalg.norm(XA, axis=1)
@@ -337,31 +308,42 @@ def _lora_fa_sigma(cfg: DpTrainConfig) -> tuple[float, float, float]:
 
 
 def dp_lora_fa(
-    task: TrainTask, state: LoraState, cfg: DpTrainConfig, seed: Seed
-) -> Iterator[tuple[LoraState, np.ndarray, np.ndarray]]:
-    """Per-example clipped, noised B-gradient descent for T steps.
+    task: TrainTask, A: np.ndarray, cfg: DpTrainConfig, seed: Seed
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Frozen-factor LoRA: B <- B - eta ghat from B = 0, on the weights W = B A.
 
-    Yields (state, effective weights, noised B-gradient) after each step.
-    The per-step mechanism is Gaussian with sensitivity 2 * clip on the summed
-    clipped gradient; budget_spent prices the steps.
+    A is the frozen (r x d) factor. Yields (W, ghat) after each step, ghat
+    being the clipped, noised B-gradient the step used; step t draws from
+    seed.child(t). DP_LORA_FA clips at cfg.clip and adds noise of the sigma
+    that _lora_fa_sigma resolves: the per-step mechanism is Gaussian with
+    sensitivity 2 * clip on the summed clipped gradient, and budget_spent
+    prices the steps. NOISE_FREE_LORA runs the same loop at sigma = 0,
+    clip = inf.
     """
-    if cfg.mechanism is not Mechanism.DP_LORA_FA:
+    if cfg.mechanism is Mechanism.NOISE_FREE_LORA:
+        sigma, clip = 0.0, math.inf
+    elif cfg.mechanism is Mechanism.DP_LORA_FA:
+        sigma, clip = _lora_fa_sigma(cfg)[0], cfg.clip
+    else:
         raise ConfigError(f"dp_lora_fa called with mechanism {cfg.mechanism}")
-    sigma, _, _ = _lora_fa_sigma(cfg)
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[1] != task.n_features:
+        raise DomainError(f"A must have shape (r, {task.n_features}), got {A.shape}")
     draws = sigma > 0.0 or cfg.batch != FULL_BATCH
-    W_eff = state.effective_weights()
+    B = np.zeros((task.n_out, A.shape[0]))
+    W = B @ A
     for t in range(cfg.T):
         rng = seed.child(t).generator() if draws else None
         idx, divisor = _batch_indices(task, cfg, rng)
-        ghat = _clipped_mean_grad_B(task, W_eff, state.LoraA, idx, cfg.clip, divisor)
+        ghat = _clipped_mean_grad_B(task, W, A, idx, clip, divisor)
         if task.reg:
-            ghat = ghat + (task.reg * W_eff) @ state.LoraA.T
+            ghat = ghat + (task.reg * W) @ A.T
         if sigma > 0.0:
             noise = rng.standard_normal(ghat.shape)
             ghat = ghat + (sigma / divisor) * noise
-        state = replace(state, LoraB=state.LoraB - cfg.eta * ghat)
-        W_eff = state.effective_weights()
-        yield state, W_eff, ghat
+        B = B - cfg.eta * ghat
+        W = B @ A
+        yield W, ghat
 
 
 def noisy_proj_step(task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:
@@ -438,8 +420,6 @@ def rp_gd(
 
 @dataclass(frozen=True)
 class ClipCompareResult:
-    beta: float
-    beta_prime: float
     zeta: float
     interval_low: float
     interval_high: float
@@ -450,8 +430,7 @@ def clip_compare(n: int, r: int, delta_jl: float, beta: float) -> ClipCompareRes
     """Relate the B-space and W-space clipping thresholds through the sketch distortion.
 
     With distortion zeta, a W-space threshold beta corresponds to a B-space
-    threshold in [beta / sqrt(1 + zeta), beta / sqrt(1 - zeta)]; the simple
-    convention beta' = beta is reported alongside.
+    threshold in [beta / sqrt(1 + zeta), beta / sqrt(1 - zeta)].
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be > 0, got {beta}")
@@ -461,47 +440,37 @@ def clip_compare(n: int, r: int, delta_jl: float, beta: float) -> ClipCompareRes
     else:
         low, high = beta / math.sqrt(1.0 + jz.zeta), beta / math.sqrt(1.0 - jz.zeta)
     return ClipCompareResult(
-        beta=beta,
-        beta_prime=beta,
-        zeta=jz.zeta,
-        interval_low=low,
-        interval_high=high,
-        vacuous=jz.vacuous,
+        zeta=jz.zeta, interval_low=low, interval_high=high, vacuous=jz.vacuous
     )
 
 
 def train(
     task: TrainTask, cfg: DpTrainConfig, seed: Seed
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Train from zero initial weights, yielding (effective weights, gradient) per step.
+    """Train from zero initial weights, yielding (weights, gradient) per step.
 
-    The steps draw from seed.child(1); the LoRA mechanisms draw their adapter
-    from seed.child(0). The gradient is the noised B-gradient for the LoRA
+    The steps draw from seed.child(1); the LoRA mechanisms draw their frozen
+    factor A = Z^T, for a (d x r) Wishart factor Z so that E[A^T A] = I, from
+    seed.child(0). The gradient is the noised B-gradient for the LoRA
     mechanisms, the weight gradient for rp_gd, and None for noisy projection,
     whose gradient stays inside the mechanism.
     """
-    W0 = np.zeros((task.n_out, task.n_features))
     if cfg.mechanism is Mechanism.RP_GD:
-        for w, g in rp_gd(task, W0[0], cfg, seed.child(1)):
+        for w, g in rp_gd(task, np.zeros(task.n_features), cfg, seed.child(1)):
             yield w[None, :], g
         return
     if cfg.mechanism is Mechanism.NOISY_PROJ:
-        W, step_seed = W0, seed.child(1)
+        W, step_seed = np.zeros((task.n_out, task.n_features)), seed.child(1)
         for t in range(cfg.T):
             W = noisy_proj_step(task, W, cfg, step_seed.child(t))
             yield W, None
         return
-    if cfg.mechanism is Mechanism.NOISE_FREE_LORA:
-        cfg = replace(
-            cfg, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, clip=math.inf,
-            eps_target=None, delta_target=None,
-        )
-    for _, W, g in dp_lora_fa(task, init_lora(W0, cfg.r, seed.child(0)), cfg, seed.child(1)):
-        yield W, g
+    A = wishart_draw(task.n_features, cfg.r, seed.child(0)).Z.T
+    yield from dp_lora_fa(task, A, cfg, seed.child(1))
 
 
 def fit(task: TrainTask, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:
-    """The final effective weights of train(task, cfg, seed)."""
+    """The final weights of train(task, cfg, seed)."""
     for W, _ in train(task, cfg, seed):
         pass
     return W

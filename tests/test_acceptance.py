@@ -408,22 +408,24 @@ def test_criterion_10_membership_inference():
 
 def test_criterion_11_training_algebra():
     task = trainer.make_ridge_task(100, 16, SEED.child(21), reg=1e-3)
-    st = trainer.init_lora(np.zeros((1, 16)), 8, SEED.child(22))
-    g = task.grad_W(st.effective_weights())
-    st1 = trainer.lora_fa_step(st, g, 0.25)
-    lhs = st1.effective_weights() - st.effective_weights()
-    rhs = -0.25 * g @ (st.LoraA.T @ st.LoraA)
+    A = wishart_draw(16, 8, SEED.child(22)).Z.T
+    B = np.zeros((1, 8))
+    g = task.grad_W(B @ A)
+    cfg = trainer.DpTrainConfig(T=1, eta=0.25, mechanism=trainer.Mechanism.NOISE_FREE_LORA, r=8)
+    [(W1, _)] = trainer.dp_lora_fa(task, A, cfg, SEED.child(23))
+    lhs = W1 - B @ A
+    rhs = -0.25 * g @ (A.T @ A)
     step_err = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
 
-    grad_B = g @ st.LoraA.T
+    grad_B = g @ A.T
     h = 1e-6
     worst_rel = 0.0
     for j in range(grad_B.shape[1]):
-        Bp = st.LoraB.copy()
+        Bp = B.copy()
         Bp[0, j] += h
-        Bm = st.LoraB.copy()
+        Bm = B.copy()
         Bm[0, j] -= h
-        fd = (task.loss(st.W0 + Bp @ st.LoraA) - task.loss(st.W0 + Bm @ st.LoraA)) / (2 * h)
+        fd = (task.loss(Bp @ A) - task.loss(Bm @ A)) / (2 * h)
         worst_rel = max(worst_rel, abs(fd - grad_B[0, j]) / max(abs(grad_B[0, j]), 1e-12))
     _report(
         11,

@@ -381,6 +381,10 @@ def test_account_large_r_degenerate_residual():
     args = dict(_LARGE_R_ARGS, r=20)
     with pytest.raises(DegenerateInputError):
         account_large_r(**args, seed=Seed(MASTER, 223))
+    # a NaN delta_v or infinite sigmas (inf / inf) would give a NaN eps_total
+    for bad in ({"delta_v": math.nan}, {"sigma_G": math.inf, "sigma_M": math.inf}):
+        with pytest.raises(DomainError):
+            account_large_r(**dict(_LARGE_R_ARGS, **bad), seed=Seed(MASTER, 223))
 
 
 def test_account_large_r_propagates_inadmissible_residual():

@@ -50,6 +50,11 @@ def test_separation_rejects_equal_inputs():
     V = np.ones((4, 2))
     with pytest.raises(DegenerateInputError):
         separation_trial(V, V.copy(), r=2, n_trials=10, seed=Seed(1))
+    # a NaN in V' would count no equal draw and read as perfect separation
+    Vp = V.copy()
+    Vp[0, 0] = math.nan
+    with pytest.raises(DomainError):
+        separation_trial(V, Vp, r=2, n_trials=10, seed=Seed(1))
 
 
 def test_roc_auc_perfect_separation():

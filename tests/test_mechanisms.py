@@ -230,6 +230,9 @@ def test_amplification_gain_rejects_below_threshold():
     with pytest.raises(PreconditionError) as err:
         amplification_gain(0.0, thr * 0.99, 100, 0.01)
     assert f"{thr:.6g}" in str(err.value)
+    # an infinite gamma is above every threshold but gives inf / inf
+    with pytest.raises(DomainError):
+        amplification_gain(0.2, math.inf, 4000, 0.01)
 
 
 def test_amplification_gain_formula_oracle():

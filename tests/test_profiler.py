@@ -75,6 +75,8 @@ def test_privacy_loss_identity_cases():
     assert privacy_loss(RatioSample(1.0, 123.4), 40, 7) == 0.0
     assert privacy_loss(RatioSample(2.0, 0.0), 10, 9) == pytest.approx(math.log(2.0), rel=1e-15)
     assert privacy_loss(RatioSample(-0.5, 1.0), 10, 9) == math.inf
+    with pytest.raises(DomainError):
+        privacy_loss(RatioSample(math.nan, 1.0), 5, 2)
     arr = privacy_loss_array(np.array([1.0, -0.5]), np.array([3.0, 1.0]), 10, 9)
     assert arr[0] == 0.0 and arr[1] == math.inf
 
@@ -316,6 +318,12 @@ def test_log_density_outside_support():
     v = np.array([1.0, 0.0])
     with pytest.raises(OutsideSupportError):
         log_density_mv(np.array([-1.0, 0.5]), v, 2, 1.0)
+    # a NaN output is not a point of the support either
+    y_nan = np.array([math.nan, 0.5])
+    with pytest.raises(DomainError):
+        log_density_mv(y_nan, v, 2, 1.0)
+    with pytest.raises(DomainError):
+        ratio_from_point(y_nan, v, np.array([0.0, 1.0]), 2)
 
 
 def test_profile_lies_below_certified_frontier():

@@ -1,4 +1,4 @@
-"""Training-loop tests: adapter algebra, chain rule, DP reductions, budgets."""
+"""Training-loop tests: frozen-factor algebra, chain rule, DP reductions, budgets."""
 
 import math
 
@@ -10,20 +10,19 @@ from hypothesis import strategies as hst
 from wishart_dp import mechanisms
 from wishart_dp.accountants import compose_gaussian_steps, delta_M_bound
 from wishart_dp.errors import ConfigError, DomainError
-from wishart_dp.randmat import Seed
+from wishart_dp.randmat import Seed, wishart_draw
 from wishart_dp.trainer import (
     FULL_BATCH,
     DpTrainConfig,
     Mechanism,
     TaskKind,
+    TrainTask,
     _clipped_mean_grad_B,
     budget_spent,
     clip_compare,
     dp_lora_fa,
     fit,
-    init_lora,
     load_config,
-    lora_fa_step,
     make_logistic_task,
     make_ridge_task,
     noisy_proj_budget,
@@ -40,67 +39,70 @@ def ridge_task():
     return make_ridge_task(100, 16, Seed(MASTER, 400), reg=1e-3)
 
 
-def test_lora_step_zero_gradient(ridge_task):
-    st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 401))
-    st2 = lora_fa_step(st, np.zeros((1, 16)), 0.5)
-    assert np.array_equal(st2.LoraB, st.LoraB)
+def _frozen_factor(r, stream):
+    """The (r x 16) frozen LoRA factor A drawn from Seed(MASTER, stream)."""
+    return wishart_draw(16, r, Seed(MASTER, stream)).Z.T
 
 
 def test_lora_step_weight_identity(ridge_task):
-    # One step from B = 0 moves effective weights by -eta grad (A^T A).
-    st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 402))
-    g = ridge_task.grad_W(st.effective_weights())
-    st2 = lora_fa_step(st, g, 0.2)
-    lhs = st2.effective_weights() - st.effective_weights()
-    rhs = -0.2 * g @ (st.LoraA.T @ st.LoraA)
-    assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
+    # One step from B = 0 moves the weights by -eta grad (A^T A).
+    A = _frozen_factor(8, 402)
+    g = ridge_task.grad_W(np.zeros((1, 16)))
+    cfg = DpTrainConfig(T=1, eta=0.2, mechanism=Mechanism.NOISE_FREE_LORA, r=8)
+    [(W1, _)] = dp_lora_fa(ridge_task, A, cfg, Seed(MASTER, 402))
+    rhs = -0.2 * g @ (A.T @ A)
+    assert np.linalg.norm(W1 - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 def test_lora_step_shape_mismatch(ridge_task):
-    st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 403))
+    # a frozen factor whose width is not the task's feature count is rejected
+    A = wishart_draw(12, 8, Seed(MASTER, 403)).Z.T
+    cfg = DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.NOISE_FREE_LORA, r=8)
     with pytest.raises(DomainError):
-        lora_fa_step(st, np.zeros((2, 16)), 0.1)
+        next(dp_lora_fa(ridge_task, A, cfg, Seed(MASTER, 403)))
 
 
 def test_chain_rule_against_finite_differences(ridge_task):
-    # grad_B from the chain rule matches central differences of L(W0 + B A).
-    st = init_lora(np.zeros((1, 16)), 4, Seed(MASTER, 404))
-    W_eff = st.effective_weights()
-    grad_B = ridge_task.grad_W(W_eff) @ st.LoraA.T
+    # grad_B from the chain rule matches central differences of L(B A) at B = 0.
+    A = _frozen_factor(4, 404)
+    B = np.zeros((1, 4))
+    grad_B = ridge_task.grad_W(B @ A) @ A.T
     h = 1e-6
-    for i in range(st.LoraB.shape[0]):
-        for j in range(st.LoraB.shape[1]):
-            Bp = st.LoraB.copy()
+    for i in range(B.shape[0]):
+        for j in range(B.shape[1]):
+            Bp = B.copy()
             Bp[i, j] += h
-            Bm = st.LoraB.copy()
+            Bm = B.copy()
             Bm[i, j] -= h
-            lp = ridge_task.loss(st.W0 + Bp @ st.LoraA)
-            lm = ridge_task.loss(st.W0 + Bm @ st.LoraA)
+            lp = ridge_task.loss(Bp @ A)
+            lm = ridge_task.loss(Bm @ A)
             fd = (lp - lm) / (2 * h)
             assert fd == pytest.approx(grad_B[i, j], rel=1e-5, abs=1e-10)
 
 
 def test_frozen_factor_invariant(ridge_task):
-    st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 405))
-    a_before = st.LoraA.copy()
+    A = _frozen_factor(8, 405)
+    a_before = A.copy()
     cfg = DpTrainConfig(T=25, eta=0.05, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, r=8)
-    *_, (st2, _, _) = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 406))
-    assert np.array_equal(st2.LoraA, a_before)
-    assert np.array_equal(st.LoraA, a_before)
+    steps = list(dp_lora_fa(ridge_task, A, cfg, Seed(MASTER, 406)))
+    assert np.array_equal(A, a_before)
+    # every W = B A lies in the row space of A: projecting onto it changes nothing
+    row_proj = np.linalg.pinv(A) @ A
+    for W, _ in steps:
+        assert np.linalg.norm(W @ row_proj - W) <= 1e-10 * max(np.linalg.norm(W), 1e-12)
 
 
 def test_effective_weight_accumulation_identity(ridge_task):
     # W_T - W_0 = -eta sum_t grad_W(W_t) (A^T A) for the noise-free loop.
-    st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 407))
-    one_step = DpTrainConfig(T=1, eta=0.05, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, r=8)
-    gram = st.LoraA.T @ st.LoraA
-    acc = np.zeros((1, 16))
-    state = st
-    for t in range(30):
-        acc += ridge_task.grad_W(state.effective_weights())
-        [(state, _, _)] = dp_lora_fa(ridge_task, state, one_step, Seed(MASTER, 408).child(t))
-    lhs = state.effective_weights() - st.effective_weights()
-    rhs = -one_step.eta * acc @ gram
+    A = _frozen_factor(8, 407)
+    cfg = DpTrainConfig(T=30, eta=0.05, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, r=8)
+    gram = A.T @ A
+    acc = ridge_task.grad_W(np.zeros((1, 16)))
+    steps = list(dp_lora_fa(ridge_task, A, cfg, Seed(MASTER, 408)))
+    for W, _ in steps[:-1]:
+        acc += ridge_task.grad_W(W)
+    rhs = -cfg.eta * acc @ gram
+    lhs = steps[-1][0]
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(np.linalg.norm(rhs), 1e-12)
 
 
@@ -113,31 +115,33 @@ def test_dp_lora_fa_reduces_to_noise_free_bitwise(ridge_task):
     W_free = fit(ridge_task, free_cfg, Seed(MASTER, 410))
     assert np.array_equal(W_dp, W_free)
     assert budget_spent(dp_cfg, 20, 16) == budget_spent(free_cfg, 20, 16) == (math.inf, 0.0)
+    # the LoRA loop serves the two LoRA mechanisms and no other
+    rp_cfg = DpTrainConfig(T=20, eta=0.05, mechanism=Mechanism.RP_GD, r=8)
+    with pytest.raises(ConfigError):
+        next(dp_lora_fa(ridge_task, _frozen_factor(8, 410), rp_cfg, Seed(MASTER, 410)))
 
 
 def test_dp_lora_fa_matches_plain_gd_loop(ridge_task):
-    # Independent oracle: plain full-batch LoRA-FA GD via lora_fa_step.
-    st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 411))
+    # Independent oracle: plain full-batch LoRA-FA GD, B <- B - eta grad_W(B A) A^T.
+    A = _frozen_factor(8, 411)
     cfg = DpTrainConfig(
         T=25, eta=0.05, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, clip=math.inf, r=8
     )
-    *_, (st_dp, _, _) = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 412))
-    state = st
+    *_, (W_dp, _) = dp_lora_fa(ridge_task, A, cfg, Seed(MASTER, 412))
+    B = np.zeros((1, 8))
     for _ in range(25):
-        state = lora_fa_step(state, ridge_task.grad_W(state.effective_weights()), 0.05)
-    assert np.linalg.norm(st_dp.LoraB - state.LoraB) <= 1e-10 * max(
-        np.linalg.norm(state.LoraB), 1e-12
-    )
+        B = B - 0.05 * (ridge_task.grad_W(B @ A) @ A.T)
+    assert np.linalg.norm(W_dp - B @ A) <= 1e-10 * max(np.linalg.norm(B @ A), 1e-12)
 
 
 def test_dp_lora_fa_noise_dominates_at_huge_sigma(ridge_task):
-    st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 413))
+    A = _frozen_factor(8, 413)
     cfg = DpTrainConfig(
         T=10, eta=0.01, mechanism=Mechanism.DP_LORA_FA, sigma=1e6, clip=1.0, r=8,
         delta_target=1e-5,
     )
-    *_, (_, W, _) = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 414))
-    init_loss = ridge_task.loss(st.effective_weights())
+    *_, (W, _) = dp_lora_fa(ridge_task, A, cfg, Seed(MASTER, 414))
+    init_loss = ridge_task.loss(np.zeros((1, 16)))
     assert ridge_task.loss(W) > 10 * init_loss  # utility collapses
     assert budget_spent(cfg, cfg.T, 16)[0] < 1e-3  # enormous noise buys a tiny eps
 
@@ -158,10 +162,10 @@ def test_dp_lora_fa_budget_composition(ridge_task):
 
 def test_dp_lora_fa_per_example_clip_bound(ridge_task):
     # Every clipped per-example contribution stays within the threshold.
-    st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 417))
+    A = _frozen_factor(8, 417)
     beta = 0.05
-    gW = ridge_task.per_example_grad_W(st.effective_weights())
-    gB = np.einsum("bnd,rd->bnr", gW, st.LoraA)
+    gW = ridge_task.per_example_grad_W(np.zeros((1, 16)))
+    gB = np.einsum("bnd,rd->bnr", gW, A)
     norms = np.sqrt(np.einsum("bnr,bnr->b", gB, gB))
     factors = np.minimum(1.0, beta / norms)
     clipped = norms * factors
@@ -188,17 +192,17 @@ def test_poisson_subsampling_mean_batch(ridge_task):
 def test_dp_lora_fa_decreases_loss_within_budget(ridge_task):
     # Non-private GD sets the attainable decrease; the private run at modest
     # noise gets a healthy fraction of it.
-    st = init_lora(np.zeros((1, 16)), 8, Seed(MASTER, 419))
+    A = _frozen_factor(8, 419)
     f_cfg = DpTrainConfig(T=50, eta=0.1, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, r=8)
-    *_, (_, W_free, _) = dp_lora_fa(ridge_task, st, f_cfg, Seed(MASTER, 420))
-    init_loss = ridge_task.loss(st.effective_weights())
+    *_, (W_free, _) = dp_lora_fa(ridge_task, A, f_cfg, Seed(MASTER, 420))
+    init_loss = ridge_task.loss(np.zeros((1, 16)))
     free_loss = ridge_task.loss(W_free)
     assert free_loss < 0.8 * init_loss
     cfg = DpTrainConfig(
         T=50, eta=0.1, mechanism=Mechanism.DP_LORA_FA, eps_target=8.0, delta_target=1e-5,
         clip=2.0, r=8,
     )
-    *_, (_, W, _) = dp_lora_fa(ridge_task, st, cfg, Seed(MASTER, 421))
+    *_, (W, _) = dp_lora_fa(ridge_task, A, cfg, Seed(MASTER, 421))
     assert ridge_task.loss(W) <= 0.8 * init_loss
 
 
@@ -318,7 +322,6 @@ def test_clip_compare_worked_example():
     assert res.zeta == pytest.approx(0.2757, abs=2e-4)
     assert res.interval_low == pytest.approx(1 / math.sqrt(1 + res.zeta), rel=1e-12)
     assert res.interval_high == pytest.approx(1 / math.sqrt(1 - res.zeta), rel=1e-12)
-    assert res.beta_prime == res.beta
 
 
 def test_clip_compare_empirical_containment():
@@ -434,6 +437,11 @@ def test_task_kinds_and_example_loss():
     losses = [t.example_loss(W, x, y) for y in range(4)]
     # cross-entropy of the argmax class is the smallest
     assert int(np.argmin(losses)) == int(np.argmax(W @ x))
+    # a NaN probe feature or ridge target is rejected rather than scored NaN
+    with pytest.raises(DomainError):
+        t.example_loss(W, np.r_[math.nan, x[1:]], 0)
+    with pytest.raises(DomainError):
+        TrainTask(TaskKind.RIDGE, 2, 1, X=np.ones((3, 2)), y=[math.nan, 1.0, 1.0])
 
 
 def test_config_rejects_budget_with_unbounded_clip():
