@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__, accountants, attacks, mechanisms, profiler, specialfn, trainer
-from .errors import WishartDpError
+from .errors import DomainError, WishartDpError
 from .randmat import Seed, wishart_draw
 
 _EXIT_USAGE = 2
@@ -375,8 +375,11 @@ def _cmd_train(args) -> int:
         task = trainer.make_logistic_task(args.n, args.d, args.classes, seed.child(2), reg=args.reg)
     rows = []
     for t, (W, g) in enumerate(trainer.train(task, cfg, seed), 1):
+        loss = task.loss(W)
+        if not math.isfinite(loss):
+            raise DomainError(f"the run diverged: the loss after step {t} is {loss} (eta = {cfg.eta})")
         gnorm = math.nan if g is None else float(np.linalg.norm(g))
-        rows.append((t, task.loss(W), gnorm, *trainer.budget_spent(cfg, t, task.n_features)))
+        rows.append((t, loss, gnorm, *trainer.budget_spent(cfg, t, task.n_features)))
     _, final_loss, _, eps, delta = rows[-1]
     outputs = []
     if args.out:

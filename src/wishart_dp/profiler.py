@@ -20,13 +20,18 @@ with A <= 0 mapped to +inf (the output escapes the neighbor law's support).
 delta(eps) is estimated on an eps grid as the fraction of draws with L > eps
 in one sampling pass. A draw with A <= 0 has L = +inf, so the
 support-failure mass P(A <= 0) is counted once, in every tail, and needs no
-separate estimate. Both chi-square variables come from numpy's gamma-based
-sampler, which is exact in distribution at every dof. Tail counts on a sorted
-grid are nonincreasing, so the estimated profile is nonincreasing in eps
-without any correction.
+separate estimate. Both chi-square variables are drawn as 2 * standard_gamma(k/2),
+which is numpy's own definition of chisquare (the same stream, bit for bit)
+and exact in distribution at every dof. Tail counts on a sorted grid are
+nonincreasing, so the estimated profile is nonincreasing in eps without any
+correction.
 
 Sampling is chunked over the substreams seed.child(0), seed.child(1), ..., so
-estimates do not depend on the worker count used to evaluate them.
+estimates do not depend on the worker count used to evaluate them. Each
+worker allocates its chunk buffers once per call: every chunk draws into
+them, builds B, A and then L in place, and sorts L in place before counting
+the tails. sample_ratio_arrays and privacy_loss_array are allocating
+wrappers over the same in-place helpers.
 delta_support, a Monte Carlo estimate of P(A <= 0) alone, serves the vector
 accountants; the profile does not call it.
 """
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -65,6 +71,43 @@ def _check_ratio_args(rho: float, d: int, r: int) -> None:
         raise DomainError(f"rho must lie in [-1, 1], got {rho}")
 
 
+def _draw_ratio(
+    rng: np.random.Generator, rho: float, d: int, r: int, x: np.ndarray, A: np.ndarray, B: np.ndarray
+) -> None:
+    """Fill A and B with draws of (A, B); x is scratch of the same size.
+
+    Consumes the stream as chisquare(r), standard_normal, chisquare(d - 2) of
+    the block size, and rounds every operation as the textbook expressions do.
+    """
+    rng.standard_gamma(0.5 * r, out=x)
+    x *= 2.0  # K1 ~ chi2_r
+    rng.standard_normal(out=A)  # K2
+    np.multiply(A, A, out=B)
+    B += x  # K1 + K2^2
+    np.sqrt(x, out=x)
+    A *= math.sqrt(max(0.0, 1.0 - rho * rho))
+    A /= x
+    A += rho
+    rng.standard_gamma(0.5 * (d - 2), out=x)
+    x *= 2.0  # K3 ~ chi2_{d-2}
+    B += x
+
+
+def _loss_into(L: np.ndarray, A: np.ndarray, B: np.ndarray, d: int, r: int, ok: np.ndarray) -> None:
+    """Write the loss at (A, B) into L; A, B and the boolean scratch ok are overwritten."""
+    np.greater(A, 0.0, out=ok)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.log(A, out=L)
+        L *= 0.5 * (d - r + 1)
+        np.divide(1.0, A, out=A)
+        A -= 1.0
+        B *= 0.5
+        B *= A
+        L += B
+    np.logical_not(ok, out=ok)
+    np.copyto(L, np.inf, where=ok)
+
+
 def sample_ratio_arrays(
     rho: float, d: int, r: int, n: int, seed: Seed
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -72,12 +115,8 @@ def sample_ratio_arrays(
     _check_ratio_args(rho, d, r)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    rng = seed.generator()
-    k1 = rng.chisquare(r, n)
-    k2 = rng.standard_normal(n)
-    k3 = rng.chisquare(d - 2, n)
-    A = rho + math.sqrt(max(0.0, 1.0 - rho * rho)) * k2 / np.sqrt(k1)
-    B = k1 + k2 * k2 + k3
+    A, B = np.empty(n), np.empty(n)
+    _draw_ratio(seed.generator(), rho, d, r, np.empty(n), A, B)
     return A, B
 
 
@@ -90,12 +129,16 @@ def privacy_loss(sample: RatioSample, d: int, r: int) -> float:
     return 0.5 * (d - r + 1) * math.log(sample.A) + 0.5 * sample.B * (1.0 / sample.A - 1.0)
 
 
-def privacy_loss_array(A: np.ndarray, B: np.ndarray, d: int, r: int) -> np.ndarray:
-    out = np.full(A.shape, np.inf)
-    ok = A > 0.0
-    a = A[ok]
-    out[ok] = 0.5 * (d - r + 1) * np.log(a) + 0.5 * B[ok] * (1.0 / a - 1.0)
-    return out
+def privacy_loss_array(A, B, d: int, r: int) -> np.ndarray:
+    """The loss at each (A, B) pair; +inf where A <= 0. A and B are not modified."""
+    A, B = np.array(A, dtype=float), np.array(B, dtype=float)
+    if A.shape != B.shape:
+        raise DomainError(f"A and B must have the same shape, got {A.shape} and {B.shape}")
+    if np.isnan(A).any() or not np.isfinite(B).all():
+        raise DomainError("need a non-NaN A and a finite B")
+    L = np.empty(A.shape)
+    _loss_into(L, A, B, d, r, np.empty(A.shape, dtype=bool))
+    return L
 
 
 def _chunk_seeds(seed: Seed, n: int) -> list[tuple[Seed, int]]:
@@ -192,12 +235,19 @@ def mc_privacy_profile(
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
 
+    worker = threading.local()  # chunk buffers, one set per worker thread
+
     def one_chunk(item):
         chunk_seed, size = item
-        A, B = sample_ratio_arrays(rho, d, r, size, chunk_seed)
-        losses = np.sort(privacy_loss_array(A, B, d, r))
+        if not hasattr(worker, "buffers"):
+            m = min(n, _CHUNK)
+            worker.buffers = (np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=bool))
+        L, A, B, ok = (buf[:size] for buf in worker.buffers)
+        _draw_ratio(chunk_seed.generator(), rho, d, r, L, A, B)
+        _loss_into(L, A, B, d, r, ok)
+        L.sort()
         # count of losses strictly above each grid eps
-        return size - np.searchsorted(losses, eps, side="right")
+        return size - np.searchsorted(L, eps, side="right")
 
     delta_hat = sum(_map_chunks(one_chunk, _chunk_seeds(seed, n), threads)) / n
     return PrivacyProfile(

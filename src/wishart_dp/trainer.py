@@ -87,6 +87,8 @@ class TrainTask:
         self.X = np.asarray(self.X, dtype=float)
         if not np.all(np.isfinite(self.X)):
             raise DomainError("features must be finite")
+        if not math.isfinite(self.reg):
+            raise DomainError(f"reg must be finite, got {self.reg}")
         if self.kind is TaskKind.LOGISTIC:
             self.y = np.asarray(self.y, dtype=int)
             if self.y.min() < 0 or self.y.max() >= self.n_classes:
@@ -470,9 +472,11 @@ def train(
 
 
 def fit(task: TrainTask, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:
-    """The final weights of train(task, cfg, seed)."""
+    """The final weights of train(task, cfg, seed); a run that diverged raises DomainError."""
     for W, _ in train(task, cfg, seed):
         pass
+    if not np.isfinite(W).all():
+        raise DomainError(f"the run diverged: its final weights are not finite (eta = {cfg.eta})")
     return W
 
 

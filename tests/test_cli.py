@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wishart_dp
@@ -277,6 +278,25 @@ def test_train_non_finite_or_out_of_range_config_exits_3(capsys, tmp_path, bad_l
     assert code == 3
     assert out == ""
     assert field in err
+
+
+def test_train_divergent_run_exits_3_at_the_first_non_finite_loss(capsys, tmp_path):
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text("T = 200\neta = 50\nr = 4\nmechanism = noise_free_lora\n")
+    out_csv = tmp_path / "traj.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(
+            capsys,
+            "train", "--task", "ridge", "--config", str(cfg_path), "--n", "50", "--d", "8",
+            "--seed", "1", "--out", str(out_csv),
+        )
+        task = trainer.make_ridge_task(50, 8, Seed(1).child(2), reg=1e-3)
+        steps = trainer.train(task, trainer.load_config(cfg_path), Seed(1))
+        first = next(t for t, (W, _) in enumerate(steps, 1) if not math.isfinite(task.loss(W)))
+    assert code == 3
+    assert out == ""
+    assert f"step {first} " in err and "diverged" in err
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("eps_line, eps", [("", 1.0), ("eps_target = 2.0\ndelta_target = 1e-5\n", 2.0)])

@@ -2,6 +2,7 @@
 support-failure mass, density normalization, worker-count independence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,26 @@ def test_privacy_loss_identity_cases():
         privacy_loss(RatioSample(math.nan, 1.0), 5, 2)
     arr = privacy_loss_array(np.array([1.0, -0.5]), np.array([3.0, 1.0]), 10, 9)
     assert arr[0] == 0.0 and arr[1] == math.inf
+    # the array loss rejects what the scalar loss rejects, and mismatched shapes
+    for bad_A, bad_B in (([0.5], [math.nan]), ([math.nan], [1.0]), ([0.5, 1.0], [1.0, math.inf]),
+                         ([0.5], [-math.inf]), ([0.5, 1.0], [1.0])):
+        with pytest.raises(DomainError):
+            privacy_loss_array(bad_A, bad_B, 10, 3)
+
+
+def test_privacy_loss_array_matches_scalar_in_place_of_warnings():
+    # A on both sides of 0, signed zeros, a subnormal whose reciprocal
+    # overflows, and infinities: each entry is the scalar loss, no numpy
+    # RuntimeWarning escapes, and neither input array is written to.
+    A = np.array([2.0, 1.0, 0.3, 1e-310, 0.0, -0.0, -1e-310, -0.5, math.inf, -math.inf])
+    B = np.array([0.0, 123.4, 5.0, 1.0, 2.0, 2.0, 1.0, 1.0, 3.0, 3.0])
+    A0, B0 = A.copy(), B.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        L = privacy_loss_array(A, B, 10, 3)
+    assert np.array_equal(A, A0) and np.array_equal(B, B0)
+    expected = [privacy_loss(RatioSample(float(a), float(b)), 10, 3) for a, b in zip(A0, B0)]
+    assert np.array_equal(L, expected)
 
 
 def test_delta_support_perfect_alignment():
@@ -126,6 +147,55 @@ def test_profile_matches_ratio_sampler_by_construction():
     L = np.concatenate(losses)
     for eps, dh in zip(prof.eps_grid, prof.delta_hat):
         assert dh == np.count_nonzero(L > eps) / n
+
+
+def _textbook_chunk(rho, d, r, size, seed):
+    """(A, B, L) from numpy's chisquare and the masked loss: an oracle kept
+    independent of the profiler's in-place kernel."""
+    rng = seed.generator()
+    k1 = rng.chisquare(r, size)
+    k2 = rng.standard_normal(size)
+    k3 = rng.chisquare(d - 2, size)
+    A = rho + math.sqrt(max(0.0, 1.0 - rho * rho)) * k2 / np.sqrt(k1)
+    B = k1 + k2 * k2 + k3
+    L = np.full(size, np.inf)
+    ok = A > 0.0
+    a = A[ok]
+    L[ok] = 0.5 * (d - r + 1) * np.log(a) + 0.5 * B[ok] * (1.0 / a - 1.0)
+    return A, B, L
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "rho, d, r, n",
+    [
+        (0.05, 3, 1, 2 * profiler._CHUNK + 7),
+        (0.3, 12, 2, profiler._CHUNK + 1),
+        (0.5, 40, 1, 1000),
+        (0.5, 5, 2, 2 * profiler._CHUNK),
+        (0.9, 3, 12, profiler._CHUNK - 1),
+        (0.999, 400, 65, profiler._CHUNK + 4321),
+        (1.0, 30, 6, profiler._CHUNK + 99),
+    ],
+)
+def test_profile_matches_textbook_oracle_exactly(rho, d, r, n, threads):
+    # Bit for bit, over partial chunks and draws with A <= 0, at either
+    # thread count; this also pins chisquare(k) == 2 standard_gamma(k / 2).
+    eps_grid = [-1.0, 0.0, 0.5, 1.0, 2.0, 5.0, 50.0]
+    seed = Seed(MASTER, 341)
+    prof = mc_privacy_profile(rho, d, r, eps_grid, n, seed, threads=threads)
+    hits = np.zeros(len(eps_grid), dtype=np.int64)
+    for i, start in enumerate(range(0, n, profiler._CHUNK)):
+        _, _, L = _textbook_chunk(rho, d, r, min(profiler._CHUNK, n - start), seed.child(i))
+        hits += [np.count_nonzero(L > e) for e in eps_grid]
+    assert np.array_equal(prof.delta_hat, hits / n)
+    if rho <= 0.5:
+        assert hits[-1] > 0  # the case draws A <= 0
+    # the allocating wrappers round every draw and loss as the oracle does
+    A, B, L = _textbook_chunk(rho, d, r, 1000, seed)
+    A_hat, B_hat = sample_ratio_arrays(rho, d, r, 1000, seed)
+    assert A_hat.tobytes() == A.tobytes() and B_hat.tobytes() == B.tobytes()
+    assert privacy_loss_array(A_hat, B_hat, d, r).tobytes() == L.tobytes()
 
 
 def test_profile_counts_support_failure_once():

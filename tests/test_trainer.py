@@ -442,6 +442,21 @@ def test_task_kinds_and_example_loss():
         t.example_loss(W, np.r_[math.nan, x[1:]], 0)
     with pytest.raises(DomainError):
         TrainTask(TaskKind.RIDGE, 2, 1, X=np.ones((3, 2)), y=[math.nan, 1.0, 1.0])
+    # so is a non-finite reg, which would make loss and grad_W NaN for any weights
+    for reg in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="reg"):
+            TrainTask(TaskKind.RIDGE, 2, 1, X=np.ones((3, 2)), y=[1.0, 1.0, 1.0], reg=reg)
+
+
+def test_fit_rejects_a_divergent_run():
+    # noise-free LoRA at eta = 50 overflows; fit raises instead of returning NaN weights
+    task = make_ridge_task(50, 8, Seed(MASTER, 480))
+    cfg = DpTrainConfig(T=200, eta=50.0, mechanism=Mechanism.NOISE_FREE_LORA, r=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = [w for w, _ in train(task, cfg, Seed(MASTER, 481))][-1]
+        assert not np.isfinite(W).all()
+        with pytest.raises(DomainError, match="diverged"):
+            fit(task, cfg, Seed(MASTER, 481))
 
 
 def test_config_rejects_budget_with_unbounded_clip():
