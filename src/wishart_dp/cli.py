@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import functools
 import json
 import math
 import os
@@ -36,7 +37,7 @@ _EXIT_SELFTEST = 4
 
 
 def _thread_count(text: str) -> int:
-    """--threads value; argparse also runs it on the WISHART_DP_THREADS default."""
+    """--threads value; main also runs it on WISHART_DP_THREADS when the flag is absent."""
     try:
         n = int(text)
     except ValueError:
@@ -567,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-grid", type=_float_list, default=None, help="explicit comma-separated grid")
     p.add_argument("--eps-max", type=float, default=8.0, help="grid upper end (default 8)")
     p.add_argument("--eps-step", type=float, default=0.02, help="grid step (default 0.02)")
-    p.add_argument("--threads", type=_thread_count, default=os.environ.get("WISHART_DP_THREADS", "1"),
+    p.add_argument("--threads", type=_thread_count, default=None,
                    help="Monte Carlo chunk parallelism, capped at the CPU count "
                         "(default WISHART_DP_THREADS or 1)")
     p.add_argument("--out", type=str, default=None, help="CSV output path")
@@ -633,9 +634,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
+    if args.command == "profile-mc" and args.threads is None:
+        # read on every call: the shared parser outlives any one environment
+        try:
+            args.threads = _thread_count(os.environ.get("WISHART_DP_THREADS", "1"))
+        except argparse.ArgumentTypeError as exc:
+            parser.exit(_EXIT_USAGE, f"{parser.prog} {args.command}: error: argument --threads: {exc}\n")
     try:
         return args.func(args)
     except WishartDpError as exc:

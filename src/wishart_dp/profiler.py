@@ -126,6 +126,9 @@ def privacy_loss(sample: RatioSample, d: int, r: int) -> float:
         raise DomainError(f"need a non-NaN A and a finite B, got {sample}")
     if sample.A <= 0.0:
         return math.inf
+    if sample.B == 0.0:
+        # the B term is 0, even where 1 / A overflows and 0 * inf would be NaN
+        return 0.5 * (d - r + 1) * math.log(sample.A)
     return 0.5 * (d - r + 1) * math.log(sample.A) + 0.5 * sample.B * (1.0 / sample.A - 1.0)
 
 
@@ -136,8 +139,12 @@ def privacy_loss_array(A, B, d: int, r: int) -> np.ndarray:
         raise DomainError(f"A and B must have the same shape, got {A.shape} and {B.shape}")
     if np.isnan(A).any() or not np.isfinite(B).all():
         raise DomainError("need a non-NaN A and a finite B")
+    # the B term is 0 where B = 0, even where 1 / A overflows and 0 * inf would be NaN
+    flat = (B == 0.0) & (A > 0.0)
+    L_flat = 0.5 * (d - r + 1) * np.log(A[flat])
     L = np.empty(A.shape)
     _loss_into(L, A, B, d, r, np.empty(A.shape, dtype=bool))
+    L[flat] = L_flat
     return L
 
 

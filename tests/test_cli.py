@@ -146,6 +146,44 @@ def test_profile_mc_reads_thread_env(capsys, monkeypatch):
     assert json.loads(out)["manifest"]["params"]["threads"] == 2
 
 
+def test_profile_mc_reads_thread_env_on_every_call(capsys, monkeypatch):
+    # main builds its parser once; the default must not freeze at the first call
+    for value in (1, 2):
+        monkeypatch.setenv("WISHART_DP_THREADS", str(value))
+        code, out, _ = run_cli(capsys, *_PROFILE_SMALL)
+        assert code == 0
+        assert json.loads(out)["manifest"]["params"]["threads"] == value
+
+
+def test_train_in_process_calls_match_a_fresh_process(capsys, tmp_path):
+    # Repeated cli.main calls share one parser: a usage error between two runs
+    # leaves them unchanged, and both match a run in its own interpreter.
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("T = 10\neta = 0.1\nmechanism = dp_lora_fa\nsigma = 0.5\nclip = 1.0\n"
+                   "delta_target = 1e-5\nr = 4\n")
+    out_csv = tmp_path / "traj.csv"
+    argv = ["train", "--task", "ridge", "--config", str(cfg), "--n", "50", "--d", "8",
+            "--seed", "4", "--out", str(out_csv)]
+
+    def outputs(out):
+        return out, out_csv.read_bytes(), (tmp_path / "traj.csv.manifest.json").read_bytes()
+
+    code, out, _ = run_cli(capsys, *argv)
+    first = outputs(out)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--bogus", "1"])
+    assert exc.value.code == 2
+    code2, out, _ = run_cli(capsys, *argv)
+    assert code == code2 == 0
+    assert outputs(out) == first
+    src = os.path.dirname(os.path.dirname(wishart_dp.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wishart_dp.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert outputs(proc.stdout) == first
+
+
 def test_amplify_subcommand(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -102,6 +102,18 @@ def test_privacy_loss_array_matches_scalar_in_place_of_warnings():
     assert np.array_equal(L, expected)
 
 
+@pytest.mark.parametrize("A", [1e-320, 5e-324, 1e-310])
+def test_privacy_loss_at_subnormal_A_with_zero_B(A):
+    # 1/A overflows to inf, but the B term is 0, so the loss is ((d - r + 1)/2) ln A
+    want = 0.5 * (10 - 3 + 1) * math.log(A)
+    assert privacy_loss(RatioSample(A, 0.0), 10, 3) == want
+    assert privacy_loss(RatioSample(A, -0.0), 10, 3) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        L = privacy_loss_array([A, A, 2.0], [0.0, -0.0, 0.0], 10, 3)
+    assert np.array_equal(L, [want, want, 4.0 * math.log(2.0)])
+
+
 def test_delta_support_perfect_alignment():
     assert delta_support(1.0, 8, 100, Seed(MASTER, 310)) == (0.0, 0.0)
 
