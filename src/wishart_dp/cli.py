@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
-import functools
 import json
 import math
 import os
@@ -37,7 +36,7 @@ _EXIT_SELFTEST = 4
 
 
 def _thread_count(text: str) -> int:
-    """--threads value; main also runs it on WISHART_DP_THREADS when the flag is absent."""
+    """--threads value; argparse also runs it on the WISHART_DP_THREADS default."""
     try:
         n = int(text)
     except ValueError:
@@ -487,15 +486,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         if "unrecognized arguments" in message:
+            # suggest from every subcommand's flags, also when this parser holds only one
+            tree = build_parser()
             known = sorted(
                 {
                     opt
-                    for action in self._actions
+                    for action in tree._actions
                     for opt in getattr(action, "option_strings", [])
                 }
                 | {
                     opt
-                    for action in self._actions
+                    for action in tree._actions
                     if isinstance(action, argparse._SubParsersAction)
                     for sub in action.choices.values()
                     for sub_action in sub._actions
@@ -510,15 +511,7 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="wishart-dp",
-        description="Wishart projection mechanisms: sampling, privacy accounting, profiling, attacks, training",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("account-vec", help="closed-form vector bound at minimum alignment rho")
+def _account_vec_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=float, required=True, help="minimum alignment in (0, 1]")
     p.add_argument("--d", type=int, required=True, help="ambient dimension")
     p.add_argument("--r", type=int, required=True, help="projection rank")
@@ -528,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.set_defaults(func=_cmd_account_vec)
 
-    p = sub.add_parser("account-small-r", help="small-rank noisy-projection bound")
+
+def _account_small_r_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--sens", type=float, required=True, help="Frobenius sensitivity ||dV||_F")
     p.add_argument("--s", type=int, required=True, help="rank of the neighbor difference")
@@ -538,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True, help="capture level in (0, 1]")
     p.set_defaults(func=_cmd_account_small_r)
 
-    p = sub.add_parser("account-large-r", help="large-rank noisy-projection bound")
+
+def _account_large_r_options(p: argparse.ArgumentParser) -> None:
     for flag, typ in (
         ("--d", int), ("--r", int), ("--s", int), ("--p", int),
         ("--delta-v", float), ("--sigma-g", float), ("--sigma-m", float),
@@ -550,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.set_defaults(func=_cmd_account_large_r)
 
-    p = sub.add_parser("choose-alpha", help="certify the small-r improvement over the Gaussian baseline")
+
+def _choose_alpha_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--mu", type=float, required=True, help="||dV||_F^2 / sigma^2 of the baseline")
     p.add_argument("--s", type=int, required=True)
@@ -559,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, required=True, help="capture slack in (0, 1)")
     p.set_defaults(func=_cmd_choose_alpha)
 
-    p = sub.add_parser("profile-mc", help="Monte Carlo privacy profile of the vector mechanism")
+
+def _profile_mc_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=_int_list, required=True, help="comma-separated rank list")
@@ -568,14 +565,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-grid", type=_float_list, default=None, help="explicit comma-separated grid")
     p.add_argument("--eps-max", type=float, default=8.0, help="grid upper end (default 8)")
     p.add_argument("--eps-step", type=float, default=0.02, help="grid step (default 0.02)")
-    p.add_argument("--threads", type=_thread_count, default=None,
+    p.add_argument("--threads", type=_thread_count, default=os.environ.get("WISHART_DP_THREADS", "1"),
                    help="Monte Carlo chunk parallelism, capped at the CPU count "
                         "(default WISHART_DP_THREADS or 1)")
     p.add_argument("--out", type=str, default=None, help="CSV output path")
     _add_seed(p)
     p.set_defaults(func=_cmd_profile_mc)
 
-    p = sub.add_parser("amplify", help="alignment amplification gain and empirical check")
+
+def _amplify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True, help="shared-noise radius")
     p.add_argument("--d", type=int, required=True)
@@ -584,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.set_defaults(func=_cmd_amplify)
 
-    p = sub.add_parser("separate", help="almost-sure separation of the noise-free matrix mechanism")
+
+def _separate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="columns of the query output")
     p.add_argument("--r", type=int, required=True)
@@ -592,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.set_defaults(func=_cmd_separate)
 
-    p = sub.add_parser("spectrum", help="nonzero-eigenvalue concentration of Wishart draws")
+
+def _spectrum_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=float, default=4.0, help="deviation parameter (default 4)")
@@ -600,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("mia", help="shadow-model membership inference on a synthetic task")
+
+def _mia_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-data", type=int, default=200, help="|D| (default 200)")
     p.add_argument("--d", type=int, default=20, help="feature dimension")
     p.add_argument("--classes", type=int, default=10)
@@ -617,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.set_defaults(func=_cmd_mia)
 
-    p = sub.add_parser("train", help="run a private training loop from a config file")
+
+def _train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--task", choices=["ridge", "logistic"], required=True)
     p.add_argument("--config", type=str, required=True, help="flat key = value config file")
     p.add_argument("--n", type=int, default=200, help="dataset size")
@@ -628,24 +630,53 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("selftest", help="kernel evaluation table and fast invariant checks")
+
+def _selftest_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=_cmd_selftest)
 
+
+# name: (help line, options builder), in the order help lists them
+_SUBCOMMANDS = {
+    "account-vec": ("closed-form vector bound at minimum alignment rho", _account_vec_options),
+    "account-small-r": ("small-rank noisy-projection bound", _account_small_r_options),
+    "account-large-r": ("large-rank noisy-projection bound", _account_large_r_options),
+    "choose-alpha": ("certify the small-r improvement over the Gaussian baseline", _choose_alpha_options),
+    "profile-mc": ("Monte Carlo privacy profile of the vector mechanism", _profile_mc_options),
+    "amplify": ("alignment amplification gain and empirical check", _amplify_options),
+    "separate": ("almost-sure separation of the noise-free matrix mechanism", _separate_options),
+    "spectrum": ("nonzero-eigenvalue concentration of Wishart draws", _spectrum_options),
+    "mia": ("shadow-model membership inference on a synthetic task", _mia_options),
+    "train": ("run a private training loop from a config file", _train_options),
+    "selftest": ("kernel evaluation table and fast invariant checks", _selftest_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The wishart-dp parser; with a subcommand name, only that subcommand is built.
+
+    A one-subcommand parser parses that subcommand's arguments, and prints its
+    usage and errors, exactly as the whole tree does: its usage line spells
+    out the subcommand list that the whole tree reads from its subparsers.
+    """
+    parser = _Parser(
+        prog="wishart-dp",
+        description="Wishart projection mechanisms: sampling, privacy accounting, profiling, attacks, training",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_options) in _SUBCOMMANDS.items():
+        if command is None or command == name:
+            add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
-_shared_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
-    parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run builds only its own subcommand; help, --version and a mistyped
+    # subcommand get the whole tree
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
-    if args.command == "profile-mc" and args.threads is None:
-        # read on every call: the shared parser outlives any one environment
-        try:
-            args.threads = _thread_count(os.environ.get("WISHART_DP_THREADS", "1"))
-        except argparse.ArgumentTypeError as exc:
-            parser.exit(_EXIT_USAGE, f"{parser.prog} {args.command}: error: argument --threads: {exc}\n")
     try:
         return args.func(args)
     except WishartDpError as exc:

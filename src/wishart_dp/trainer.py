@@ -266,47 +266,53 @@ def _batch_indices(task: TrainTask, cfg: DpTrainConfig, rng: np.random.Generator
     return np.flatnonzero(mask), cfg.batch
 
 
-def _batch_rows(X: np.ndarray, A: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """The batch rows times A^T and, when clipping, their norms ||A x_b||."""
-    XA = X @ A.T
-    return XA, np.linalg.norm(XA, axis=1) if math.isfinite(clip) else None
-
-
 def _clipped_mean_grad_B(
-    P: np.ndarray, XA: np.ndarray, XA_norms: np.ndarray | None, clip: float, divisor: int
+    task: TrainTask,
+    W: np.ndarray,
+    A: np.ndarray,
+    idx: np.ndarray | None,
+    clip: float,
+    divisor: int,
 ) -> np.ndarray:
     """Per-example B-gradients via the chain rule, clipped and averaged.
 
-    P is the batch's output gradient (TrainTask.output_grad); XA and XA_norms
-    are what _batch_rows gives for the same batch. Example b's B-gradient is
-    the outer product p_b (A x_b)^T, so its norm is ||p_b|| ||A x_b|| and the
-    clipped sum is (f * P)^T (X A^T) with f the per-example clip factors
-    ("ghost" norms: Goodfellow 2015, arXiv:1510.01799; Li et al. 2022,
-    arXiv:2110.05679). No per-example gradient is formed. An empty batch gives
-    the zero gradient.
+    Example b's B-gradient is the outer product p_b (A x_b)^T, so its norm is
+    ||p_b|| ||A x_b|| and the clipped sum is (f * P)^T (X A^T) with f the
+    per-example clip factors ("ghost" norms: Goodfellow 2015, arXiv:1510.01799;
+    Li et al. 2022, arXiv:2110.05679). No per-example gradient is formed.
 
     At clip = inf (noise-free LoRA) the clipping is skipped, so the step is
     plain gradient descent on B.
     """
+    X, P = task.output_grad(W, idx)
+    if X.shape[0] == 0:
+        return np.zeros((W.shape[0], A.shape[0]))
+    XA = X @ A.T
     if math.isfinite(clip):
-        norms = np.linalg.norm(P, axis=1) * XA_norms
+        norms = np.linalg.norm(P, axis=1) * np.linalg.norm(XA, axis=1)
         factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
         P = P * factors[:, None]
     return P.T @ XA / divisor
 
 
-def _lora_fa_sigma(cfg: DpTrainConfig) -> tuple[float, float, float]:
-    """Resolve (sigma, per-step eps, per-step delta) for the DP LoRA loop."""
+def _lora_fa_sigma(cfg: DpTrainConfig) -> float:
+    """The DP LoRA loop's noise scale: cfg.sigma, or calibrated to (eps_target, delta_target)."""
     if cfg.eps_target is not None:
-        sigma = mechanisms.gaussian_sigma(
+        return mechanisms.gaussian_sigma(
             cfg.clip, cfg.eps_target, cfg.delta_target, SigmaConvention.ALGORITHM
         )
-        return sigma, cfg.eps_target, cfg.delta_target
+    return cfg.sigma or 0.0
+
+
+def _lora_fa_step_budget(cfg: DpTrainConfig) -> tuple[float, float]:
+    """Per-step (eps, delta) of the DP LoRA loop; pricing a target needs no sigma."""
+    if cfg.eps_target is not None:
+        return cfg.eps_target, cfg.delta_target
     sigma = cfg.sigma or 0.0
     if sigma > 0.0 and cfg.delta_target is not None:
         eps_step = 2.0 * cfg.clip * math.sqrt(2.0 * math.log(1.25 / cfg.delta_target)) / sigma
-        return sigma, eps_step, cfg.delta_target
-    return sigma, math.inf, 0.0
+        return eps_step, cfg.delta_target
+    return math.inf, 0.0
 
 
 def dp_lora_fa(
@@ -325,24 +331,19 @@ def dp_lora_fa(
     if cfg.mechanism is Mechanism.NOISE_FREE_LORA:
         sigma, clip = 0.0, math.inf
     elif cfg.mechanism is Mechanism.DP_LORA_FA:
-        sigma, clip = _lora_fa_sigma(cfg)[0], cfg.clip
+        sigma, clip = _lora_fa_sigma(cfg), cfg.clip
     else:
         raise ConfigError(f"dp_lora_fa called with mechanism {cfg.mechanism}")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != task.n_features:
         raise DomainError(f"A must have shape (r, {task.n_features}), got {A.shape}")
     draws = sigma > 0.0 or cfg.batch != FULL_BATCH
-    # a full batch's rows never change, so neither do X A^T and its row norms;
-    # a Poisson batch forms its own (a slice of the full product may round differently)
-    full_rows = _batch_rows(task.X, A, clip) if cfg.batch == FULL_BATCH else None
     B = np.zeros((task.n_out, A.shape[0]))
     W = B @ A
     for t in range(cfg.T):
         rng = seed.child(t).generator() if draws else None
         idx, divisor = _batch_indices(task, cfg, rng)
-        X, P = task.output_grad(W, idx)
-        rows = full_rows if idx is None else _batch_rows(X, A, clip)
-        ghat = _clipped_mean_grad_B(P, *rows, clip, divisor)
+        ghat = _clipped_mean_grad_B(task, W, A, idx, clip, divisor)
         if task.reg:
             ghat = ghat + (task.reg * W) @ A.T
         if sigma > 0.0:
@@ -395,8 +396,7 @@ def budget_spent(cfg: DpTrainConfig, t: int, d: int) -> tuple[float, float]:
     non-private mechanisms spend (inf, 0).
     """
     if cfg.mechanism is Mechanism.DP_LORA_FA:
-        _, eps_step, delta_step = _lora_fa_sigma(cfg)
-        return accountants.compose_basic([(eps_step, delta_step)], k=t)
+        return accountants.compose_basic([_lora_fa_step_budget(cfg)], k=t)
     if cfg.mechanism is Mechanism.NOISY_PROJ:
         eps = cfg.eps_target if cfg.eps_target is not None else 1.0
         return eps, noisy_proj_budget(cfg, t, eps, d)

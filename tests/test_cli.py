@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, JSON/CSV outputs, manifests, reproducibility."""
 
+import argparse
 import json
 import math
 import os
@@ -147,7 +148,7 @@ def test_profile_mc_reads_thread_env(capsys, monkeypatch):
 
 
 def test_profile_mc_reads_thread_env_on_every_call(capsys, monkeypatch):
-    # main builds its parser once; the default must not freeze at the first call
+    # the default is read on every call, not frozen by an earlier one in the same process
     for value in (1, 2):
         monkeypatch.setenv("WISHART_DP_THREADS", str(value))
         code, out, _ = run_cli(capsys, *_PROFILE_SMALL)
@@ -156,8 +157,8 @@ def test_profile_mc_reads_thread_env_on_every_call(capsys, monkeypatch):
 
 
 def test_train_in_process_calls_match_a_fresh_process(capsys, tmp_path):
-    # Repeated cli.main calls share one parser: a usage error between two runs
-    # leaves them unchanged, and both match a run in its own interpreter.
+    # An in-process call builds only its subcommand: a usage error between two
+    # runs leaves them unchanged, and both match a run in its own interpreter.
     cfg = tmp_path / "train.cfg"
     cfg.write_text("T = 10\neta = 0.1\nmechanism = dp_lora_fa\nsigma = 0.5\nclip = 1.0\n"
                    "delta_target = 1e-5\nr = 4\n")
@@ -473,6 +474,25 @@ def test_unknown_flag_gets_suggestion(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "did you mean --trials" in err
+
+
+def test_suggestion_draws_on_every_subcommand(capsys):
+    # selftest has no flags of its own; the suggestion comes from another subcommand
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--trails", "10"])
+    assert exc.value.code == 2
+    assert "did you mean --trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+def test_one_subcommand_parser_matches_the_whole_tree(name):
+    def subparsers(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    whole, one = cli.build_parser(), cli.build_parser(name)
+    assert list(subparsers(one)) == [name]
+    assert one.format_usage() == whole.format_usage()
+    assert subparsers(one)[name].format_help() == subparsers(whole)[name].format_help()
 
 
 def test_domain_error_exit_code_and_message(capsys):

@@ -1,6 +1,7 @@
 """Training-loop tests: frozen-factor algebra, chain rule, DP reductions, budgets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +18,7 @@ from wishart_dp.trainer import (
     Mechanism,
     TaskKind,
     TrainTask,
-    _batch_indices,
-    _batch_rows,
     _clipped_mean_grad_B,
-    _lora_fa_sigma,
     budget_spent,
     clip_compare,
     dp_lora_fa,
@@ -137,49 +135,6 @@ def test_dp_lora_fa_matches_plain_gd_loop(ridge_task):
     assert np.linalg.norm(W_dp - B @ A) <= 1e-10 * max(np.linalg.norm(B @ A), 1e-12)
 
 
-def _lora_per_step_product(task, cfg, seed):
-    """Reference LoRA loop of train that forms X A^T at every step, full batch or not."""
-    A = wishart_draw(task.n_features, cfg.r, seed.child(0)).Z.T
-    seed = seed.child(1)
-    if cfg.mechanism is Mechanism.NOISE_FREE_LORA:
-        sigma, clip = 0.0, math.inf
-    else:
-        sigma, clip = _lora_fa_sigma(cfg)[0], cfg.clip
-    B = np.zeros((task.n_out, cfg.r))
-    W = B @ A
-    for t in range(cfg.T):
-        rng = seed.child(t).generator() if sigma > 0.0 or cfg.batch != FULL_BATCH else None
-        idx, divisor = _batch_indices(task, cfg, rng)
-        ghat = _ghost_clipped_mean(task, W, A, idx, clip, divisor)
-        if task.reg:
-            ghat = ghat + (task.reg * W) @ A.T
-        if sigma > 0.0:
-            ghat = ghat + (sigma / divisor) * rng.standard_normal(ghat.shape)
-        B = B - cfg.eta * ghat
-        W = B @ A
-        yield W, ghat
-
-
-@pytest.mark.parametrize("batch", [FULL_BATCH, 5])
-@pytest.mark.parametrize("mech, extra", [
-    (Mechanism.NOISE_FREE_LORA, {}),
-    (Mechanism.DP_LORA_FA, {"sigma": 0.3, "clip": 0.5}),
-])
-@pytest.mark.parametrize("kind", [TaskKind.RIDGE, TaskKind.LOGISTIC])
-def test_lora_train_bitwise_matches_per_step_product(kind, mech, extra, batch):
-    # train forms a full batch's X A^T and its row norms once per run
-    if kind is TaskKind.RIDGE:
-        task = make_ridge_task(40, 12, Seed(MASTER, 415), reg=1e-3)
-    else:
-        task = make_logistic_task(40, 12, 4, Seed(MASTER, 415), reg=1e-3)
-    cfg = DpTrainConfig(T=12, eta=0.2, batch=batch, mechanism=mech, r=4, **extra)
-    got = list(train(task, cfg, Seed(MASTER, 416)))
-    want = list(_lora_per_step_product(task, cfg, Seed(MASTER, 416)))
-    assert len(got) == len(want) == cfg.T
-    for (W, g), (W_ref, g_ref) in zip(got, want):
-        assert W.tobytes() == W_ref.tobytes() and g.tobytes() == g_ref.tobytes()
-
-
 def test_dp_lora_fa_noise_dominates_at_huge_sigma(ridge_task):
     A = _frozen_factor(8, 413)
     cfg = DpTrainConfig(
@@ -206,6 +161,18 @@ def test_dp_lora_fa_budget_composition(ridge_task):
     assert sigma == pytest.approx(2 * 1.0 * math.sqrt(2 * math.log(1.25e6)) / 0.5, rel=1e-12)
 
 
+def test_dp_lora_fa_budget_of_a_target_calibrates_no_sigma():
+    # eps_target = 8 is outside the range gaussian_sigma states its closed form
+    # for, so calibrating a sigma would warn; pricing the steps needs none
+    cfg = DpTrainConfig(
+        T=50, eta=0.1, mechanism=Mechanism.DP_LORA_FA, eps_target=8.0, delta_target=1e-5,
+        clip=2.0, r=8,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert budget_spent(cfg, 3, 32) == (3 * 8.0, 3 * 1e-5)
+
+
 def test_dp_lora_fa_per_example_clip_bound(ridge_task):
     # Every clipped per-example contribution stays within the threshold.
     A = _frozen_factor(8, 417)
@@ -220,6 +187,8 @@ def test_dp_lora_fa_per_example_clip_bound(ridge_task):
 
 
 def test_poisson_subsampling_mean_batch(ridge_task):
+    from wishart_dp.trainer import _batch_indices
+
     cfg = DpTrainConfig(T=1, eta=0.1, batch=20, mechanism=Mechanism.DP_LORA_FA, sigma=0.0)
     base = Seed(MASTER, 418)
     sizes = []
@@ -547,12 +516,6 @@ def _ghost_cases(draw):
     return task, W, A, idx, clip
 
 
-def _ghost_clipped_mean(task, W, A, idx, clip, divisor):
-    """The kernel on batch idx, with the batch's own X A^T product."""
-    X, P = task.output_grad(W, idx)
-    return _clipped_mean_grad_B(P, *_batch_rows(X, A, clip), clip, divisor)
-
-
 def _materialized_clipped_mean(task, W, A, idx, clip, divisor):
     """Oracle clipped mean, and the sum of its terms' norms (the scale of rounding error)."""
     gB = np.einsum("bnd,rd->bnr", task.per_example_grad_W(W, idx), A)
@@ -567,7 +530,7 @@ def _materialized_clipped_mean(task, W, A, idx, clip, divisor):
 def test_ghost_clipped_mean_matches_materialized_oracle(case):
     task, W, A, idx, clip = case
     divisor = 7
-    got = _ghost_clipped_mean(task, W, A, idx, clip, divisor)
+    got = _clipped_mean_grad_B(task, W, A, idx, clip, divisor)
     want, scale = _materialized_clipped_mean(task, W, A, idx, clip, divisor)
     assert got.shape == (task.n_out, A.shape[0])
     if idx is not None and idx.size == 0:
@@ -583,5 +546,5 @@ def test_ghost_clipped_per_example_norms_within_clip(case):
     task, W, A, idx, clip = case
     rows = range(task.n_examples) if idx is None else idx
     for b in rows:
-        one = _ghost_clipped_mean(task, W, A, np.array([b]), clip, 1)
+        one = _clipped_mean_grad_B(task, W, A, np.array([b]), clip, 1)
         assert np.linalg.norm(one) <= clip * (1.0 + 1e-12)
