@@ -241,19 +241,29 @@ def account_small_r(
     )
 
 
-def _bisect_alpha0(eps: float, mu: float, target: float) -> float:
-    # T(eps; a*mu) = target has a root in (0, 1) because T is continuous,
-    # increasing, 0 at a=0 and delta_Gauss at a=1 > target.
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
+def max_gaussian_mu(eps: float, delta: float) -> float:
+    """The largest mu with T(eps; mu) <= delta, to a relative 1e-9.
+
+    T(eps; mu) is nondecreasing in mu, so one bisection finds it: the result
+    satisfies T(eps; mu) <= delta < T(eps; mu (1 + 1e-9)). A run of Gaussian
+    steps whose summed mu stays at or below it spends at most (eps, delta).
+    """
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and > 0, got {eps}")
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    lo = hi = 1.0
+    while gaussian_tradeoff(eps, hi) <= delta:
+        lo, hi = hi, 2.0 * hi
+    while gaussian_tradeoff(eps, lo) > delta:
+        lo, hi = 0.5 * lo, lo
+    while hi > lo * (1.0 + 1e-9):
         mid = 0.5 * (lo + hi)
-        if gaussian_tradeoff(eps, mid * mu) < target:
+        if gaussian_tradeoff(eps, mid) <= delta:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-10:
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    return lo
 
 
 def choose_alpha(
@@ -263,7 +273,8 @@ def choose_alpha(
 
     Succeeds when both halves of the budget hold at alpha:
       lower condition: s (1 - I_alpha(r/2, (d-r)/2)) <= delta_Gauss / 2,
-      upper condition: alpha <= alpha0 where T(eps; alpha0 mu) = delta_Gauss / 2.
+      upper condition: alpha <= alpha0 where T(eps; alpha0 mu) = delta_Gauss / 2,
+    that is alpha0 = max_gaussian_mu(eps, delta_Gauss / 2) / mu.
     The exact Beta survival is used for the lower condition; its Chernoff
     surrogate 2 s exp(-eta^2 r / 72) <= delta_Gauss / 2 (threshold
     r >= (72/eta^2) ln(4 s / delta_Gauss)) is reported in errors as the
@@ -309,7 +320,7 @@ def choose_alpha(
             ),
         )
 
-    alpha0 = _bisect_alpha0(eps, mu, half)
+    alpha0 = max_gaussian_mu(eps, half) / mu
     if alpha > alpha0:
         r_max = math.floor(alpha0 * d / (1.0 + eta))
         raise RegimeError(
@@ -411,38 +422,32 @@ def account_large_r(
     )
 
 
-def compose_basic(budgets, k: int | None = None) -> tuple[float, float]:
-    """Basic composition: budgets add up; (eps, delta) x k gives (k eps, k delta)."""
+def compose_basic(budgets) -> tuple[float, float]:
+    """Basic composition: the eps and the delta of the budgets add up."""
     budgets = [(float(e), float(dl)) for e, dl in budgets]
     if not budgets:
         raise DegenerateInputError("compose_basic: empty budget list")
-    # +inf eps is an unbounded step (a noise-free DP-LoRA run); NaN fails both tests
+    # +inf eps is an unbounded step; NaN fails both tests
     if not all(e >= 0.0 and dl >= 0.0 for e, dl in budgets):
         raise DomainError(f"compose_basic: budgets need eps >= 0 and delta >= 0, got {budgets}")
-    if k is not None:
-        if k < 1:
-            raise DomainError(f"k must be >= 1, got {k}")
-        if len(budgets) != 1:
-            raise DomainError("k is only meaningful with a single budget")
-        e, dl = budgets[0]
-        return k * e, k * dl
     return sum(e for e, _ in budgets), sum(dl for _, dl in budgets)
 
 
-def compose_gaussian_steps(mu_list, eps: float, per_step_delta_p: float) -> float:
-    """Compose conditionally Gaussian steps exactly: T(eps; sum mu_t) + T steps * delta_p.
+def compose_gaussian_steps(mu_sum: float, steps: int, eps: float, per_step_delta_p: float) -> float:
+    """Compose conditionally Gaussian steps exactly: T(eps; sum mu_t) + steps * delta_p.
 
     Gaussian privacy losses add across independent steps, so the trade-off of
-    the composition is the trade-off at the summed mu; each step contributes
-    its capture-failure probability through a union bound.
+    the composition is the trade-off at the summed mu (Dong, Roth & Su 2019,
+    arXiv:1905.02383); each step contributes its capture-failure probability
+    through a union bound. Pricing t equal steps is O(1): pass t * mu_step.
     """
-    mu_list = [float(m) for m in mu_list]
-    if not all(m >= 0.0 for m in mu_list):
-        raise DomainError("all mu_t must be >= 0")
+    if not mu_sum >= 0.0:
+        raise DomainError(f"the summed mu must be >= 0, got {mu_sum}")
+    if steps < 1:
+        raise DomainError(f"steps must be >= 1, got {steps}")
     if not per_step_delta_p >= 0.0:
         raise DomainError(f"per_step_delta_p must be >= 0, got {per_step_delta_p}")
-    total = gaussian_tradeoff(eps, sum(mu_list)) + len(mu_list) * per_step_delta_p
-    return min(1.0, total)
+    return min(1.0, gaussian_tradeoff(eps, mu_sum) + steps * per_step_delta_p)
 
 
 @dataclass(frozen=True)

@@ -374,12 +374,13 @@ def _cmd_train(args) -> int:
     else:
         task = trainer.make_logistic_task(args.n, args.d, args.classes, seed.child(2), reg=args.reg)
     rows = []
-    for t, (W, g) in enumerate(trainer.train(task, cfg, seed), 1):
+    steps = zip(trainer.train(task, cfg, seed), trainer.budget_spent(cfg, task.n_features))
+    for t, ((W, g), budget) in enumerate(steps, 1):
         loss = task.loss(W)
         if not math.isfinite(loss):
             raise DomainError(f"the run diverged: the loss after step {t} is {loss} (eta = {cfg.eta})")
         gnorm = math.nan if g is None else float(np.linalg.norm(g))
-        rows.append((t, loss, gnorm, *trainer.budget_spent(cfg, t, task.n_features)))
+        rows.append((t, loss, gnorm, *budget))
     _, final_loss, _, eps, delta = rows[-1]
     outputs = []
     if args.out:

@@ -61,9 +61,5 @@ class OutsideSupportError(DomainError):
     """A density was evaluated at a point outside its support."""
 
 
-class OutOfStatedRangeWarning(UserWarning):
-    """Parameters are outside the range for which the closed form is stated."""
-
-
 class VacuousBoundWarning(UserWarning):
     """A probabilistic bound evaluated to something with no content (>= 1)."""

@@ -18,31 +18,17 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, OutOfStatedRangeWarning, PreconditionError
+from .errors import ConfigError, DomainError, PreconditionError
 from .randmat import Seed, WishartDraw, wishart_factor
 
 
 class Variant(enum.Enum):
     M1 = "m1"
     M2 = "m2"
-
-
-class SigmaConvention(enum.Enum):
-    """Constant in the Gaussian-mechanism noise formula.
-
-    LEMMA uses sigma = 2 * Delta * sqrt(ln(1.25/delta)) / eps; ALGORITHM uses
-    the more conservative 2 * Delta * sqrt(2 ln(1.25/delta)) / eps that the
-    private low-rank training loop calibrates with. Both constants circulate
-    for this mechanism, so both are supported and tested.
-    """
-
-    LEMMA = "lemma"
-    ALGORITHM = "algorithm"
 
 
 def _as_matrix(V) -> np.ndarray:
@@ -138,32 +124,6 @@ def gaussian_mech(v: np.ndarray, sigma: float, seed: Seed) -> np.ndarray:
         raise DomainError("gaussian_mech: v must be finite")
     rng = seed.generator()
     return v + sigma * rng.standard_normal(v.shape)
-
-
-def gaussian_sigma(
-    delta_sens: float,
-    eps: float,
-    delta: float,
-    convention: SigmaConvention = SigmaConvention.ALGORITHM,
-) -> float:
-    """Noise scale calibrating a Gaussian mechanism of sensitivity delta_sens."""
-    if not 0.0 < delta_sens < math.inf:
-        raise DomainError(f"sensitivity must be finite and > 0, got {delta_sens}")
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"eps must be finite and > 0, got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if eps >= 1.0:
-        warnings.warn(
-            f"gaussian_sigma: closed form is stated for eps < 1, got eps={eps}; "
-            "value computed anyway",
-            OutOfStatedRangeWarning,
-            stacklevel=2,
-        )
-    log_term = math.log(1.25 / delta)
-    if convention is SigmaConvention.ALGORITHM:
-        log_term *= 2.0
-    return 2.0 * delta_sens * math.sqrt(log_term) / eps
 
 
 def amplify_alignment(v: np.ndarray, gamma: float, seed: Seed) -> np.ndarray:

@@ -6,20 +6,25 @@ Mechanisms:
   2023, arXiv:2308.03303) of the weights W = B A, update B <- B - eta G A^T,
   so W moves by -eta G A^T A;
 * DP_LORA_FA: the same loop with per-example clipping of the B-gradient plus
-  Gaussian noise, budget reported by basic composition of the per-step
-  guarantee;
+  Gaussian noise;
 * NOISY_PROJ: update the weights W <- W - eta (M (clip(G)^T + Xi))^T with a
-  fresh M = Z Z^T every step; accounted by the exact Gaussian trade-off on
-  the summed per-step mu plus a per-step capture-failure term;
+  fresh M = Z Z^T every step;
 * RP_GD: vector-query projected gradient descent w <- w - eta M grad.
+
+The two private mechanisms share one accountant. Each step is a Gaussian
+mechanism of mu_step = alpha (2 clip / sigma)^2 that fails to capture with
+probability delta_p (DP-LoRA: alpha = 1, delta_p = 0), and Gaussian steps
+compose exactly by adding mu (Dong, Roth & Su 2019, arXiv:1905.02383): t steps
+spend delta = T(eps; t mu_step) + t delta_p at eps = eps_target. eps_target
+and delta_target cover the whole run, and DP-LoRA calibrates its sigma to them.
 
 train(task, cfg, seed) is the one entry point: it draws the steps from
 seed.child(1), dispatches on the mechanism and yields each step's weights
 and gradient. Only the LoRA mechanisms draw a frozen factor A, from
 seed.child(0); noisy projection and rp_gd act on the weights alone. fit keeps
-the last weights; the CLI prices each step with budget_spent. Each
-per-mechanism loop (dp_lora_fa, noisy_proj_step, rp_gd) holds only the state
-its step reads and computes no loss or budget.
+the last weights; the CLI prices every step of a run with one budget_spent
+call. Each per-mechanism loop (dp_lora_fa, noisy_proj_step, rp_gd) holds only
+the state its step reads and computes no loss or budget.
 
 dp_lora_fa runs both LoRA mechanisms: noise-free LoRA is its sigma = 0,
 clip = inf case, so the two share one gradient code path. That path clips with
@@ -43,7 +48,7 @@ import numpy as np
 
 from . import accountants, mechanisms
 from .errors import ConfigError, DomainError
-from .mechanisms import NoisyMechParams, SigmaConvention, Variant
+from .mechanisms import NoisyMechParams, Variant
 from .randmat import Seed, wishart_draw
 
 FULL_BATCH = "full"
@@ -227,6 +232,8 @@ class DpTrainConfig:
             raise ConfigError(f"eta must be finite, got {self.eta}")
         if self.sigma is not None and not 0.0 <= self.sigma < math.inf:
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.eps_target is not None and not math.isfinite(self.eps_target):
+            raise ConfigError(f"eps_target must be finite, got {self.eps_target}")
         if self.delta_target is not None and not 0.0 < self.delta_target < 1.0:
             raise ConfigError(f"delta_target must lie in (0, 1), got {self.delta_target}")
         if self.mechanism is Mechanism.DP_LORA_FA:
@@ -296,23 +303,15 @@ def _clipped_mean_grad_B(
 
 
 def _lora_fa_sigma(cfg: DpTrainConfig) -> float:
-    """The DP LoRA loop's noise scale: cfg.sigma, or calibrated to (eps_target, delta_target)."""
+    """The DP LoRA loop's noise scale: cfg.sigma, or calibrated to (eps_target, delta_target).
+
+    The calibrated sigma = 2 clip sqrt(T / mu*) makes the T steps' summed mu
+    the largest mu* that spends at most delta_target at eps_target.
+    """
     if cfg.eps_target is not None:
-        return mechanisms.gaussian_sigma(
-            cfg.clip, cfg.eps_target, cfg.delta_target, SigmaConvention.ALGORITHM
-        )
+        mu = accountants.max_gaussian_mu(cfg.eps_target, cfg.delta_target)
+        return 2.0 * cfg.clip * math.sqrt(cfg.T / mu)
     return cfg.sigma or 0.0
-
-
-def _lora_fa_step_budget(cfg: DpTrainConfig) -> tuple[float, float]:
-    """Per-step (eps, delta) of the DP LoRA loop; pricing a target needs no sigma."""
-    if cfg.eps_target is not None:
-        return cfg.eps_target, cfg.delta_target
-    sigma = cfg.sigma or 0.0
-    if sigma > 0.0 and cfg.delta_target is not None:
-        eps_step = 2.0 * cfg.clip * math.sqrt(2.0 * math.log(1.25 / cfg.delta_target)) / sigma
-        return eps_step, cfg.delta_target
-    return math.inf, 0.0
 
 
 def dp_lora_fa(
@@ -323,10 +322,10 @@ def dp_lora_fa(
     A is the frozen (r x d) factor. Yields (W, ghat) after each step, ghat
     being the clipped, noised B-gradient the step used; step t draws from
     seed.child(t). DP_LORA_FA clips at cfg.clip and adds noise of the sigma
-    that _lora_fa_sigma resolves: the per-step mechanism is Gaussian with
+    that _lora_fa_sigma resolves: each step is a Gaussian mechanism of
     sensitivity 2 * clip on the summed clipped gradient, and budget_spent
-    prices the steps. NOISE_FREE_LORA runs the same loop at sigma = 0,
-    clip = inf.
+    prices the run by exact Gaussian composition. NOISE_FREE_LORA runs the
+    same loop at sigma = 0, clip = inf.
     """
     if cfg.mechanism is Mechanism.NOISE_FREE_LORA:
         sigma, clip = 0.0, math.inf
@@ -369,38 +368,56 @@ def noisy_proj_step(task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seed: Se
     return W - cfg.eta * mechanisms.noisy_mech(G.T, params, seed.child(0)).T
 
 
-def noisy_proj_budget(cfg: DpTrainConfig, T: int, eps: float, d: int) -> float:
-    """delta(eps) of T composed noisy-projection steps.
+def _step_price(cfg: DpTrainConfig, d: int) -> tuple[float, float] | None:
+    """(mu_step, delta_p) of one private step over d features; None for a step without noise.
 
-    Each step contributes mu_t = alpha (2 clip)^2 / sigma^2 to the exact
-    Gaussian trade-off and one capture-failure probability delta_p; the total
-    is T(eps; sum mu_t) + T delta_p.
+    The step is a Gaussian mechanism of sensitivity 2 clip at noise sigma, of
+    which a share alpha is captured: mu_step = alpha (2 clip / sigma)^2, except
+    with probability delta_p. DP-LoRA captures everything: alpha = 1, delta_p = 0.
     """
-    if cfg.mechanism is not Mechanism.NOISY_PROJ:
-        raise ConfigError(f"noisy_proj_budget called with mechanism {cfg.mechanism}")
-    alpha = cfg.alpha if cfg.alpha is not None else min(1.0, 1.5 * cfg.r / d)
+    if cfg.mechanism is Mechanism.DP_LORA_FA:
+        alpha, sigma, delta_p = 1.0, _lora_fa_sigma(cfg), 0.0
+    elif cfg.mechanism is Mechanism.NOISY_PROJ:
+        alpha = cfg.alpha if cfg.alpha is not None else min(1.0, 1.5 * cfg.r / d)
+        sigma = cfg.sigma
+        delta_p = accountants.delta_M_bound(cfg.sens_rank, alpha, cfg.r, d) if alpha < 1.0 else 0.0
+    else:
+        return None
+    if sigma == 0.0:
+        return None
     # (2 clip / sigma) squared, not (2 clip)^2 / sigma^2: sigma^2 underflows to 0
-    ratio = 2.0 * cfg.clip / cfg.sigma
+    ratio = 2.0 * cfg.clip / sigma
     mu_step = alpha * ratio * ratio
     if not math.isfinite(mu_step):
         raise DomainError(f"mu_step = alpha (2 clip / sigma)^2 must be finite, got {mu_step}")
-    delta_p = accountants.delta_M_bound(cfg.sens_rank, alpha, cfg.r, d) if alpha < 1.0 else 0.0
-    return accountants.compose_gaussian_steps([mu_step] * T, eps, delta_p)
+    return mu_step, delta_p
 
 
-def budget_spent(cfg: DpTrainConfig, t: int, d: int) -> tuple[float, float]:
-    """(eps, delta) spent after t steps of a run over d features.
+def noisy_proj_budget(cfg: DpTrainConfig, T: int, eps: float, d: int) -> float:
+    """delta(eps) of T composed noisy-projection steps: T(eps; T mu_step) + T delta_p."""
+    if cfg.mechanism is not Mechanism.NOISY_PROJ:
+        raise ConfigError(f"noisy_proj_budget called with mechanism {cfg.mechanism}")
+    mu_step, delta_p = _step_price(cfg, d)
+    return accountants.compose_gaussian_steps(T * mu_step, T, eps, delta_p)
 
-    DP-LoRA spends t times its per-step guarantee (basic composition); noisy
-    projection reports delta at eps_target, or at eps = 1 without one; the
-    non-private mechanisms spend (inf, 0).
+
+def budget_spent(cfg: DpTrainConfig, d: int) -> list[tuple[float, float]]:
+    """(eps, delta) spent after each of the cfg.T steps of a run over d features.
+
+    A private run reports delta = T(eps; t mu_step) + t delta_p after step t,
+    at eps = eps_target, or at eps = 1 without one. A DP-LoRA run without noise
+    and the non-private mechanisms spend (inf, 0). The step is priced once, so
+    the whole list costs O(T).
     """
-    if cfg.mechanism is Mechanism.DP_LORA_FA:
-        return accountants.compose_basic([_lora_fa_step_budget(cfg)], k=t)
-    if cfg.mechanism is Mechanism.NOISY_PROJ:
-        eps = cfg.eps_target if cfg.eps_target is not None else 1.0
-        return eps, noisy_proj_budget(cfg, t, eps, d)
-    return math.inf, 0.0
+    price = _step_price(cfg, d)
+    if price is None:
+        return [(math.inf, 0.0)] * cfg.T
+    mu_step, delta_p = price
+    eps = cfg.eps_target if cfg.eps_target is not None else 1.0
+    return [
+        (eps, accountants.compose_gaussian_steps(t * mu_step, t, eps, delta_p))
+        for t in range(1, cfg.T + 1)
+    ]
 
 
 def rp_gd(
@@ -508,7 +525,11 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 
 def load_config(path) -> DpTrainConfig:
     values: dict = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the config file: {exc.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -26,6 +26,7 @@ from wishart_dp.accountants import (
     delta_M_bound,
     gaussian_tradeoff,
     jl_clip_zeta,
+    max_gaussian_mu,
     min_alignment,
     vec_admissibility_threshold,
 )
@@ -329,6 +330,23 @@ def test_choose_alpha_halves_with_doubled_dimension():
     assert a2 == pytest.approx(a1 / 2.0, rel=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    eps=hst.floats(min_value=0.1, max_value=20.0),
+    log_delta=hst.floats(min_value=-10.0, max_value=-2.0),
+)
+def test_max_gaussian_mu_is_the_largest_mu_within_delta(eps, log_delta):
+    delta = 10.0**log_delta
+    mu = max_gaussian_mu(eps, delta)
+    assert gaussian_tradeoff(eps, mu) <= delta < gaussian_tradeoff(eps, mu * (1 + 1e-9))
+
+
+def test_max_gaussian_mu_rejects_out_of_domain_input():
+    for eps, delta in ((0.0, 1e-5), (math.inf, 1e-5), (math.nan, 1e-5), (1.0, 0.0), (1.0, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            max_gaussian_mu(eps, delta)
+
+
 # ---------------------------------------------------------------------------
 # large-r accountant
 # ---------------------------------------------------------------------------
@@ -399,7 +417,7 @@ def test_account_large_r_propagates_inadmissible_residual():
 
 
 def test_compose_basic_k_fold():
-    assert compose_basic([(1.0, 1e-5)], k=3) == (3.0, pytest.approx(3e-5))
+    assert compose_basic([(1.0, 1e-5)] * 3) == (3.0, pytest.approx(3e-5))
 
 
 def test_compose_basic_single():
@@ -432,14 +450,16 @@ def test_compose_basic_order_independent_and_associative():
 
 def test_compose_gaussian_single_step_matches_small_r():
     rep = account_small_r(eps=1.0, sens_frob=2.0, s=1, d=64, r=4, sigma=1.0, alpha=0.25)
-    composed = compose_gaussian_steps([rep.mu_bar], 1.0, rep.delta_M)
+    composed = compose_gaussian_steps(rep.mu_bar, 1, 1.0, rep.delta_M)
     assert composed == pytest.approx(rep.delta_total, abs=1e-12)
 
 
 def test_compose_gaussian_zero_mu():
-    assert compose_gaussian_steps([0.0, 0.0, 0.0], 1.0, 1e-3) == pytest.approx(3e-3, abs=1e-15)
-    with pytest.raises(DomainError):
-        compose_gaussian_steps([1.0], 1.0, math.nan)
+    mus = [0.0, 0.0, 0.0]
+    assert compose_gaussian_steps(sum(mus), len(mus), 1.0, 1e-3) == pytest.approx(3e-3, abs=1e-15)
+    for mu_sum, steps, delta_p in ((1.0, 1, math.nan), (math.nan, 1, 0.0), (-1.0, 1, 0.0), (1.0, 0, 0.0)):
+        with pytest.raises(DomainError):
+            compose_gaussian_steps(mu_sum, steps, 1.0, delta_p)
 
 
 def test_compose_gaussian_against_loss_monte_carlo():
@@ -452,7 +472,7 @@ def test_compose_gaussian_against_loss_monte_carlo():
     L = rng.standard_normal(10**6) * math.sqrt(total_mu) + total_mu / 2
     emp = float(np.mean(np.abs(L) > eps))
     se = math.sqrt(emp * (1 - emp) / L.size)
-    composed = compose_gaussian_steps(mus, eps, 1e-6)
+    composed = compose_gaussian_steps(sum(mus), len(mus), eps, 1e-6)
     assert composed == pytest.approx(emp + 2e-6, abs=2 * se + 1e-9)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import wishart_dp
 from wishart_dp import cli, specialfn, trainer
-from wishart_dp.accountants import account_small_r
+from wishart_dp.accountants import account_small_r, gaussian_tradeoff
 from wishart_dp.randmat import Seed
 
 
@@ -229,10 +229,22 @@ def test_train_subcommand(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == "training_run"
-    assert payload["budget"]["delta"] == pytest.approx(20e-5)
+    # 20 exactly composed Gaussian steps of mu = (2 clip / sigma)^2, at eps = 1 without a target
+    assert payload["budget"]["eps"] == 1.0
+    assert payload["budget"]["delta"] == pytest.approx(gaussian_tradeoff(1.0, 20 * (2 * 1.0 / 0.1) ** 2))
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "step,loss,grad_norm,eps_spent,delta_spent"
     assert len(lines) == 21
+
+
+def test_train_missing_config_exits_3(capsys, tmp_path):
+    cfg_path = tmp_path / "nonexistent.cfg"
+    code, out, err = run_cli(
+        capsys, "train", "--task", "ridge", "--config", str(cfg_path), "--seed", "3"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and str(cfg_path) in err
 
 
 @pytest.mark.parametrize(
@@ -303,9 +315,10 @@ def test_train_noisy_proj_without_sigma_exits_3(capsys, tmp_path):
         ("eta = 0.1\nsigma = 0.1\ndelta_target = 0\n", "delta_target"),
         ("eta = 0.1\nsigma = 0.1\ndelta_target = 1.5\n", "delta_target"),
         ("eta = 0.1\nsigma = 0.1\ndelta_target = nan\n", "delta_target"),
+        ("eta = 0.1\neps_target = inf\ndelta_target = 1e-5\n", "eps_target"),
     ],
     ids=["sigma_nan", "sigma_inf", "sigma_negative", "eta_nan", "eta_inf",
-         "delta_zero", "delta_above_one", "delta_nan"],
+         "delta_zero", "delta_above_one", "delta_nan", "eps_inf"],
 )
 def test_train_non_finite_or_out_of_range_config_exits_3(capsys, tmp_path, bad_lines, field):
     # DP-LoRA would read a NaN sigma as "no noise"; a NaN eta gives a NaN loss

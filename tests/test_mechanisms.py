@@ -1,22 +1,19 @@
 """Mechanism contracts: projections, noise covariance, clipping, amplification."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from wishart_dp.errors import ConfigError, DomainError, OutOfStatedRangeWarning, PreconditionError
+from wishart_dp.errors import ConfigError, DomainError, PreconditionError
 from wishart_dp.mechanisms import (
     NoisyMechParams,
-    SigmaConvention,
     Variant,
     amplification_gain,
     amplification_threshold,
     amplify_alignment,
     clip_frobenius,
     gaussian_mech,
-    gaussian_sigma,
     noisy_mech,
     project,
 )
@@ -156,39 +153,6 @@ def test_gaussian_mech_determinism():
     a = gaussian_mech(v, 1.0, Seed(MASTER, 122))
     b = gaussian_mech(v, 1.0, Seed(MASTER, 122))
     assert np.array_equal(a, b)
-
-
-def test_gaussian_sigma_lemma_constant():
-    # ln(1.25/delta) = 1 at delta = 1.25/e; eps = 1 sits on the stated boundary.
-    with pytest.warns(OutOfStatedRangeWarning):
-        sigma = gaussian_sigma(1.0, 1.0, 1.25 / math.e, SigmaConvention.LEMMA)
-    assert sigma == pytest.approx(2.0, rel=1e-12)
-
-
-def test_gaussian_sigma_values_and_scaling():
-    with pytest.warns(OutOfStatedRangeWarning):
-        s1 = gaussian_sigma(1.0, 1.0, 1e-5, SigmaConvention.LEMMA)
-    assert s1 == pytest.approx(2.0 * math.sqrt(math.log(1.25e5)), rel=1e-12)
-    assert s1 == pytest.approx(6.8517, abs=2e-4)
-    s2 = gaussian_sigma(2.0, 0.5, 1e-5, SigmaConvention.LEMMA)
-    assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
-
-
-def test_gaussian_sigma_algorithm_constant_is_sqrt2_larger():
-    a = gaussian_sigma(1.0, 0.5, 1e-5, SigmaConvention.ALGORITHM)
-    b = gaussian_sigma(1.0, 0.5, 1e-5, SigmaConvention.LEMMA)
-    assert a == pytest.approx(math.sqrt(2.0) * b, rel=1e-12)
-
-
-def test_gaussian_sigma_out_of_range_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sigma = gaussian_sigma(1.0, 2.0, 1e-5)
-    assert any(issubclass(w.category, OutOfStatedRangeWarning) for w in caught)
-    assert sigma > 0.0
-    # an infinite eps would calibrate sigma = 0
-    with pytest.raises(DomainError):
-        gaussian_sigma(1.0, math.inf, 0.1)
 
 
 def test_amplify_alignment_gamma_zero():

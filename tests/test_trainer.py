@@ -1,15 +1,19 @@
 """Training-loop tests: frozen-factor algebra, chain rule, DP reductions, budgets."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from wishart_dp import mechanisms
-from wishart_dp.accountants import compose_gaussian_steps, delta_M_bound
+from wishart_dp import accountants, mechanisms
+from wishart_dp.accountants import (
+    compose_gaussian_steps,
+    delta_M_bound,
+    gaussian_tradeoff,
+    max_gaussian_mu,
+)
 from wishart_dp.errors import ConfigError, DomainError
 from wishart_dp.randmat import Seed, wishart_draw
 from wishart_dp.trainer import (
@@ -19,6 +23,7 @@ from wishart_dp.trainer import (
     TaskKind,
     TrainTask,
     _clipped_mean_grad_B,
+    _lora_fa_sigma,
     budget_spent,
     clip_compare,
     dp_lora_fa,
@@ -115,7 +120,7 @@ def test_dp_lora_fa_reduces_to_noise_free_bitwise(ridge_task):
     W_dp = fit(ridge_task, dp_cfg, Seed(MASTER, 410))
     W_free = fit(ridge_task, free_cfg, Seed(MASTER, 410))
     assert np.array_equal(W_dp, W_free)
-    assert budget_spent(dp_cfg, 20, 16) == budget_spent(free_cfg, 20, 16) == (math.inf, 0.0)
+    assert budget_spent(dp_cfg, 16) == budget_spent(free_cfg, 16) == [(math.inf, 0.0)] * 20
     # the LoRA loop serves the two LoRA mechanisms and no other
     rp_cfg = DpTrainConfig(T=20, eta=0.05, mechanism=Mechanism.RP_GD, r=8)
     with pytest.raises(ConfigError):
@@ -144,33 +149,66 @@ def test_dp_lora_fa_noise_dominates_at_huge_sigma(ridge_task):
     *_, (W, _) = dp_lora_fa(ridge_task, A, cfg, Seed(MASTER, 414))
     init_loss = ridge_task.loss(np.zeros((1, 16)))
     assert ridge_task.loss(W) > 10 * init_loss  # utility collapses
-    assert budget_spent(cfg, cfg.T, 16)[0] < 1e-3  # enormous noise buys a tiny eps
+    # without an eps_target the run is priced at eps = 1: enormous noise buys a tiny delta
+    eps, delta = budget_spent(cfg, 16)[cfg.T - 1]
+    assert eps == 1.0 and delta < 1e-12
 
 
-def test_dp_lora_fa_budget_composition(ridge_task):
+def test_dp_lora_fa_budget_composition():
+    # the target covers the whole run: the calibrated sigma = 2 clip sqrt(T / mu*)
+    # makes the T steps' mu sum to mu*, and step t spends T(eps; t mu* / T)
     cfg = DpTrainConfig(
         T=7, eta=0.05, mechanism=Mechanism.DP_LORA_FA, eps_target=0.5, delta_target=1e-6,
         clip=1.0, r=4,
     )
-    assert budget_spent(cfg, 1, 16) == (pytest.approx(0.5), pytest.approx(1e-6))
-    assert budget_spent(cfg, cfg.T, 16) == (pytest.approx(3.5), pytest.approx(7e-6))
-    # sigma follows the training algorithm's constant
-    sigma = mechanisms.gaussian_sigma(
-        1.0, 0.5, 1e-6, mechanisms.SigmaConvention.ALGORITHM
-    )
-    assert sigma == pytest.approx(2 * 1.0 * math.sqrt(2 * math.log(1.25e6)) / 0.5, rel=1e-12)
+    mu = max_gaussian_mu(0.5, 1e-6)
+    assert _lora_fa_sigma(cfg) == pytest.approx(2.0 * math.sqrt(7 / mu), rel=1e-15)
+    budgets = budget_spent(cfg, 16)
+    assert [eps for eps, _ in budgets] == [0.5] * 7
+    for t, (_, delta) in enumerate(budgets, 1):
+        assert delta == pytest.approx(gaussian_tradeoff(0.5, t * mu / 7), rel=1e-12)
+    assert budgets[-1][1] <= 1e-6
 
 
-def test_dp_lora_fa_budget_of_a_target_calibrates_no_sigma():
-    # eps_target = 8 is outside the range gaussian_sigma states its closed form
-    # for, so calibrating a sigma would warn; pricing the steps needs none
+def test_dp_lora_fa_budget_bisects_once_per_run(monkeypatch):
+    # the README config: one calibration prices all 50 steps, none per step
     cfg = DpTrainConfig(
         T=50, eta=0.1, mechanism=Mechanism.DP_LORA_FA, eps_target=8.0, delta_target=1e-5,
         clip=2.0, r=8,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert budget_spent(cfg, 3, 32) == (3 * 8.0, 3 * 1e-5)
+    calls = []
+
+    def counted(eps, delta):
+        calls.append((eps, delta))
+        return max_gaussian_mu(eps, delta)
+
+    monkeypatch.setattr(accountants, "max_gaussian_mu", counted)
+    budgets = budget_spent(cfg, 32)
+    assert calls == [(8.0, 1e-5)]
+    assert len(budgets) == 50
+    assert budgets[-1][0] == 8.0 and budgets[-1][1] <= 1e-5
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    eps=hst.floats(min_value=0.1, max_value=20.0),
+    log_delta=hst.floats(min_value=-10.0, max_value=-2.0),
+    T=hst.integers(min_value=1, max_value=500),
+    clip=hst.floats(min_value=0.1, max_value=10.0),
+)
+def test_dp_lora_fa_calibration_meets_its_target(eps, log_delta, T, clip):
+    delta = 10.0**log_delta
+    cfg = DpTrainConfig(
+        T=T, eta=0.1, mechanism=Mechanism.DP_LORA_FA, eps_target=eps, delta_target=delta, clip=clip
+    )
+    budgets = budget_spent(cfg, 16)
+    assert len(budgets) == T and all(e == eps for e, _ in budgets)
+    deltas = [dl for _, dl in budgets]
+    assert deltas[-1] <= delta
+    assert all(a <= b for a, b in zip(deltas, deltas[1:]))
+    # 1% less noise overspends the target
+    ratio = 2.0 * clip / (0.99 * _lora_fa_sigma(cfg))
+    assert compose_gaussian_steps(T * ratio * ratio, T, eps, 0.0) > delta
 
 
 def test_dp_lora_fa_per_example_clip_bound(ridge_task):
@@ -201,7 +239,6 @@ def test_poisson_subsampling_mean_batch(ridge_task):
     assert abs(mean - 20.0) <= 3 * se
 
 
-@pytest.mark.filterwarnings("ignore::wishart_dp.errors.OutOfStatedRangeWarning")
 def test_dp_lora_fa_decreases_loss_within_budget(ridge_task):
     # Non-private GD sets the attainable decrease; the private run at modest
     # noise gets a healthy fraction of it.
@@ -257,7 +294,7 @@ def test_noisy_proj_step_equals_m2_mechanism_bitwise():
     assert np.array_equal(W2, W - 0.3 * out.T)
     # the step is priced at sensitivity 2 * clip: mu_step = alpha (2 clip)^2 / sigma^2
     alpha = 1.5 * 6 / 12
-    expected = compose_gaussian_steps([alpha * (2 * 0.7) ** 2 / 0.4**2], 1.0, delta_M_bound(2, alpha, 6, 12))
+    expected = compose_gaussian_steps(alpha * (2 * 0.7) ** 2 / 0.4**2, 1, 1.0, delta_M_bound(2, alpha, 6, 12))
     assert noisy_proj_budget(cfg, 1, 1.0, 12) == pytest.approx(expected, rel=1e-12)
 
 
@@ -269,7 +306,7 @@ def test_noisy_proj_multi_step_budget():
     d = 100
     mu_step = 0.1 * (2.0) ** 2 / 0.25
     delta_p = delta_M_bound(2, 0.1, 8, d)
-    expected = compose_gaussian_steps([mu_step] * 5, 1.0, delta_p)
+    expected = compose_gaussian_steps(5 * mu_step, 5, 1.0, delta_p)
     assert noisy_proj_budget(cfg, 5, 1.0, d) == pytest.approx(expected, rel=1e-12)
 
 
