@@ -20,7 +20,7 @@ The caller's inputs are not echoed back; the CLI builds the JSON shape.
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import (
     InadmissibleAlignmentError,
     PreconditionError,
     RegimeError,
-    VacuousBoundWarning,
 )
 from . import profiler
 from .randmat import Seed
@@ -73,22 +72,6 @@ def min_alignment(pairs) -> float:
             )
         worst = min(worst, float(u @ w) / (nu * nw))
     return worst
-
-
-def alignment_lower_bound(L: float, c0: float, n: int) -> float:
-    """Worst-case alignment of a normalized average of n bounded vectors.
-
-    One record change moves the unnormalized average by at most 2L/n; with the
-    norm bounded below by c0 the normalized outputs satisfy
-    rho >= 1 - 8 L^2 / (c0^2 n^2).
-    """
-    if not c0 > 0.0:
-        raise DomainError(f"c0 must be > 0, got {c0}")
-    if not L >= 0.0:
-        raise DomainError(f"L must be >= 0, got {L}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return max(-1.0, 1.0 - 8.0 * L * L / (c0 * c0 * n * n))
 
 
 def vec_admissibility_threshold(r: int, delta_prime: float) -> float:
@@ -188,15 +171,6 @@ def delta_M_bound(s: int, alpha: float, r: int, d: int) -> float:
     return min(1.0, s * reg_inc_betac(alpha, r / 2.0, (d - r) / 2.0))
 
 
-def beta_tail_bound(eta: float, r: int) -> float:
-    """Chernoff-style bound 2 exp(-eta^2 r / 72) on the Beta capture tail at alpha=(1+eta)r/d."""
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
-    return min(1.0, 2.0 * math.exp(-eta * eta * r / 72.0))
-
-
 @dataclass(frozen=True)
 class SmallRReport:
     """What the small-rank bound computed: the captured sensitivity mu_bar, the
@@ -247,6 +221,8 @@ def max_gaussian_mu(eps: float, delta: float) -> float:
     T(eps; mu) is nondecreasing in mu, so one bisection finds it: the result
     satisfies T(eps; mu) <= delta < T(eps; mu (1 + 1e-9)). A run of Gaussian
     steps whose summed mu stays at or below it spends at most (eps, delta).
+    A mu outside the normal float range raises DomainError: below it the
+    bisection could not reach the relative precision.
     """
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be finite and > 0, got {eps}")
@@ -257,6 +233,11 @@ def max_gaussian_mu(eps: float, delta: float) -> float:
         lo, hi = hi, 2.0 * hi
     while gaussian_tradeoff(eps, lo) > delta:
         lo, hi = 0.5 * lo, lo
+        if lo < sys.float_info.min:
+            raise DomainError(
+                f"the largest mu with T(eps; mu) <= delta at eps={eps}, delta={delta} "
+                f"is below the normal float range"
+            )
     while hi > lo * (1.0 + 1e-9):
         mid = 0.5 * (lo + hi)
         if gaussian_tradeoff(eps, mid) <= delta:
@@ -448,30 +429,3 @@ def compose_gaussian_steps(mu_sum: float, steps: int, eps: float, per_step_delta
     if not per_step_delta_p >= 0.0:
         raise DomainError(f"per_step_delta_p must be >= 0, got {per_step_delta_p}")
     return min(1.0, gaussian_tradeoff(eps, mu_sum) + steps * per_step_delta_p)
-
-
-@dataclass(frozen=True)
-class JlZeta:
-    """Norm-distortion factor of the rank-r Gaussian sketch, with vacuity flag."""
-
-    zeta: float
-    vacuous: bool
-
-
-def jl_clip_zeta(n: int, r: int, delta_jl: float) -> JlZeta:
-    """zeta = sqrt(12 ln(2n/delta_JL) / r); zeta >= 1 makes the bound vacuous."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
-    if not 0.0 < delta_jl < 1.0:
-        raise DomainError(f"delta_jl must lie in (0, 1), got {delta_jl}")
-    zeta = math.sqrt(12.0 * math.log(2.0 * n / delta_jl) / r)
-    vacuous = zeta >= 1.0
-    if vacuous:
-        warnings.warn(
-            f"JL distortion zeta={zeta:.4g} >= 1: the norm-preservation bound is vacuous",
-            VacuousBoundWarning,
-            stacklevel=2,
-        )
-    return JlZeta(zeta=zeta, vacuous=vacuous)

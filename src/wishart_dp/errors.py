@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning categories shared by all modules.
+"""Exception hierarchy shared by all modules.
 
 Public functions never raise bare ValueError/RuntimeError; they raise one of
 the semantic classes below so the CLI can map them to a stable exit code.
@@ -60,6 +60,3 @@ class RegimeError(PreconditionError):
 class OutsideSupportError(DomainError):
     """A density was evaluated at a point outside its support."""
 
-
-class VacuousBoundWarning(UserWarning):
-    """A probabilistic bound evaluated to something with no content (>= 1)."""

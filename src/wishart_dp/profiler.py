@@ -30,8 +30,9 @@ Sampling is chunked over the substreams seed.child(0), seed.child(1), ..., so
 estimates do not depend on the worker count used to evaluate them. Each
 worker allocates its chunk buffers once per call: every chunk draws into
 them, builds B, A and then L in place, and sorts L in place before counting
-the tails. sample_ratio_arrays and privacy_loss_array are allocating
-wrappers over the same in-place helpers.
+the tails. sample_ratio_arrays and privacy_loss_array, the loss at given
+(A, B) arrays, are allocating wrappers over the same in-place helpers;
+ratio_from_point builds the (A, B) pair of one concrete output.
 delta_support, a Monte Carlo estimate of P(A <= 0) alone, serves the vector
 accountants; the profile does not call it.
 """
@@ -52,14 +53,6 @@ from .randmat import Seed
 from .specialfn import log_gamma
 
 _CHUNK = 1 << 17
-
-
-@dataclass(frozen=True)
-class RatioSample:
-    """One draw of the alignment/magnitude pair (A, B); B is always >= 0."""
-
-    A: float
-    B: float
 
 
 def _check_ratio_args(rho: float, d: int, r: int) -> None:
@@ -118,18 +111,6 @@ def sample_ratio_arrays(
     A, B = np.empty(n), np.empty(n)
     _draw_ratio(seed.generator(), rho, d, r, np.empty(n), A, B)
     return A, B
-
-
-def privacy_loss(sample: RatioSample, d: int, r: int) -> float:
-    """Log density ratio at one (A, B) draw; +inf when A <= 0."""
-    if math.isnan(sample.A) or not math.isfinite(sample.B):
-        raise DomainError(f"need a non-NaN A and a finite B, got {sample}")
-    if sample.A <= 0.0:
-        return math.inf
-    if sample.B == 0.0:
-        # the B term is 0, even where 1 / A overflows and 0 * inf would be NaN
-        return 0.5 * (d - r + 1) * math.log(sample.A)
-    return 0.5 * (d - r + 1) * math.log(sample.A) + 0.5 * sample.B * (1.0 / sample.A - 1.0)
 
 
 def privacy_loss_array(A, B, d: int, r: int) -> np.ndarray:
@@ -269,8 +250,8 @@ def mc_privacy_profile(
     )
 
 
-def ratio_from_point(y: np.ndarray, v: np.ndarray, v_prime: np.ndarray, r: int) -> RatioSample:
-    """Build the (A, B) statistic of a concrete output y for directions (v, v')."""
+def ratio_from_point(y: np.ndarray, v: np.ndarray, v_prime: np.ndarray, r: int) -> tuple[float, float]:
+    """The (A, B) statistic of a concrete output y for directions (v, v')."""
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     v_prime = np.asarray(v_prime, dtype=float)
@@ -279,7 +260,7 @@ def ratio_from_point(y: np.ndarray, v: np.ndarray, v_prime: np.ndarray, r: int) 
     vy = float(v @ y)
     if vy <= 0.0:
         raise DomainError("ratio_from_point requires v^T y > 0")
-    return RatioSample(A=float(v_prime @ y) / vy, B=r * float(y @ y) / vy)
+    return float(v_prime @ y) / vy, r * float(y @ y) / vy
 
 
 def log_density_mv(y: np.ndarray, v: np.ndarray, r: int, sigma2: float) -> float:

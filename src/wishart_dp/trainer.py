@@ -41,13 +41,14 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import accountants, mechanisms
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DegenerateInputError, DomainError
 from .mechanisms import NoisyMechParams, Variant
 from .randmat import Seed, wishart_draw
 
@@ -90,18 +91,27 @@ class TrainTask:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
+        if self.X.ndim != 2 or self.X.shape[1] != self.n_features:
+            raise DomainError(f"X must have shape (n, {self.n_features}), got {self.X.shape}")
+        if self.X.shape[0] == 0:
+            raise DegenerateInputError("a task needs at least one example")
         if not np.all(np.isfinite(self.X)):
             raise DomainError("features must be finite")
         if not math.isfinite(self.reg):
             raise DomainError(f"reg must be finite, got {self.reg}")
+        y = np.asarray(self.y, dtype=float)
+        if y.shape != (self.X.shape[0],):
+            raise DomainError(f"y must have shape ({self.X.shape[0]},), got {y.shape}")
+        self._check_labels(y)
+        self.y = y.astype(int) if self.kind is TaskKind.LOGISTIC else y
+
+    def _check_labels(self, y: np.ndarray) -> None:
+        """Logistic labels must be integer class indices; ridge targets must be finite."""
         if self.kind is TaskKind.LOGISTIC:
-            self.y = np.asarray(self.y, dtype=int)
-            if self.y.min() < 0 or self.y.max() >= self.n_classes:
-                raise DomainError("labels must be valid class indices")
-        else:
-            self.y = np.asarray(self.y, dtype=float)
-            if not np.all(np.isfinite(self.y)):
-                raise DomainError("ridge targets must be finite")
+            if not np.all((y >= 0) & (y < self.n_classes) & (y == np.floor(y))):
+                raise DomainError(f"labels must be integer class indices in [0, {self.n_classes})")
+        elif not np.all(np.isfinite(y)):
+            raise DomainError("ridge targets must be finite")
 
     @property
     def n_examples(self) -> int:
@@ -163,8 +173,9 @@ class TrainTask:
     def example_loss(self, W: np.ndarray, x: np.ndarray, y) -> float:
         """Loss of a single probe example (no regularizer)."""
         x = np.asarray(x, dtype=float)
-        if not (np.all(np.isfinite(x)) and np.isfinite(y)):
-            raise DomainError("probe example must be finite")
+        if x.shape != (self.n_features,) or not np.all(np.isfinite(x)):
+            raise DomainError(f"probe features must be a finite vector of length {self.n_features}")
+        self._check_labels(np.asarray(y, dtype=float))
         z = W @ x
         if self.kind is TaskKind.RIDGE:
             return 0.5 * float((z[0] - y) ** 2)
@@ -203,11 +214,18 @@ def make_ridge_task(
 
 def make_logistic_task(n: int, d: int, n_classes: int, seed: Seed, reg: float = 0.0) -> TrainTask:
     """Standard-normal features, labels from a random ground-truth linear map."""
+    if n_classes < 1:
+        raise DomainError(f"a logistic task needs n_classes >= 1, got {n_classes}")
     rng = seed.generator()
     X = rng.standard_normal((n, d))
     W_true = rng.standard_normal((n_classes, d)) / math.sqrt(d)
     y = np.argmax(X @ W_true.T, axis=1)
     return TrainTask(kind=TaskKind.LOGISTIC, n_features=d, n_classes=n_classes, X=X, y=y, reg=reg)
+
+
+def _is_count(value) -> bool:
+    """Whether value is an integer; a bool is not, although Python counts it as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -226,6 +244,9 @@ class DpTrainConfig:
     redraw_each_step: bool = True
 
     def __post_init__(self):
+        for name in ("T", "r", "sens_rank"):
+            if not _is_count(getattr(self, name)):
+                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.T < 1:
             raise DomainError(f"T must be >= 1, got {self.T}")
         if not math.isfinite(self.eta):
@@ -249,12 +270,12 @@ class DpTrainConfig:
                 raise ConfigError("noisy projection requires a finite clipping threshold")
         if self.eps_target is not None and self.delta_target is None:
             raise ConfigError("eps_target requires delta_target")
-        if self.batch != FULL_BATCH and (not isinstance(self.batch, int) or self.batch < 1):
+        if self.batch != FULL_BATCH and (not _is_count(self.batch) or self.batch < 1):
             raise ConfigError(f"batch must be 'full' or a positive int, got {self.batch!r}")
         if not self.clip > 0.0:
             raise DomainError(f"clip must be > 0, got {self.clip}")
-        if self.r < 1:
-            raise DomainError(f"r must be >= 1, got {self.r}")
+        if self.r < 1 or self.sens_rank < 1:
+            raise DomainError(f"r and sens_rank must be >= 1, got {self.r} and {self.sens_rank}")
         if self.eps_target is not None and not self.eps_target > 0.0:
             raise DomainError(f"eps_target must be > 0, got {self.eps_target}")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
@@ -357,8 +378,8 @@ def noisy_proj_step(task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seed: Se
     """One clipped noisy-projection step: the next weights W - eta (M (clip(G)^T + Xi))^T.
 
     The M2 mechanism draws the fresh factor of M = Z Z^T and the noise Xi
-    from seed.child(0); a Poisson batch draws from seed itself. The step's
-    privacy cost is priced by noisy_proj_budget.
+    from seed.child(0); a Poisson batch draws from seed itself. budget_spent
+    prices the steps of a run.
     """
     if cfg.mechanism is not Mechanism.NOISY_PROJ:
         raise ConfigError(f"noisy_proj_step called with mechanism {cfg.mechanism}")
@@ -391,14 +412,6 @@ def _step_price(cfg: DpTrainConfig, d: int) -> tuple[float, float] | None:
     if not math.isfinite(mu_step):
         raise DomainError(f"mu_step = alpha (2 clip / sigma)^2 must be finite, got {mu_step}")
     return mu_step, delta_p
-
-
-def noisy_proj_budget(cfg: DpTrainConfig, T: int, eps: float, d: int) -> float:
-    """delta(eps) of T composed noisy-projection steps: T(eps; T mu_step) + T delta_p."""
-    if cfg.mechanism is not Mechanism.NOISY_PROJ:
-        raise ConfigError(f"noisy_proj_budget called with mechanism {cfg.mechanism}")
-    mu_step, delta_p = _step_price(cfg, d)
-    return accountants.compose_gaussian_steps(T * mu_step, T, eps, delta_p)
 
 
 def budget_spent(cfg: DpTrainConfig, d: int) -> list[tuple[float, float]]:
@@ -440,32 +453,6 @@ def rp_gd(
         g = task.grad_W(w[None, :])[0]
         w = w - cfg.eta * (M @ g)
         yield w, g
-
-
-@dataclass(frozen=True)
-class ClipCompareResult:
-    zeta: float
-    interval_low: float
-    interval_high: float
-    vacuous: bool
-
-
-def clip_compare(n: int, r: int, delta_jl: float, beta: float) -> ClipCompareResult:
-    """Relate the B-space and W-space clipping thresholds through the sketch distortion.
-
-    With distortion zeta, a W-space threshold beta corresponds to a B-space
-    threshold in [beta / sqrt(1 + zeta), beta / sqrt(1 - zeta)].
-    """
-    if not beta > 0.0:
-        raise DomainError(f"beta must be > 0, got {beta}")
-    jz = accountants.jl_clip_zeta(n, r, delta_jl)
-    if jz.vacuous:
-        low, high = beta / math.sqrt(1.0 + jz.zeta), math.inf
-    else:
-        low, high = beta / math.sqrt(1.0 + jz.zeta), beta / math.sqrt(1.0 - jz.zeta)
-    return ClipCompareResult(
-        zeta=jz.zeta, interval_low=low, interval_high=high, vacuous=jz.vacuous
-    )
 
 
 def train(

@@ -192,7 +192,7 @@ def test_criterion_04_density_loss_identity():
         y = rng.standard_normal(d)
         if v @ y <= 0 or vp @ y <= 0:
             continue
-        L = profiler.privacy_loss(profiler.ratio_from_point(y, v, vp, r), d, r)
+        L = float(profiler.privacy_loss_array(*profiler.ratio_from_point(y, v, vp, r), d, r))
         diff = profiler.log_density_mv(y, vp, r, 1.0 / r) - profiler.log_density_mv(
             y, v, r, 1.0 / r
         )

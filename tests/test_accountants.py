@@ -18,14 +18,11 @@ from wishart_dp.accountants import (
     account_large_r,
     account_small_r,
     account_vec,
-    alignment_lower_bound,
-    beta_tail_bound,
     choose_alpha,
     compose_basic,
     compose_gaussian_steps,
     delta_M_bound,
     gaussian_tradeoff,
-    jl_clip_zeta,
     max_gaussian_mu,
     min_alignment,
     vec_admissibility_threshold,
@@ -35,7 +32,6 @@ from wishart_dp.errors import (
     DomainError,
     InadmissibleAlignmentError,
     RegimeError,
-    VacuousBoundWarning,
 )
 from wishart_dp.randmat import Seed
 
@@ -71,41 +67,6 @@ def test_min_alignment_empty():
     v = np.array([1.0, 0.0])
     with pytest.raises(DomainError):
         min_alignment([(v, np.array([math.nan, 0.0]))])
-
-
-def test_alignment_lower_bound_values():
-    assert alignment_lower_bound(0.0, 1.0, 7) == 1.0
-    assert alignment_lower_bound(1.0, 1.0, 4) == pytest.approx(0.5, abs=1e-15)
-    assert alignment_lower_bound(10.0, 0.1, 1) == -1.0
-    with pytest.raises(DomainError):
-        alignment_lower_bound(math.nan, 1.0, 3)
-
-
-def test_alignment_lower_bound_brute_force_neighbors():
-    # Mean of bounded vectors: swap one record at a time and compare the
-    # realized cosine of the normalized means against the bound.
-    rng = Seed(MASTER, 200).generator()
-    n, d, L = 50, 8, 1.0
-    offset = np.zeros(d)
-    offset[0] = 0.8  # keeps the mean norm away from zero
-    pts = rng.standard_normal((n, d))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts = 0.5 * pts + offset  # ||g(x)|| <= 1.3 <= L after rescale below
-    pts /= 1.3
-    offset_norm_floor = np.linalg.norm(pts.mean(axis=0)) - 2.0 / n
-    c0 = offset_norm_floor
-    bound = alignment_lower_bound(1.0, c0, n)
-    base_mean = pts.mean(axis=0)
-    worst = 1.0
-    for trial in range(10**4):
-        i = trial % n
-        repl = rng.standard_normal(d)
-        repl /= np.linalg.norm(repl)
-        repl = (0.5 * repl + offset) / 1.3
-        mean2 = base_mean + (repl - pts[i]) / n
-        cos = float(base_mean @ mean2) / (np.linalg.norm(base_mean) * np.linalg.norm(mean2))
-        worst = min(worst, cos)
-    assert worst >= bound
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +210,6 @@ def test_delta_M_bound_dominates_capture_tail(capture_samples_d100_r10):
         assert bound == pytest.approx(1 - stats.beta.cdf(alpha, 5, 45), rel=1e-10)
 
 
-def test_beta_tail_bound_values():
-    assert beta_tail_bound(0.9, 10**6) == 0.0 or beta_tail_bound(0.9, 10**6) < 1e-300
-    assert beta_tail_bound(0.5, 72) == 1.0  # 2 e^{-1/4} = 1.5576 clamps to 1
-    assert 2 * math.exp(-0.25) == pytest.approx(1.5576, abs=1e-4)
-
-
-def test_beta_tail_bound_dominates_exact_survival():
-    eta, r, d = 0.5, 2000, 10**6
-    alpha = (1 + eta) * r / d
-    exact = 1 - stats.beta.cdf(alpha, r / 2, (d - r) / 2)
-    assert beta_tail_bound(eta, r) >= exact
-
-
 # ---------------------------------------------------------------------------
 # small-r accountant
 # ---------------------------------------------------------------------------
@@ -316,6 +264,18 @@ def test_choose_alpha_lower_regime_error():
     assert str(math.ceil(chernoff)) in str(err.value)
 
 
+def test_choose_alpha_chernoff_guide_covers_the_exact_minimal_rank():
+    # The guide solves 2 s exp(-eta^2 r / 72) <= delta_Gauss / 2. That surrogate
+    # dominates the exact Beta tail, so the rank it names is never below the
+    # exact minimal rank r_bound.
+    with pytest.raises(RegimeError) as err:
+        choose_alpha(eps=1.0, mu=4.0, s=10**6, d=10**6, r=10, eta=0.5)
+    chernoff = math.ceil(72 / 0.25 * math.log(4 * 10**6 / gaussian_tradeoff(1.0, 4.0)))
+    assert f"Chernoff guide: r >= {chernoff}" in str(err.value)
+    assert err.value.r_bound is not None
+    assert 10 < err.value.r_bound <= chernoff
+
+
 def test_choose_alpha_upper_regime_error():
     # Large mu pins alpha0 near 0 while alpha = 1.5 r/d stays large.
     with pytest.raises(RegimeError) as err:
@@ -339,6 +299,14 @@ def test_max_gaussian_mu_is_the_largest_mu_within_delta(eps, log_delta):
     delta = 10.0**log_delta
     mu = max_gaussian_mu(eps, delta)
     assert gaussian_tradeoff(eps, mu) <= delta < gaussian_tradeoff(eps, mu * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("eps", [1e-155, 1e-200, 1e-300])
+def test_max_gaussian_mu_rejects_a_mu_below_the_normal_range(eps):
+    # the largest mu is about 2 eps^2: a subnormal at 1e-155, and 0 further down,
+    # where halving the bracket no longer moves it
+    with pytest.raises(DomainError, match="normal float range"):
+        max_gaussian_mu(eps, 0.5)
 
 
 def test_max_gaussian_mu_rejects_out_of_domain_input():
@@ -474,35 +442,3 @@ def test_compose_gaussian_against_loss_monte_carlo():
     se = math.sqrt(emp * (1 - emp) / L.size)
     composed = compose_gaussian_steps(sum(mus), len(mus), eps, 1e-6)
     assert composed == pytest.approx(emp + 2e-6, abs=2 * se + 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# JL distortion
-# ---------------------------------------------------------------------------
-
-
-def test_jl_clip_zeta_unit_case_is_vacuous():
-    with pytest.warns(VacuousBoundWarning):
-        z = jl_clip_zeta(1, 12, 2.0 / math.e)
-    assert z.zeta == pytest.approx(1.0, rel=1e-12)
-    assert z.vacuous
-
-
-def test_jl_clip_zeta_vanishes_with_rank():
-    z = jl_clip_zeta(10, 10**9, 0.01)
-    assert z.zeta < 1e-3
-    assert not z.vacuous
-
-
-def test_jl_norm_preservation_empirical():
-    d, r, delta_jl = 2000, 500, 0.01
-    zeta = jl_clip_zeta(1, r, delta_jl).zeta
-    rng = Seed(MASTER, 231).generator()
-    ok = 0
-    for _ in range(100):
-        x = rng.standard_normal(d)
-        x /= np.linalg.norm(x)
-        A = rng.standard_normal((r, d)) / math.sqrt(r)
-        ratio = float(np.sum((A @ x) ** 2))
-        ok += (1 - zeta) <= ratio <= (1 + zeta)
-    assert ok >= 99

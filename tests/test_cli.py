@@ -62,6 +62,21 @@ def test_choose_alpha_subcommand(capsys):
     assert payload["delta"] < payload["delta_gauss"]
 
 
+def test_choose_alpha_exits_3_when_alpha0_underflows():
+    # alpha0 needs the largest mu within delta_Gauss / 2 at eps = 1e-200, about
+    # 1e-400; a subprocess with a timeout turns a bisection that never ends into
+    # a failure
+    src = os.path.dirname(os.path.dirname(wishart_dp.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wishart_dp.cli", "choose-alpha", "--eps", "1e-200", "--mu", "4",
+         "--s", "1", "--d", "2048", "--r", "64", "--eta", "0.5"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "normal float range" in proc.stderr
+
+
 def test_account_large_r_subcommand(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -353,7 +368,7 @@ def test_train_divergent_run_exits_3_at_the_first_non_finite_loss(capsys, tmp_pa
 
 @pytest.mark.parametrize("eps_line, eps", [("", 1.0), ("eps_target = 2.0\ndelta_target = 1e-5\n", 2.0)])
 def test_train_noisy_proj_budget_columns(capsys, tmp_path, eps_line, eps):
-    # each step reports eps_target (1 without one) and noisy_proj_budget at that eps
+    # each step reports eps_target (1 without one) and the budget spent at that eps
     cfg_path = tmp_path / "train.cfg"
     cfg_path.write_text(
         "T = 6\neta = 0.1\nmechanism = noisy_proj\nsigma = 0.5\nclip = 1.0\nr = 4\n" + eps_line
@@ -365,13 +380,13 @@ def test_train_noisy_proj_budget_columns(capsys, tmp_path, eps_line, eps):
         "--classes", "3", "--seed", "5", "--out", str(out_csv),
     )
     assert code == 0
-    cfg = trainer.load_config(cfg_path)
+    spent = trainer.budget_spent(trainer.load_config(cfg_path), 16)
     rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
     assert len(rows) == 6
     for t, row in enumerate(rows, 1):
         assert int(row[0]) == t
         assert float(row[3]) == eps
-        assert float(row[4]) == trainer.noisy_proj_budget(cfg, t, eps, 16)
+        assert float(row[4]) == spent[t - 1][1]
     budget = json.loads(out)["budget"]
     assert budget == {"eps": eps, "delta": float(rows[-1][4])}
 

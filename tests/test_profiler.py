@@ -15,12 +15,10 @@ from wishart_dp.errors import DomainError, OutsideSupportError
 from scipy.special import stdtr
 
 from wishart_dp.profiler import (
-    RatioSample,
     _chunk_seeds,
     delta_support,
     log_density_mv,
     mc_privacy_profile,
-    privacy_loss,
     privacy_loss_array,
     ratio_from_point,
     sample_ratio_arrays,
@@ -28,6 +26,16 @@ from wishart_dp.profiler import (
 from wishart_dp.randmat import Seed, wishart_draw
 
 from conftest import MASTER
+
+
+def scalar_loss(A: float, B: float, d: int, r: int) -> float:
+    """Oracle: the loss at one (A, B) pair, by the textbook formula; +inf when A <= 0."""
+    if A <= 0.0:
+        return math.inf
+    if B == 0.0:
+        # the B term is 0, even where 1 / A overflows and 0 * inf would be NaN
+        return 0.5 * (d - r + 1) * math.log(A)
+    return 0.5 * (d - r + 1) * math.log(A) + 0.5 * B * (1.0 / A - 1.0)
 
 
 def test_ratio_stats_perfect_alignment():
@@ -58,10 +66,11 @@ def test_ratio_stats_against_direct_mechanism_simulation():
     vp[0] = rho
     vp[1] = math.sqrt(1 - rho * rho)
     base = Seed(MASTER, 303)
-    direct = np.empty(n)
+    pairs = np.empty((2, n))
     for i in range(n):
         y = wishart_draw(d, r, base.child(i)).M @ v
-        direct[i] = privacy_loss(ratio_from_point(y, v, vp, r), d, r)
+        pairs[:, i] = ratio_from_point(y, v, vp, r)
+    direct = privacy_loss_array(pairs[0], pairs[1], d, r)
     A, B = sample_ratio_arrays(rho, d, r, n, Seed(MASTER, 304))
     modeled = privacy_loss_array(A, B, d, r)
     assert stats.ks_2samp(direct, modeled).statistic < 0.02
@@ -73,14 +82,11 @@ def test_ratio_stats_rejects_small_d():
 
 
 def test_privacy_loss_identity_cases():
-    assert privacy_loss(RatioSample(1.0, 123.4), 40, 7) == 0.0
-    assert privacy_loss(RatioSample(2.0, 0.0), 10, 9) == pytest.approx(math.log(2.0), rel=1e-15)
-    assert privacy_loss(RatioSample(-0.5, 1.0), 10, 9) == math.inf
-    with pytest.raises(DomainError):
-        privacy_loss(RatioSample(math.nan, 1.0), 5, 2)
+    assert privacy_loss_array([1.0], [123.4], 40, 7)[0] == 0.0
+    assert privacy_loss_array([2.0], [0.0], 10, 9)[0] == pytest.approx(math.log(2.0), rel=1e-15)
     arr = privacy_loss_array(np.array([1.0, -0.5]), np.array([3.0, 1.0]), 10, 9)
     assert arr[0] == 0.0 and arr[1] == math.inf
-    # the array loss rejects what the scalar loss rejects, and mismatched shapes
+    # a NaN A, a non-finite B and mismatched shapes are rejected
     for bad_A, bad_B in (([0.5], [math.nan]), ([math.nan], [1.0]), ([0.5, 1.0], [1.0, math.inf]),
                          ([0.5], [-math.inf]), ([0.5, 1.0], [1.0])):
         with pytest.raises(DomainError):
@@ -98,7 +104,7 @@ def test_privacy_loss_array_matches_scalar_in_place_of_warnings():
         warnings.simplefilter("error")
         L = privacy_loss_array(A, B, 10, 3)
     assert np.array_equal(A, A0) and np.array_equal(B, B0)
-    expected = [privacy_loss(RatioSample(float(a), float(b)), 10, 3) for a, b in zip(A0, B0)]
+    expected = [scalar_loss(float(a), float(b), 10, 3) for a, b in zip(A0, B0)]
     assert np.array_equal(L, expected)
 
 
@@ -106,8 +112,8 @@ def test_privacy_loss_array_matches_scalar_in_place_of_warnings():
 def test_privacy_loss_at_subnormal_A_with_zero_B(A):
     # 1/A overflows to inf, but the B term is 0, so the loss is ((d - r + 1)/2) ln A
     want = 0.5 * (10 - 3 + 1) * math.log(A)
-    assert privacy_loss(RatioSample(A, 0.0), 10, 3) == want
-    assert privacy_loss(RatioSample(A, -0.0), 10, 3) == want
+    assert scalar_loss(A, 0.0, 10, 3) == want
+    assert scalar_loss(A, -0.0, 10, 3) == want
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         L = privacy_loss_array([A, A, 2.0], [0.0, -0.0, 0.0], 10, 3)
@@ -331,7 +337,7 @@ def test_log_density_matches_privacy_loss():
         y = rng.standard_normal(d)
         if v @ y <= 0 or vp @ y <= 0:
             continue
-        L = privacy_loss(ratio_from_point(y, v, vp, r), d, r)
+        L = float(privacy_loss_array(*ratio_from_point(y, v, vp, r), d, r))
         diff = log_density_mv(y, v, r, 1.0 / r) - log_density_mv(y, vp, r, 1.0 / r)
         assert diff == pytest.approx(L, abs=1e-9)
         checked += 1

@@ -25,13 +25,11 @@ from wishart_dp.trainer import (
     _clipped_mean_grad_B,
     _lora_fa_sigma,
     budget_spent,
-    clip_compare,
     dp_lora_fa,
     fit,
     load_config,
     make_logistic_task,
     make_ridge_task,
-    noisy_proj_budget,
     noisy_proj_step,
     rp_gd,
     train,
@@ -295,7 +293,7 @@ def test_noisy_proj_step_equals_m2_mechanism_bitwise():
     # the step is priced at sensitivity 2 * clip: mu_step = alpha (2 clip)^2 / sigma^2
     alpha = 1.5 * 6 / 12
     expected = compose_gaussian_steps(alpha * (2 * 0.7) ** 2 / 0.4**2, 1, 1.0, delta_M_bound(2, alpha, 6, 12))
-    assert noisy_proj_budget(cfg, 1, 1.0, 12) == pytest.approx(expected, rel=1e-12)
+    assert budget_spent(cfg, 12)[0][1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_noisy_proj_multi_step_budget():
@@ -307,7 +305,7 @@ def test_noisy_proj_multi_step_budget():
     mu_step = 0.1 * (2.0) ** 2 / 0.25
     delta_p = delta_M_bound(2, 0.1, 8, d)
     expected = compose_gaussian_steps(5 * mu_step, 5, 1.0, delta_p)
-    assert noisy_proj_budget(cfg, 5, 1.0, d) == pytest.approx(expected, rel=1e-12)
+    assert budget_spent(cfg, d)[4][1] == pytest.approx(expected, rel=1e-12)
 
 
 def _rp_cfg(eta, T, r, redraw):
@@ -360,35 +358,6 @@ def test_rp_gd_fixed_and_redrawn_share_first_step(ridge_task):
     assert not np.array_equal(fixed[-1][0], redrawn[-1][0])
 
 
-def test_clip_compare_collapses_at_large_rank():
-    res = clip_compare(10, 10**9, 0.01, 2.0)
-    assert res.interval_low == pytest.approx(2.0, rel=1e-3)
-    assert res.interval_high == pytest.approx(2.0, rel=1e-3)
-
-
-def test_clip_compare_worked_example():
-    res = clip_compare(10, 1200, 0.01, 1.0)
-    assert res.zeta == pytest.approx(math.sqrt(12 * math.log(2000) / 1200), rel=1e-12)
-    assert res.zeta == pytest.approx(0.2757, abs=2e-4)
-    assert res.interval_low == pytest.approx(1 / math.sqrt(1 + res.zeta), rel=1e-12)
-    assert res.interval_high == pytest.approx(1 / math.sqrt(1 - res.zeta), rel=1e-12)
-
-
-def test_clip_compare_empirical_containment():
-    # ||G A^T||_F / ||G||_F falls in [sqrt(1-zeta), sqrt(1+zeta)] w.h.p.
-    d, r, n_rows = 64, 256, 3
-    zeta = clip_compare(n_rows, r, 0.01, 1.0).zeta
-    rng = Seed(MASTER, 450).generator()
-    ok = 0
-    trials = 1000
-    for _ in range(trials):
-        G = rng.standard_normal((n_rows, d))
-        A = rng.standard_normal((r, d)) / math.sqrt(r)
-        ratio = np.linalg.norm(G @ A.T) / np.linalg.norm(G)
-        ok += math.sqrt(1 - zeta) <= ratio <= math.sqrt(1 + zeta)
-    assert ok >= 0.99 * trials
-
-
 def test_fit_dispatches_all_mechanisms():
     task = make_logistic_task(40, 8, 3, Seed(MASTER, 460))
     for mech, extra in (
@@ -401,7 +370,6 @@ def test_fit_dispatches_all_mechanisms():
         assert W.shape == (3, 8)
         assert np.all(np.isfinite(W))
         assert np.array_equal(W, fit(task, cfg, Seed(MASTER, 461)))
-
 
 
 @pytest.mark.parametrize("mech, extra", [
@@ -425,7 +393,7 @@ def test_noisy_proj_budget_rejects_underflowing_sigma():
     # sigma^2 underflows to 0 here; mu_step overflows to inf instead
     cfg = DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.NOISY_PROJ, sigma=1e-170, clip=1.0, r=4)
     with pytest.raises(DomainError):
-        noisy_proj_budget(cfg, 1, 1.0, 100)
+        budget_spent(cfg, 100)
 
 
 def test_config_validation():
@@ -436,6 +404,14 @@ def test_config_validation():
         DpTrainConfig(T=5, eta=0.1, eps_target=1.0)
     with pytest.raises(ConfigError):
         DpTrainConfig(T=5, eta=0.1, batch=0)
+    # bool is an int subclass, so batch=True would pass for a batch of 1
+    with pytest.raises(ConfigError):
+        DpTrainConfig(T=5, eta=0.1, batch=True)
+    for field, value in (("T", 2.5), ("T", 2.0), ("T", True), ("r", 2.5), ("sens_rank", True)):
+        with pytest.raises(ConfigError, match=field):
+            DpTrainConfig(**{"T": 5, "eta": 0.1, field: value})
+    with pytest.raises(DomainError):
+        DpTrainConfig(T=5, eta=0.1, sens_rank=0)
     # the noisy-projection step legitimately takes sigma plus a reporting eps
     DpTrainConfig(T=5, eta=0.1, sigma=0.5, eps_target=1.0, delta_target=1e-5,
                   clip=1.0, mechanism=Mechanism.NOISY_PROJ)
@@ -496,6 +472,46 @@ def test_task_kinds_and_example_loss():
     for reg in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="reg"):
             TrainTask(TaskKind.RIDGE, 2, 1, X=np.ones((3, 2)), y=[1.0, 1.0, 1.0], reg=reg)
+
+
+_X3 = np.ones((3, 2))
+
+
+@pytest.mark.parametrize(
+    "kind, X, y",
+    [
+        (TaskKind.LOGISTIC, _X3, [0, math.nan, 1]),  # a NaN label
+        (TaskKind.LOGISTIC, _X3, [0, 1.5, 1]),  # a label between two classes
+        (TaskKind.LOGISTIC, np.ones((0, 2)), []),  # no examples
+        (TaskKind.RIDGE, np.ones((0, 2)), []),
+        (TaskKind.RIDGE, np.ones((3, 4)), [1.0, 1.0, 1.0]),  # width is not n_features
+        (TaskKind.RIDGE, _X3, [1.0, 1.0]),  # fewer targets than rows
+        (TaskKind.RIDGE, _X3, [[1.0], [1.0], [1.0]]),  # a column of targets
+        (TaskKind.RIDGE, np.ones(2), [1.0]),  # a 1-D X
+    ],
+    ids=["nan-label", "fractional-label", "logistic-empty", "ridge-empty", "wrong-width",
+         "short-y", "column-y", "1d-X"],
+)
+def test_task_rejects_malformed_data(kind, X, y):
+    with pytest.raises(DomainError):
+        TrainTask(kind, 2, 3, X=X, y=y)
+
+
+def test_logistic_task_needs_a_class():
+    # labels are the argmax over n_classes scores, which has no value at 0 classes
+    with pytest.raises(DomainError):
+        make_logistic_task(10, 4, 0, Seed(MASTER, 473))
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(np.ones(6), -1), (np.ones(6), 4), (np.ones(6), 1.5), (np.ones(5), 0)],
+    ids=["negative-label", "label-past-last-class", "fractional-label", "wrong-width"],
+)
+def test_example_loss_rejects_malformed_probe(x, y):
+    t = make_logistic_task(30, 6, 4, Seed(MASTER, 470))
+    with pytest.raises(DomainError):
+        t.example_loss(np.zeros((4, 6)), x, y)
 
 
 def test_fit_rejects_a_divergent_run():
