@@ -7,11 +7,29 @@ block Xi with i.i.d. N(0, sigma_G^2) columns:
     M1(V) = M V + Xi          (noise added after projection)
     M2(V) = M (V + Xi)        (noise added before projection)
 
-Both take V as a d x n array (a d-vector is one column). Draw order under a
-single seed is fixed (Z first, then Xi, from one generator) so that callers
-which replay the same seed reconstruct both blocks bit for bit. M is applied
-as Z (Z^T .), never formed as a d x d matrix. Clipping, when requested,
-rescales V to Frobenius norm at most clip_beta before anything is sampled.
+Both take V as a d x n array (a d-vector is one column). Clipping, when
+requested, rescales V to Frobenius norm at most clip_beta before anything is
+sampled. noisy_mech is the one sampling kernel, which the noisy-projection
+training step calls too. It samples M U, with U = V + Xi for M2 and U = V for
+M1, along one of two paths chosen from (d, r, n) alone:
+
+* direct: Z (d x r), then Xi, from one generator; M U = Z (Z^T U). This
+  draws d (r + n) normals.
+* sketch: Xi, then G (n x r, entries N(0, 1/r)), then N (d x n, standard
+  normal); n (2 d + r) normals. With U = Q R a Householder QR, M U =
+  Z (Z^T Q) R. Gaussian matrices are rotation invariant (Muirhead 1982), so
+  G has the law of Q^T Z, and Z G^T = Q W + (I - Q Q^T) Z G^T with W = G G^T,
+  where (I - Q Q^T) Z is independent of G. Given G, the rows of Z G^T and of
+  H = N chol(W / r)^T are i.i.d. N(0, W / r), so
+  M U = (Q (W - Q^T H) + H) R has the direct path's law. Householder QR
+  stays exact for a rank-deficient U (M1), where a Cholesky of U^T U would
+  square U's condition number.
+
+The sketch is taken when it saves more than SKETCH_OVERHEAD normals,
+d r - n (d + r) > SKETCH_OVERHEAD, which needs n < min(d, r); a given draw
+always takes the direct path. Only the direct path draws Z, so a caller can
+rebuild M from the seed there and nowhere else. M is never formed as a d x d
+matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +42,15 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, PreconditionError
 from .randmat import Seed, WishartDraw, wishart_factor
+
+
+# Normals' worth of time that the sketch's extra linear algebra costs: the
+# Householder QR of the d x n input, the n x n Cholesky and three small
+# products. Fitted to one M2 draw at d = 128, n = 10 on a 2-vCPU x86 host,
+# where a normal costs about 15 ns and the paths break even between r = 32
+# (2496 normals saved) and r = 36 (2968). The cost grows with d n: at
+# n = 1 the break-even is nearer 1700 normals, at d = 256, n = 10 nearer 3700.
+SKETCH_OVERHEAD = 2500
 
 
 class Variant(enum.Enum):
@@ -88,13 +115,16 @@ def project(V, draw: WishartDraw) -> np.ndarray:
 
 
 def noisy_mech(
-    V, params: NoisyMechParams, seed: Seed, draw: WishartDraw | None = None
+    V, params: NoisyMechParams, seed: Seed, draw: WishartDraw | None = None,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Apply the configured variant; Z then Xi are drawn from the seed in that order.
+    """Apply the configured variant, sampling from seed's stream (see the module docstring).
 
-    Passing a pre-drawn ``draw`` fixes M and uses the seed for Xi only. The
-    noisy-projection training step applies M2 to V = G^T, the transposed
-    weight gradient, with clip_beta set to its clipping threshold.
+    Passing a pre-drawn ``draw`` fixes M and uses the seed for Xi only. A
+    given ``rng``, a generator of any seed, is reset to seed's stream
+    (Seed.reset) and drawn from in place of a new generator, with the same
+    draws. The noisy-projection training step applies M2 to V = G^T, the
+    transposed weight gradient, with clip_beta set to its clipping threshold.
     """
     V = _as_matrix(V)
     if params.clip_beta is not None:
@@ -102,17 +132,25 @@ def noisy_mech(
     else:
         _check_finite(V)
     d, n = V.shape
-    rng = seed.generator()
-    if draw is None:
-        Z = wishart_factor(rng, d, params.r)
-    elif draw.Z.shape[0] != d:
-        raise DomainError(f"dimension mismatch: draw has d={draw.Z.shape[0]}, input has d={d}")
-    else:
-        Z = draw.Z
+    r, m1 = params.r, params.variant is Variant.M1
+    Z = None if draw is None else draw.Z
+    if Z is not None and Z.shape[0] != d:
+        raise DomainError(f"dimension mismatch: draw has d={Z.shape[0]}, input has d={d}")
+    rng = seed.generator() if rng is None else seed.reset(rng)
+    # an empty query has nothing to sketch; any other that saves normals has n < r
+    if Z is None and (n == 0 or d * r - n * (d + r) <= SKETCH_OVERHEAD):
+        Z = wishart_factor(rng, d, r)
     xi = rng.standard_normal((d, n)) * params.sigma_G
-    if params.variant is Variant.M1:
-        return Z @ (Z.T @ V) + xi
-    return Z @ (Z.T @ (V + xi))
+    U = V if m1 else V + xi
+    if Z is not None:
+        out = Z @ (Z.T @ U)
+    else:
+        G = wishart_factor(rng, n, r)
+        W = G @ G.T
+        H = rng.standard_normal((d, n)) @ np.linalg.cholesky(W / r).T
+        Q, R = np.linalg.qr(U)
+        out = (Q @ (W - Q.T @ H) + H) @ R
+    return out + xi if m1 else out
 
 
 def gaussian_mech(v: np.ndarray, sigma: float, seed: Seed) -> np.ndarray:

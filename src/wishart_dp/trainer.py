@@ -8,7 +8,8 @@ Mechanisms:
 * DP_LORA_FA: the same loop with per-example clipping of the B-gradient plus
   Gaussian noise;
 * NOISY_PROJ: update the weights W <- W - eta (M (clip(G)^T + Xi))^T with a
-  fresh M = Z Z^T every step;
+  fresh M = Z Z^T every step, sampled by mechanisms.noisy_mech, through its
+  n-column sketch where that draws fewer normals (see mechanisms);
 * RP_GD: vector-query projected gradient descent w <- w - eta M grad.
 
 The two private mechanisms share one accountant. Each step is a Gaussian
@@ -16,7 +17,8 @@ mechanism of mu_step = alpha (2 clip / sigma)^2 that fails to capture with
 probability delta_p (DP-LoRA: alpha = 1, delta_p = 0), and Gaussian steps
 compose exactly by adding mu (Dong, Roth & Su 2019, arXiv:1905.02383): t steps
 spend delta = T(eps; t mu_step) + t delta_p at eps = eps_target. eps_target
-and delta_target cover the whole run, and DP-LoRA calibrates its sigma to them.
+and delta_target cover the whole run, and DP-LoRA calibrates its sigma to
+them once per config, shared by the run's loop and its pricing.
 
 train(task, cfg, seed) is the one entry point: it draws the steps from
 seed.child(1), dispatches on the mechanism and yields each step's weights
@@ -31,8 +33,10 @@ clip = inf case, so the two share one gradient code path. That path clips with
 ghost norms: for a linear model an example's B-gradient is an outer product
 whose norm is a product of two vector norms (Goodfellow 2015,
 arXiv:1510.01799; Li et al. 2022, arXiv:2110.05679), so no per-example
-gradient is materialized. A step builds a random generator only when it
-draws from it.
+gradient is materialized. A run whose steps draw builds one generator and
+resets it to each step's stream (Seed.reset), which draws what a generator
+built per step would, for less. A run without draws builds none. A config
+builds its noisy-projection NoisyMechParams once, not once per step.
 Budgets never claim amplification by subsampling: with Poisson batches the
 reported budget is the unamplified one.
 """
@@ -40,6 +44,7 @@ reported budget is the unamplified one.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from collections.abc import Iterator
@@ -249,8 +254,8 @@ class DpTrainConfig:
                 raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.T < 1:
             raise DomainError(f"T must be >= 1, got {self.T}")
-        if not math.isfinite(self.eta):
-            raise ConfigError(f"eta must be finite, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ConfigError(f"eta must be finite and > 0, got {self.eta}")
         if self.sigma is not None and not 0.0 <= self.sigma < math.inf:
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.eps_target is not None and not math.isfinite(self.eps_target):
@@ -280,6 +285,16 @@ class DpTrainConfig:
             raise DomainError(f"eps_target must be > 0, got {self.eps_target}")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
+
+    @functools.cached_property
+    def _lora_sigma(self) -> float:
+        """_lora_fa_sigma(self), once per config: a run's loop and its pricing share one calibration."""
+        return _lora_fa_sigma(self)
+
+    @functools.cached_property
+    def _m2_params(self) -> NoisyMechParams:
+        """The noisy-projection step's M2 mechanism: noise sigma, clip_beta clip."""
+        return NoisyMechParams(variant=Variant.M2, r=self.r, sigma_G=self.sigma, clip_beta=self.clip)
 
 
 def _batch_indices(task: TrainTask, cfg: DpTrainConfig, rng: np.random.Generator | None):
@@ -351,17 +366,19 @@ def dp_lora_fa(
     if cfg.mechanism is Mechanism.NOISE_FREE_LORA:
         sigma, clip = 0.0, math.inf
     elif cfg.mechanism is Mechanism.DP_LORA_FA:
-        sigma, clip = _lora_fa_sigma(cfg), cfg.clip
+        sigma, clip = cfg._lora_sigma, cfg.clip
     else:
         raise ConfigError(f"dp_lora_fa called with mechanism {cfg.mechanism}")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != task.n_features:
         raise DomainError(f"A must have shape (r, {task.n_features}), got {A.shape}")
-    draws = sigma > 0.0 or cfg.batch != FULL_BATCH
+    # one generator per run, reset to step t's stream seed.child(t)
+    rng = seed.generator() if sigma > 0.0 or cfg.batch != FULL_BATCH else None
     B = np.zeros((task.n_out, A.shape[0]))
     W = B @ A
     for t in range(cfg.T):
-        rng = seed.child(t).generator() if draws else None
+        if rng is not None:
+            seed.child(t).reset(rng)
         idx, divisor = _batch_indices(task, cfg, rng)
         ghat = _clipped_mean_grad_B(task, W, A, idx, clip, divisor)
         if task.reg:
@@ -374,19 +391,26 @@ def dp_lora_fa(
         yield W, ghat
 
 
-def noisy_proj_step(task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:
+def noisy_proj_step(
+    task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seed: Seed,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
     """One clipped noisy-projection step: the next weights W - eta (M (clip(G)^T + Xi))^T.
 
-    The M2 mechanism draws the fresh factor of M = Z Z^T and the noise Xi
-    from seed.child(0); a Poisson batch draws from seed itself. budget_spent
-    prices the steps of a run.
+    The M2 mechanism draws the fresh M = Z Z^T and the noise Xi from
+    seed.child(0); a Poisson batch draws from seed itself. A given rng, a
+    generator of any seed, is reset to those streams instead of building new
+    generators, with the same draws. budget_spent prices the steps of a run.
     """
     if cfg.mechanism is not Mechanism.NOISY_PROJ:
         raise ConfigError(f"noisy_proj_step called with mechanism {cfg.mechanism}")
-    idx, _ = _batch_indices(task, cfg, None if cfg.batch == FULL_BATCH else seed.generator())
+    if cfg.batch == FULL_BATCH:
+        batch_rng = None
+    else:
+        batch_rng = seed.generator() if rng is None else seed.reset(rng)
+    idx, _ = _batch_indices(task, cfg, batch_rng)
     G = task.grad_W(W, idx)
-    params = NoisyMechParams(variant=Variant.M2, r=cfg.r, sigma_G=cfg.sigma, clip_beta=cfg.clip)
-    return W - cfg.eta * mechanisms.noisy_mech(G.T, params, seed.child(0)).T
+    return W - cfg.eta * mechanisms.noisy_mech(G.T, cfg._m2_params, seed.child(0), rng=rng).T
 
 
 def _step_price(cfg: DpTrainConfig, d: int) -> tuple[float, float] | None:
@@ -397,7 +421,7 @@ def _step_price(cfg: DpTrainConfig, d: int) -> tuple[float, float] | None:
     with probability delta_p. DP-LoRA captures everything: alpha = 1, delta_p = 0.
     """
     if cfg.mechanism is Mechanism.DP_LORA_FA:
-        alpha, sigma, delta_p = 1.0, _lora_fa_sigma(cfg), 0.0
+        alpha, sigma, delta_p = 1.0, cfg._lora_sigma, 0.0
     elif cfg.mechanism is Mechanism.NOISY_PROJ:
         alpha = cfg.alpha if cfg.alpha is not None else min(1.0, 1.5 * cfg.r / d)
         sigma = cfg.sigma
@@ -472,8 +496,9 @@ def train(
         return
     if cfg.mechanism is Mechanism.NOISY_PROJ:
         W, step_seed = np.zeros((task.n_out, task.n_features)), seed.child(1)
+        rng = step_seed.generator()
         for t in range(cfg.T):
-            W = noisy_proj_step(task, W, cfg, step_seed.child(t))
+            W = noisy_proj_step(task, W, cfg, step_seed.child(t), rng)
             yield W, None
         return
     A = wishart_draw(task.n_features, cfg.r, seed.child(0)).Z.T

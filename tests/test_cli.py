@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wishart_dp
-from wishart_dp import cli, specialfn, trainer
+from wishart_dp import accountants, cli, specialfn, trainer
 from wishart_dp.accountants import account_small_r, gaussian_tradeoff
 from wishart_dp.randmat import Seed
 
@@ -252,6 +252,28 @@ def test_train_subcommand(capsys, tmp_path):
     assert len(lines) == 21
 
 
+def test_train_calibrates_dp_lora_sigma_once_per_run(capsys, tmp_path, monkeypatch):
+    # the README config: the loop and the per-step pricing share one calibration
+    calibrate = accountants.max_gaussian_mu
+    calls = []
+
+    def counted(eps, delta):
+        calls.append((eps, delta))
+        return calibrate(eps, delta)
+
+    monkeypatch.setattr(accountants, "max_gaussian_mu", counted)
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text(
+        "T = 50\neta = 0.1\nmechanism = dp_lora_fa\neps_target = 8.0\ndelta_target = 1e-5\n"
+        "clip = 2.0\nr = 8\n"
+    )
+    code, _, _ = run_cli(
+        capsys, "train", "--task", "ridge", "--n", "200", "--d", "32", "--config", str(cfg_path), "--seed", "1"
+    )
+    assert code == 0
+    assert calls == [(8.0, 1e-5)]
+
+
 def test_train_missing_config_exits_3(capsys, tmp_path):
     cfg_path = tmp_path / "nonexistent.cfg"
     code, out, err = run_cli(
@@ -327,12 +349,14 @@ def test_train_noisy_proj_without_sigma_exits_3(capsys, tmp_path):
         ("eta = 0.1\nsigma = -0.5\n", "sigma"),
         ("eta = nan\nsigma = 0.1\n", "eta"),
         ("eta = inf\nsigma = 0.1\n", "eta"),
+        ("eta = 0\nsigma = 0.1\n", "eta"),
+        ("eta = -0.1\nsigma = 0.1\n", "eta"),
         ("eta = 0.1\nsigma = 0.1\ndelta_target = 0\n", "delta_target"),
         ("eta = 0.1\nsigma = 0.1\ndelta_target = 1.5\n", "delta_target"),
         ("eta = 0.1\nsigma = 0.1\ndelta_target = nan\n", "delta_target"),
         ("eta = 0.1\neps_target = inf\ndelta_target = 1e-5\n", "eps_target"),
     ],
-    ids=["sigma_nan", "sigma_inf", "sigma_negative", "eta_nan", "eta_inf",
+    ids=["sigma_nan", "sigma_inf", "sigma_negative", "eta_nan", "eta_inf", "eta_zero", "eta_negative",
          "delta_zero", "delta_above_one", "delta_nan", "eps_inf"],
 )
 def test_train_non_finite_or_out_of_range_config_exits_3(capsys, tmp_path, bad_lines, field):

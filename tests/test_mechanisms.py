@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from wishart_dp import mechanisms
 from wishart_dp.errors import ConfigError, DomainError, PreconditionError
 from wishart_dp.mechanisms import (
+    SKETCH_OVERHEAD,
     NoisyMechParams,
     Variant,
     amplification_gain,
@@ -130,6 +132,110 @@ def test_noisy_mech_m1_marginal_mean():
     for i in range(n):
         acc += noisy_mech(V, params, base.child(i))
     assert np.abs(acc / n - V).max() < 0.05 * np.abs(V).max()
+
+
+def _z_then_xi(V, params, rng, Z=None):
+    """The direct path, rebuilt here: Z (unless given), then Xi, from rng."""
+    d, n = V.shape
+    if Z is None:
+        Z = rng.standard_normal((d, params.r)) * math.sqrt(1.0 / params.r)
+    xi = rng.standard_normal((d, n)) * params.sigma_G
+    if params.variant is Variant.M1:
+        return Z @ (Z.T @ V) + xi
+    return Z @ (Z.T @ (V + xi))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_noisy_mech_direct_path_is_z_then_xi(variant):
+    # mia's r = 16 shape saves 608 normals through the sketch, below the crossover
+    d, r, n = 128, 16, 10
+    assert d * r - n * (d + r) <= SKETCH_OVERHEAD
+    V = Seed(MASTER, 140).generator().standard_normal((d, n))
+    params = NoisyMechParams(variant=variant, r=r, sigma_G=0.5)
+    seed = Seed(MASTER, 141)
+    expect = _z_then_xi(V, params, seed.generator())
+    assert np.array_equal(noisy_mech(V, params, seed), expect)
+    # a reused generator is reset to the seed's stream, whatever it drew before
+    rng = Seed(1).generator()
+    rng.standard_normal(3)
+    assert np.array_equal(noisy_mech(V, params, seed, rng=rng), expect)
+    # a given draw fixes Z at any shape, the sketch's included; the seed draws Xi alone
+    params = NoisyMechParams(variant=variant, r=64, sigma_G=0.5)
+    draw = wishart_draw(d, 64, Seed(MASTER, 142))
+    expect = _z_then_xi(V, params, seed.generator(), Z=draw.Z)
+    assert np.array_equal(noisy_mech(V, params, seed, draw=draw), expect)
+
+
+def test_noisy_mech_sketch_draws_xi_first():
+    # at mia's r = 64 shape the rule picks the sketch, whose first draw is Xi:
+    # M1 of V = 0 releases Xi itself (R = 0 in the QR of V)
+    d, r, n = 128, 64, 10
+    assert d * r - n * (d + r) > SKETCH_OVERHEAD
+    params = NoisyMechParams(variant=Variant.M1, r=r, sigma_G=0.5)
+    seed = Seed(MASTER, 143)
+    xi = seed.generator().standard_normal((d, n)) * 0.5
+    assert np.array_equal(noisy_mech(np.zeros((d, n)), params, seed), xi)
+    assert np.array_equal(noisy_mech(np.zeros((d, n)), params, seed, rng=Seed(1).generator()), xi)
+    # an empty query takes the direct path and releases an empty array
+    assert noisy_mech(np.zeros((d, 0)), params, seed).shape == (d, 0)
+
+
+def test_noisy_mech_sketch_rank_deficient_m1():
+    # Householder QR factors a rank-1 V exactly: a zero column releases its Xi
+    # column, and two equal columns project identically
+    d, r = 128, 64
+    v = Seed(MASTER, 144).generator().standard_normal(d)
+    V = np.stack([v, v, np.zeros(d)], axis=1)
+    assert d * r - 3 * (d + r) > SKETCH_OVERHEAD
+    params = NoisyMechParams(variant=Variant.M1, r=r, sigma_G=0.5)
+    seed = Seed(MASTER, 145)
+    out = noisy_mech(V, params, seed)
+    xi = seed.generator().standard_normal((d, 3)) * 0.5
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out[:, 2], xi[:, 2])
+    proj = out - xi
+    assert np.abs(proj[:, 0] - proj[:, 1]).max() <= 1e-12 * np.abs(proj).max()
+    # E[M v] = v, so the projection is not degenerate
+    assert 0.5 < np.linalg.norm(proj[:, 0]) / np.linalg.norm(v) < 2.0
+
+
+def _max_moment_z(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |z| between samples a and b (draws in rows) over all first and second moments."""
+
+    def moments(x):
+        i, j = np.triu_indices(x.shape[1])
+        f = np.hstack([x, x[:, i] * x[:, j]])
+        return f.mean(axis=0), f.var(axis=0, ddof=1) / len(f)
+
+    (ma, va), (mb, vb) = moments(a), moments(b)
+    return float(np.max(np.abs(ma - mb) / np.sqrt(va + vb)))
+
+
+@pytest.mark.parametrize(
+    "variant, columns",
+    [(Variant.M2, "generic"), (Variant.M1, "rank_1")],
+)
+def test_noisy_mech_sketch_matches_direct_law(monkeypatch, variant, columns):
+    # Lower the crossover so that the rule picks the sketch at a shape small
+    # enough to compare all 171 second moments of the 6 x 3 output with the
+    # direct path's, drawn here in one batch.
+    monkeypatch.setattr(mechanisms, "SKETCH_OVERHEAD", -1)
+    d, r, n, draws = 6, 12, 3, 40_000
+    V = Seed(MASTER, 146).generator().standard_normal((d, n))
+    if columns == "rank_1":
+        V[:, 1] = V[:, 0]
+        V[:, 2] = 0.0
+    params = NoisyMechParams(variant=variant, r=r, sigma_G=0.7)
+    base, rng = Seed(MASTER, 147), Seed(1).generator()
+    sketch = np.stack([noisy_mech(V, params, base.child(i), rng=rng).ravel() for i in range(draws)])
+    ref = Seed(MASTER, 148).generator()
+    Z = ref.standard_normal((draws, d, r)) * math.sqrt(1.0 / r)
+    xi = ref.standard_normal((draws, d, n)) * 0.7
+    U = V + xi if variant is Variant.M2 else V
+    direct = Z @ (Z.transpose(0, 2, 1) @ U)
+    if variant is Variant.M1:
+        direct = direct + xi
+    assert _max_moment_z(sketch, direct.reshape(draws, -1)) < 4.5
 
 
 def test_gaussian_mech_vanishing_noise():

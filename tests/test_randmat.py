@@ -30,6 +30,21 @@ def test_seed_determinism_bitwise():
     assert np.array_equal(wishart_draw(2, 2, Seed(MASTER, 1)).Z, a)
 
 
+def test_seed_reset_replays_a_fresh_generator():
+    # one generator, reset to each seed in turn, draws what seed.generator() draws
+    rng = Seed(MASTER, 3).generator()
+    seeds = (Seed(0), Seed(MASTER, 4), Seed(MASTER, 5).child(7), Seed((1 << 64) - 1, (1 << 64) - 1))
+    for seed in seeds:
+        # leave the generator mid-buffer: a half-used 64-bit word and a part-used Philox block
+        rng.integers(0, 10, 3)
+        rng.standard_normal(5)
+        assert seed.reset(rng) is rng
+        fresh = seed.generator()
+        assert np.array_equal(rng.integers(0, 10, 5), fresh.integers(0, 10, 5))
+        assert np.array_equal(rng.standard_normal(33), fresh.standard_normal(33))
+        assert np.array_equal(rng.random(7), fresh.random(7))
+
+
 def test_seed_children_are_distinct():
     s = Seed(MASTER, 5)
     streams = {s.child(i).stream for i in range(1000)}

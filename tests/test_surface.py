@@ -78,6 +78,7 @@ SURFACE = {
     "randmat.Seed": "library",
     "randmat.Seed.child": "library",
     "randmat.Seed.generator": "library",
+    "randmat.Seed.reset": "library",
     "randmat.WishartDraw": "library",
     "randmat.WishartDraw.nonzero_eigenvalues": "library",
     "randmat.capture_fraction": "paper",  # the captured share alpha of the small-rank bound

@@ -22,6 +22,7 @@ from wishart_dp.trainer import (
     Mechanism,
     TaskKind,
     TrainTask,
+    _batch_indices,
     _clipped_mean_grad_B,
     _lora_fa_sigma,
     budget_spent,
@@ -276,21 +277,35 @@ def test_noisy_proj_step_zero_clip_limit():
 
 
 def test_noisy_proj_step_equals_m2_mechanism_bitwise():
-    task = make_ridge_task(40, 12, Seed(MASTER, 436))
-    W = Seed(MASTER, 437).generator().standard_normal((1, 12))
-    cfg = DpTrainConfig(
-        T=1, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.4, clip=0.7, r=6,
-        eps_target=None, delta_target=None,
-    )
-    step_seed = Seed(MASTER, 438)
-    W2 = noisy_proj_step(task, W, cfg, step_seed)
-    G = task.grad_W(W)
-    params = mechanisms.NoisyMechParams(
-        variant=mechanisms.Variant.M2, r=6, sigma_G=0.4, clip_beta=0.7
-    )
-    out = mechanisms.noisy_mech(G.T, params, step_seed.child(0))
-    assert np.array_equal(W2, W - 0.3 * out.T)
+    # d = 12, r = 6 samples the direct path and d = 128, r = 64 the sketch; a
+    # Poisson batch draws from the step's seed before the mechanism resets it
+    for d, r, batch in [(12, 6, FULL_BATCH), (128, 64, FULL_BATCH), (12, 6, 10)]:
+        task = make_ridge_task(40, d, Seed(MASTER, 436))
+        cfg = DpTrainConfig(
+            T=2, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.4, clip=0.7, r=r, batch=batch,
+            eps_target=None, delta_target=None,
+        )
+        params = mechanisms.NoisyMechParams(
+            variant=mechanisms.Variant.M2, r=r, sigma_G=0.4, clip_beta=0.7
+        )
+
+        def m2_step(W, seed):
+            idx, _ = _batch_indices(task, cfg, seed.generator())
+            return W - 0.3 * mechanisms.noisy_mech(task.grad_W(W, idx).T, params, seed.child(0)).T
+
+        W = Seed(MASTER, 437).generator().standard_normal((1, d))
+        step_seed = Seed(MASTER, 438)
+        expect = m2_step(W, step_seed)
+        assert np.array_equal(noisy_proj_step(task, W, cfg, step_seed), expect)
+        # a reused generator is reset to the step's streams, whatever its own
+        assert np.array_equal(noisy_proj_step(task, W, cfg, step_seed, Seed(1).generator()), expect)
+        # train runs the same step from W = 0, step t drawing from seed.child(1).child(t)
+        run_seed = Seed(MASTER, 439)
+        (W1, _), (W2, _) = train(task, cfg, run_seed)
+        assert np.array_equal(W1, m2_step(np.zeros((1, d)), run_seed.child(1).child(0)))
+        assert np.array_equal(W2, m2_step(W1, run_seed.child(1).child(1)))
     # the step is priced at sensitivity 2 * clip: mu_step = alpha (2 clip)^2 / sigma^2
+    cfg = DpTrainConfig(T=1, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.4, clip=0.7, r=6)
     alpha = 1.5 * 6 / 12
     expected = compose_gaussian_steps(alpha * (2 * 0.7) ** 2 / 0.4**2, 1, 1.0, delta_M_bound(2, alpha, 6, 12))
     assert budget_spent(cfg, 12)[0][1] == pytest.approx(expected, rel=1e-12)
@@ -415,6 +430,17 @@ def test_config_validation():
     # the noisy-projection step legitimately takes sigma plus a reporting eps
     DpTrainConfig(T=5, eta=0.1, sigma=0.5, eps_target=1.0, delta_target=1e-5,
                   clip=1.0, mechanism=Mechanism.NOISY_PROJ)
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.1, -math.inf])
+def test_config_rejects_non_positive_eta(tmp_path, eta):
+    # a step of eta <= 0 climbs the loss under every mechanism
+    with pytest.raises(ConfigError, match="eta"):
+        DpTrainConfig(T=3, eta=eta, mechanism=Mechanism.RP_GD)
+    path = tmp_path / "train.cfg"
+    path.write_text(f"T = 3\neta = {eta}\nmechanism = rp_gd\n")
+    with pytest.raises(ConfigError, match="eta"):
+        load_config(path)
 
 
 def test_load_config_roundtrip(tmp_path):
