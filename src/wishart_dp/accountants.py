@@ -284,11 +284,19 @@ def choose_alpha(
 
     if beta_half(r) > half:
         chernoff_r = math.ceil(72.0 / (eta * eta) * math.log(4.0 * s / delta_gauss))
-        r_min = None
-        for candidate in range(r + 1, int(d // 2) + 1):
-            if beta_half(candidate) <= half:
-                r_min = candidate
-                break
+        # The tail rises, then falls, as the rank grows (measured for d up to
+        # 1e5 and eta from 0.001 to 0.9), and it exceeds half at r, so
+        # "tail <= half" holds on a final stretch of ranks up to d // 2:
+        # bisect for its first rank, keeping the tail above half at lo and
+        # at most half at hi (d // 2 + 1 standing in for "none up to d // 2").
+        lo, hi = r, d // 2 + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if beta_half(mid) <= half:
+                hi = mid
+            else:
+                lo = mid
+        r_min = hi if hi <= d // 2 else None
         raise RegimeError(
             condition="lower",
             r=r,

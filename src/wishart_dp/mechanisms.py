@@ -8,13 +8,19 @@ block Xi with i.i.d. N(0, sigma_G^2) columns:
     M2(V) = M (V + Xi)        (noise added before projection)
 
 Both take V as a d x n array (a d-vector is one column). Clipping, when
-requested, rescales V to Frobenius norm at most clip_beta before anything is
-sampled. noisy_mech is the one sampling kernel, which the noisy-projection
-training step calls too. It samples M U, with U = V + Xi for M2 and U = V for
-M1, along one of two paths chosen from (d, r, n) alone:
+requested, rescales V to Frobenius norm at most clip_beta before the release.
+A draw has two parts. The first does not depend on V: the normals, drawn from
+the seed's stream, and what is factored from them alone. The second, the
+release, is computed from V. A NoiseBlock holds the first part for a block of
+seeds, one per training step, factored in batched calls, so that a training
+loop pays per step only for the release; noisy_mech is the block of one.
+numpy factors and multiplies a stack one matrix at a time, so a seed's draw
+does not depend on the block it is drawn in, bit for bit.
 
-* direct: Z (d x r), then Xi, from one generator; M U = Z (Z^T U). This
-  draws d (r + n) normals.
+There are three exact paths for M U, with U = V + Xi for M2 and U = V for M1;
+each draws in the order listed:
+
+* direct: Z (d x r), then Xi; M U = Z (Z^T U). d (r + n) normals.
 * sketch: Xi, then G (n x r, entries N(0, 1/r)), then N (d x n, standard
   normal); n (2 d + r) normals. With U = Q R a Householder QR, M U =
   Z (Z^T Q) R. Gaussian matrices are rotation invariant (Muirhead 1982), so
@@ -24,12 +30,21 @@ M1, along one of two paths chosen from (d, r, n) alone:
   M U = (Q (W - Q^T H) + H) R has the direct path's law. Householder QR
   stays exact for a rank-deficient U (M1), where a Cholesky of U^T U would
   square U's condition number.
+* fold, M2 only: Z (d x r), then E (r x n, standard normal); r (d + n)
+  normals. Given Z, the columns of Z^T Xi are i.i.d. N(0, sigma_G^2 Z^T Z),
+  the law of the columns of sigma_G L E with L = chol(Z^T Z), so
+  M2(V) = Z (Z^T V + sigma_G L E) has the direct path's law.
 
-The sketch is taken when it saves more than SKETCH_OVERHEAD normals,
-d r - n (d + r) > SKETCH_OVERHEAD, which needs n < min(d, r); a given draw
-always takes the direct path. Only the direct path draws Z, so a caller can
-rebuild M from the seed there and nowhere else. M is never formed as a d x d
-matrix.
+The path depends on (variant, d, r, n) alone. Each path is charged its
+normals, the sketch SKETCH_OVERHEAD more and the fold FOLD_OVERHEAD more for
+their linear algebra, and the cheapest is taken; a tie goes to the first of
+direct, sketch, fold. The fold needs 2 r <= d, where Z^T Z is well
+conditioned. An empty query and a given draw take the direct path. Only the
+direct and fold paths draw Z, so a caller can rebuild M from the seed there
+and nowhere else. M is never formed as a d x d matrix. Where LAPACK rejects a
+Cholesky factor as not positive definite, a symmetric square root from eigh,
+a factor of the same product, takes its place, so no LinAlgError reaches a
+caller.
 """
 
 from __future__ import annotations
@@ -41,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, PreconditionError
-from .randmat import Seed, WishartDraw, wishart_factor
+from .randmat import Seed, WishartDraw
 
 
 # Normals' worth of time that the sketch's extra linear algebra costs: the
@@ -51,6 +66,13 @@ from .randmat import Seed, WishartDraw, wishart_factor
 # (2496 normals saved) and r = 36 (2968). The cost grows with d n: at
 # n = 1 the break-even is nearer 1700 normals, at d = 256, n = 10 nearer 3700.
 SKETCH_OVERHEAD = 2500
+# The same for the fold: Z^T Z, its r x r Cholesky and L E, batched over a
+# block of 16 steps. It grows with r: at d = 128, n = 10 on the same host,
+# about 300 normals at r = 16 and 700 at r = 32, where the fold, the sketch
+# and the direct path break even; at r = 64 it is near 2700.
+FOLD_OVERHEAD = 700
+
+DIRECT, SKETCH, FOLD = "direct", "sketch", "fold"
 
 
 class Variant(enum.Enum):
@@ -95,7 +117,8 @@ def clip_frobenius(X: np.ndarray, beta: float) -> np.ndarray:
     """Rescale X to Frobenius norm at most beta: X * min(1, beta / ||X||_F)."""
     if not beta > 0.0:
         raise DomainError(f"clipping threshold must be > 0, got {beta}")
-    norm = float(np.linalg.norm(X))
+    flat = np.asarray(X, dtype=float).ravel(order="K")
+    norm = math.sqrt(flat.dot(flat))  # np.linalg.norm(X), bit for bit, with less overhead
     if not math.isfinite(norm):
         raise DomainError(f"cannot clip a matrix of Frobenius norm {norm}")
     if norm <= beta:
@@ -114,43 +137,121 @@ def project(V, draw: WishartDraw) -> np.ndarray:
     return draw.M @ V
 
 
-def noisy_mech(
-    V, params: NoisyMechParams, seed: Seed, draw: WishartDraw | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def _path(variant: Variant, d: int, r: int, n: int) -> str:
+    """The path of a draw without a given Z: the cheapest in normals plus overhead."""
+    if n == 0:
+        return DIRECT
+    cost = {DIRECT: d * (r + n), SKETCH: n * (2 * d + r) + SKETCH_OVERHEAD}
+    if variant is Variant.M2 and 2 * r <= d:
+        cost[FOLD] = r * (d + n) + FOLD_OVERHEAD
+    return min(cost, key=cost.get)
+
+
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """Factors L L^T = A of a stack of symmetric positive semi-definite matrices.
+
+    Each is the Cholesky factor, or, where LAPACK rejects the matrix as not
+    positive definite (rounding at a numerically singular one), the
+    symmetric square root Q sqrt(max(lambda, 0)) Q^T from eigh.
+    """
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        if A.ndim > 2:
+            return np.stack([_cholesky(a) for a in A])
+        lam, Q = np.linalg.eigh(A)
+        return (Q * np.sqrt(np.maximum(lam, 0.0))) @ Q.T
+
+
+class NoiseBlock:
+    """The part of noisy_mech's draws that does not depend on V, for a block of seeds.
+
+    Each seed's normals come from rng reset to that seed's stream
+    (Seed.reset), in the order of the path that (variant, d, r, n) selects;
+    the whole block is then scaled and factored in batched calls.
+    release(b, V) applies seed b's draw to a d x n query V; path names the
+    path taken. A given d x r factor Z fixes M for every seed, which then
+    draw Xi alone.
+    """
+
+    def __init__(
+        self, params: NoisyMechParams, d: int, n: int, seeds, rng: np.random.Generator,
+        Z: np.ndarray | None = None,
+    ):
+        if d < 1 or n < 0:
+            raise DomainError(f"a query must be d x n with d >= 1 and n >= 0, got {d} x {n}")
+        if Z is not None and (Z.ndim != 2 or Z.shape[0] != d):
+            raise DomainError(f"dimension mismatch: draw has shape {Z.shape}, input has d={d}")
+        r, sigma = params.r, params.sigma_G
+        self.params, self.shape, self.size = params, (d, n), len(seeds)
+        self.path = DIRECT if Z is not None else _path(params.variant, d, r, n)
+        shapes = {DIRECT: [(d, r), (d, n)], SKETCH: [(d, n), (n, r), (d, n)], FOLD: [(d, r), (r, n)]}[self.path]
+        if Z is not None:
+            shapes = shapes[1:]
+        buffers = [np.empty((self.size, *s)) for s in shapes]
+        for b, seed in enumerate(seeds):
+            seed.reset(rng)
+            for buf in buffers:
+                rng.standard_normal(out=buf[b])
+        # the scaled products are those of wishart_factor and of a scaled draw, bit for bit
+        scale = math.sqrt(1.0 / r)
+        if self.path == FOLD:
+            self.Z, E = buffers
+            self.Z *= scale
+            self.S = _cholesky(self.Z.transpose(0, 2, 1) @ self.Z) @ E
+            self.S *= sigma
+        elif self.path == SKETCH:
+            self.xi, G, N = buffers
+            self.xi *= sigma
+            G *= scale
+            self.W = G @ G.transpose(0, 2, 1)
+            self.H = N @ _cholesky(self.W / r).transpose(0, 2, 1)
+        else:
+            if Z is None:
+                self.Z, self.xi = buffers
+                self.Z *= scale
+            else:
+                self.Z, (self.xi,) = Z[None], buffers
+            self.xi *= sigma
+
+    def release(self, b: int, V) -> np.ndarray:
+        """Seed b's draw of the configured variant at the d x n query V, clipped first if set."""
+        V = _as_matrix(V)
+        if V.shape != self.shape:
+            raise DomainError(f"the block draws {self.shape} queries, got one of shape {V.shape}")
+        if not 0 <= b < self.size:
+            raise DomainError(f"the block holds {self.size} draws, got index {b}")
+        params = self.params
+        if params.clip_beta is not None:
+            V = clip_frobenius(V, params.clip_beta)
+        else:
+            _check_finite(V)
+        if self.path == FOLD:
+            Z = self.Z[b]
+            return Z @ (Z.T @ V + self.S[b])
+        m1, xi = params.variant is Variant.M1, self.xi[b]
+        U = V if m1 else V + xi
+        if self.path == SKETCH:
+            W, H = self.W[b], self.H[b]
+            Q, R = np.linalg.qr(U)
+            out = (Q @ (W - Q.T @ H) + H) @ R
+        else:
+            Z = self.Z[b]
+            out = Z @ (Z.T @ U)
+        return out + xi if m1 else out
+
+
+def noisy_mech(V, params: NoisyMechParams, seed: Seed, draw: WishartDraw | None = None) -> np.ndarray:
     """Apply the configured variant, sampling from seed's stream (see the module docstring).
 
-    Passing a pre-drawn ``draw`` fixes M and uses the seed for Xi only. A
-    given ``rng``, a generator of any seed, is reset to seed's stream
-    (Seed.reset) and drawn from in place of a new generator, with the same
-    draws. The noisy-projection training step applies M2 to V = G^T, the
-    transposed weight gradient, with clip_beta set to its clipping threshold.
+    This is NoiseBlock's block of one. Passing a pre-drawn ``draw`` fixes M
+    and uses the seed for Xi only. The noisy-projection training step applies
+    M2 to V = G^T, the transposed weight gradient, with clip_beta set to its
+    clipping threshold.
     """
     V = _as_matrix(V)
-    if params.clip_beta is not None:
-        V = clip_frobenius(V, params.clip_beta)
-    else:
-        _check_finite(V)
-    d, n = V.shape
-    r, m1 = params.r, params.variant is Variant.M1
     Z = None if draw is None else draw.Z
-    if Z is not None and Z.shape[0] != d:
-        raise DomainError(f"dimension mismatch: draw has d={Z.shape[0]}, input has d={d}")
-    rng = seed.generator() if rng is None else seed.reset(rng)
-    # an empty query has nothing to sketch; any other that saves normals has n < r
-    if Z is None and (n == 0 or d * r - n * (d + r) <= SKETCH_OVERHEAD):
-        Z = wishart_factor(rng, d, r)
-    xi = rng.standard_normal((d, n)) * params.sigma_G
-    U = V if m1 else V + xi
-    if Z is not None:
-        out = Z @ (Z.T @ U)
-    else:
-        G = wishart_factor(rng, n, r)
-        W = G @ G.T
-        H = rng.standard_normal((d, n)) @ np.linalg.cholesky(W / r).T
-        Q, R = np.linalg.qr(U)
-        out = (Q @ (W - Q.T @ H) + H) @ R
-    return out + xi if m1 else out
+    return NoiseBlock(params, *V.shape, [seed], seed.generator(), Z).release(0, V)
 
 
 def gaussian_mech(v: np.ndarray, sigma: float, seed: Seed) -> np.ndarray:

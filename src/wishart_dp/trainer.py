@@ -8,8 +8,8 @@ Mechanisms:
 * DP_LORA_FA: the same loop with per-example clipping of the B-gradient plus
   Gaussian noise;
 * NOISY_PROJ: update the weights W <- W - eta (M (clip(G)^T + Xi))^T with a
-  fresh M = Z Z^T every step, sampled by mechanisms.noisy_mech, through its
-  n-column sketch where that draws fewer normals (see mechanisms);
+  fresh M = Z Z^T every step, sampled as mechanisms.noisy_mech samples M2,
+  along the path that draws the fewest normals (see mechanisms);
 * RP_GD: vector-query projected gradient descent w <- w - eta M grad.
 
 The two private mechanisms share one accountant. Each step is a Gaussian
@@ -39,6 +39,12 @@ built per step would, for less. A run without draws builds none. A config
 builds its noisy-projection NoisyMechParams once, not once per step.
 Budgets never claim amplification by subsampling: with Poisson batches the
 reported budget is the unamplified one.
+
+Noisy projection runs NOISY_PROJ_BLOCK steps at a time. A pre-pass draws each
+step's Poisson batch and its mechanism's normals from the step's own streams,
+and factors the block's draws in batched calls (mechanisms.NoiseBlock); only
+the gradient, its clip and the release are left to each step. Every step
+equals noisy_proj_step's, bit for bit, whatever the block size.
 """
 
 from __future__ import annotations
@@ -55,9 +61,12 @@ import numpy as np
 from . import accountants, mechanisms
 from .errors import ConfigError, DegenerateInputError, DomainError
 from .mechanisms import NoisyMechParams, Variant
-from .randmat import Seed, wishart_draw
+from .randmat import Seed, wishart_draw, wishart_factor
 
 FULL_BATCH = "full"
+# Steps whose draws a noisy-projection run makes and factors at once. The
+# steps do not depend on it; at d = 128, r = 16 a block's buffers hold 0.3 MB.
+NOISY_PROJ_BLOCK = 16
 
 
 class TaskKind(enum.Enum):
@@ -139,9 +148,9 @@ class TrainTask:
             resid = X @ W[0] - y
             return 0.5 * float(np.mean(resid**2)) + reg_term
         Z = self._logits(W, X)
-        Z = Z - Z.max(axis=1, keepdims=True)
+        Z -= Z.max(axis=1, keepdims=True)
         log_norm = np.log(np.exp(Z).sum(axis=1))
-        return float(np.mean(log_norm - Z[np.arange(X.shape[0]), y])) + reg_term
+        return float(np.mean(log_norm - Z[self._rows[: X.shape[0]], y])) + reg_term
 
     def output_grad(self, W: np.ndarray, idx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Batch rows X and the data-term gradient P with respect to the outputs X W^T.
@@ -153,12 +162,18 @@ class TrainTask:
         y = self.y if idx is None else self.y[idx]
         if self.kind is TaskKind.RIDGE:
             return X, (X @ W[0] - y)[:, None]
-        Z = self._logits(W, X)
-        Z = Z - Z.max(axis=1, keepdims=True)
-        P = np.exp(Z)
+        # the softmax of the logits, in place
+        P = self._logits(W, X)
+        P -= P.max(axis=1, keepdims=True)
+        np.exp(P, out=P)
         P /= P.sum(axis=1, keepdims=True)
-        P[np.arange(X.shape[0]), y] -= 1.0
+        P[self._rows[: X.shape[0]], y] -= 1.0
         return X, P
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """0, ..., n_examples - 1: the row index of each label in output_grad."""
+        return np.arange(self.n_examples)
 
     def per_example_grad_W(self, W: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         """Data-term gradients, one (n_out x n_features) slice per example.
@@ -173,7 +188,10 @@ class TrainTask:
         X, P = self.output_grad(W, idx)
         if X.shape[0] == 0:
             return self.reg * W
-        return P.T @ X / X.shape[0] + self.reg * W
+        G = P.T @ X
+        G /= X.shape[0]
+        G += self.reg * W
+        return G
 
     def example_loss(self, W: np.ndarray, x: np.ndarray, y) -> float:
         """Loss of a single probe example (no regularizer)."""
@@ -391,26 +409,43 @@ def dp_lora_fa(
         yield W, ghat
 
 
-def noisy_proj_step(
-    task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seed: Seed,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def noisy_proj_step(task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:
     """One clipped noisy-projection step: the next weights W - eta (M (clip(G)^T + Xi))^T.
 
     The M2 mechanism draws the fresh M = Z Z^T and the noise Xi from
-    seed.child(0); a Poisson batch draws from seed itself. A given rng, a
-    generator of any seed, is reset to those streams instead of building new
-    generators, with the same draws. budget_spent prices the steps of a run.
+    seed.child(0); a Poisson batch draws from seed itself. train runs these
+    steps a block at a time, step for step equal to this one.
+    budget_spent prices the steps of a run.
     """
     if cfg.mechanism is not Mechanism.NOISY_PROJ:
         raise ConfigError(f"noisy_proj_step called with mechanism {cfg.mechanism}")
-    if cfg.batch == FULL_BATCH:
-        batch_rng = None
-    else:
-        batch_rng = seed.generator() if rng is None else seed.reset(rng)
+    batch_rng = None if cfg.batch == FULL_BATCH else seed.generator()
     idx, _ = _batch_indices(task, cfg, batch_rng)
     G = task.grad_W(W, idx)
-    return W - cfg.eta * mechanisms.noisy_mech(G.T, cfg._m2_params, seed.child(0), rng=rng).T
+    return W - cfg.eta * mechanisms.noisy_mech(G.T, cfg._m2_params, seed.child(0)).T
+
+
+def _noisy_proj_block(
+    task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seeds: list[Seed], rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """The weights after each of the noisy-projection steps keyed by seeds, from W.
+
+    A pre-pass draws every step's batch and its mechanism's NoiseBlock, which
+    do not depend on the weights; each step then computes only its gradient
+    and the release. Step for step this equals noisy_proj_step.
+    """
+    if cfg.batch == FULL_BATCH:
+        batches = [None] * len(seeds)
+    else:
+        batches = [_batch_indices(task, cfg, seed.reset(rng))[0] for seed in seeds]
+    noise = mechanisms.NoiseBlock(
+        cfg._m2_params, task.n_features, task.n_out, [seed.child(0) for seed in seeds], rng
+    )
+    for b, idx in enumerate(batches):
+        step = noise.release(b, task.grad_W(W, idx).T).T
+        step *= cfg.eta
+        W = W - step
+        yield W
 
 
 def _step_price(cfg: DpTrainConfig, d: int) -> tuple[float, float] | None:
@@ -463,17 +498,19 @@ def rp_gd(
     """Projected gradient descent w <- w - eta M grad on a scalar-output task.
 
     M = Z Z^T for a (d x r) Wishart factor Z, drawn from seed.child(t) at
-    step t when cfg.redraw_each_step, else once from seed.child(0). Yields (w, grad) after each step, grad being the gradient
-    the step used.
+    step t when cfg.redraw_each_step, else once from seed.child(0). Yields
+    (w, grad) after each step, grad being the gradient the step used.
     """
     if cfg.mechanism is not Mechanism.RP_GD:
         raise ConfigError(f"rp_gd called with mechanism {cfg.mechanism}")
     if task.n_out != 1:
         raise DomainError("rp_gd is defined for scalar-output (vector-query) tasks")
     w = np.asarray(w0, dtype=float).copy()
+    rng = seed.generator()  # one generator per run, reset to each draw's stream
     for t in range(cfg.T):
         if t == 0 or cfg.redraw_each_step:
-            M = wishart_draw(w.shape[0], cfg.r, seed.child(t)).M
+            Z = wishart_factor(seed.child(t).reset(rng), w.shape[0], cfg.r)
+            M = Z @ Z.T
         g = task.grad_W(w[None, :])[0]
         w = w - cfg.eta * (M @ g)
         yield w, g
@@ -497,9 +534,10 @@ def train(
     if cfg.mechanism is Mechanism.NOISY_PROJ:
         W, step_seed = np.zeros((task.n_out, task.n_features)), seed.child(1)
         rng = step_seed.generator()
-        for t in range(cfg.T):
-            W = noisy_proj_step(task, W, cfg, step_seed.child(t), rng)
-            yield W, None
+        for start in range(0, cfg.T, NOISY_PROJ_BLOCK):
+            seeds = [step_seed.child(t) for t in range(start, min(start + NOISY_PROJ_BLOCK, cfg.T))]
+            for W in _noisy_proj_block(task, W, cfg, seeds, rng):
+                yield W, None
         return
     A = wishart_draw(task.n_features, cfg.r, seed.child(0)).Z.T
     yield from dp_lora_fa(task, A, cfg, seed.child(1))

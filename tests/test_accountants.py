@@ -6,6 +6,7 @@ closed-form oracles in test_specialfn.py.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from wishart_dp.errors import (
     RegimeError,
 )
 from wishart_dp.randmat import Seed
+from wishart_dp.specialfn import reg_inc_betac
 
 from conftest import MASTER
 
@@ -274,6 +276,45 @@ def test_choose_alpha_chernoff_guide_covers_the_exact_minimal_rank():
     assert f"Chernoff guide: r >= {chernoff}" in str(err.value)
     assert err.value.r_bound is not None
     assert 10 < err.value.r_bound <= chernoff
+
+
+def _scan_r_bound(eps, mu, s, d, r, eta):
+    """The minimal rank above r whose capture tail fits delta_Gauss / 2, by scanning every rank."""
+    half = gaussian_tradeoff(eps, mu) / 2.0
+    for rank in range(r + 1, d // 2 + 1):
+        if s * reg_inc_betac((1.0 + eta) * rank / d, rank / 2.0, (d - rank) / 2.0) <= half:
+            return rank
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=hst.integers(min_value=4, max_value=3000),
+    r_frac=hst.floats(min_value=0.0, max_value=1.0),
+    eta=hst.floats(min_value=0.001, max_value=0.9),
+    log_s=hst.floats(min_value=0.0, max_value=6.0),
+    mu=hst.floats(min_value=0.1, max_value=30.0),
+)
+def test_choose_alpha_bisected_r_bound_equals_the_scan(d, r_frac, eta, log_s, mu):
+    # choose_alpha bisects for the minimal admissible rank; a scan of every
+    # rank from r + 1 to d // 2 is the oracle
+    r = 1 + int(r_frac * min(d // 2 - 1, 60))
+    s = int(10**log_s)
+    try:
+        choose_alpha(eps=1.0, mu=mu, s=s, d=d, r=r, eta=eta)
+    except RegimeError as err:
+        if err.condition == "lower":
+            assert err.r_bound == _scan_r_bound(1.0, mu, s, d, r, eta)
+
+
+def test_choose_alpha_bisects_a_million_ranks_quickly():
+    # a scan calls reg_inc_betac for each of 329 211 ranks here, 2.9 s on a
+    # 2-vCPU host; the bisection needs about 20 calls
+    t0 = time.perf_counter()
+    with pytest.raises(RegimeError) as err:
+        choose_alpha(eps=1.0, mu=4.0, s=10**6, d=10**6, r=10, eta=0.01)
+    assert time.perf_counter() - t0 < 0.1
+    assert err.value.condition == "lower" and err.value.r_bound == 329_221
 
 
 def test_choose_alpha_upper_regime_error():

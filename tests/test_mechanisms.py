@@ -147,19 +147,18 @@ def _z_then_xi(V, params, rng, Z=None):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_noisy_mech_direct_path_is_z_then_xi(variant):
-    # mia's r = 16 shape saves 608 normals through the sketch, below the crossover
-    d, r, n = 128, 16, 10
-    assert d * r - n * (d + r) <= SKETCH_OVERHEAD
+    # M1 at mia's r = 16 shape saves 608 normals through the sketch, below the
+    # crossover; M2 there takes the fold, so its direct shape has 2 r > d
+    d, r, n = (128, 16, 10) if variant is Variant.M1 else (24, 16, 10)
+    assert mechanisms._path(variant, d, r, n) == mechanisms.DIRECT
     V = Seed(MASTER, 140).generator().standard_normal((d, n))
     params = NoisyMechParams(variant=variant, r=r, sigma_G=0.5)
     seed = Seed(MASTER, 141)
     expect = _z_then_xi(V, params, seed.generator())
     assert np.array_equal(noisy_mech(V, params, seed), expect)
-    # a reused generator is reset to the seed's stream, whatever it drew before
-    rng = Seed(1).generator()
-    rng.standard_normal(3)
-    assert np.array_equal(noisy_mech(V, params, seed, rng=rng), expect)
     # a given draw fixes Z at any shape, the sketch's included; the seed draws Xi alone
+    d = 128
+    V = Seed(MASTER, 140).generator().standard_normal((d, n))
     params = NoisyMechParams(variant=variant, r=64, sigma_G=0.5)
     draw = wishart_draw(d, 64, Seed(MASTER, 142))
     expect = _z_then_xi(V, params, seed.generator(), Z=draw.Z)
@@ -175,9 +174,22 @@ def test_noisy_mech_sketch_draws_xi_first():
     seed = Seed(MASTER, 143)
     xi = seed.generator().standard_normal((d, n)) * 0.5
     assert np.array_equal(noisy_mech(np.zeros((d, n)), params, seed), xi)
-    assert np.array_equal(noisy_mech(np.zeros((d, n)), params, seed, rng=Seed(1).generator()), xi)
     # an empty query takes the direct path and releases an empty array
     assert noisy_mech(np.zeros((d, 0)), params, seed).shape == (d, 0)
+
+
+def test_noisy_mech_fold_draws_z_then_e():
+    # at mia's r = 16 shape M2 takes the fold: Z, then the r x n block E, and
+    # M2(0) = sigma Z chol(Z^T Z) E
+    d, r, n = 128, 16, 10
+    params = NoisyMechParams(variant=Variant.M2, r=r, sigma_G=0.5)
+    seed = Seed(MASTER, 149)
+    rng = seed.generator()
+    Z = rng.standard_normal((d, r)) * math.sqrt(1.0 / r)
+    E = rng.standard_normal((r, n))
+    expect = Z @ (np.linalg.cholesky(Z.T @ Z) @ E * 0.5)
+    out = noisy_mech(np.zeros((d, n)), params, seed)
+    assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_noisy_mech_sketch_rank_deficient_m1():
@@ -211,6 +223,26 @@ def _max_moment_z(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(ma - mb) / np.sqrt(va + vb)))
 
 
+def _block_draws(params, V, seed, draws):
+    """draws releases of V, one per child of seed, drawn as one NoiseBlock."""
+    seeds = [seed.child(i) for i in range(draws)]
+    block = mechanisms.NoiseBlock(params, *V.shape, seeds, Seed(1).generator())
+    return block, np.stack([block.release(b, V).ravel() for b in range(draws)])
+
+
+def _direct_draws(variant, V, r, sigma, seed, draws):
+    """draws releases of V along the direct path, batched, from one generator."""
+    d, n = V.shape
+    ref = seed.generator()
+    Z = ref.standard_normal((draws, d, r)) * math.sqrt(1.0 / r)
+    xi = ref.standard_normal((draws, d, n)) * sigma
+    U = V + xi if variant is Variant.M2 else V
+    direct = Z @ (Z.transpose(0, 2, 1) @ U)
+    if variant is Variant.M1:
+        direct = direct + xi
+    return direct.reshape(draws, -1)
+
+
 @pytest.mark.parametrize(
     "variant, columns",
     [(Variant.M2, "generic"), (Variant.M1, "rank_1")],
@@ -226,16 +258,92 @@ def test_noisy_mech_sketch_matches_direct_law(monkeypatch, variant, columns):
         V[:, 1] = V[:, 0]
         V[:, 2] = 0.0
     params = NoisyMechParams(variant=variant, r=r, sigma_G=0.7)
-    base, rng = Seed(MASTER, 147), Seed(1).generator()
-    sketch = np.stack([noisy_mech(V, params, base.child(i), rng=rng).ravel() for i in range(draws)])
-    ref = Seed(MASTER, 148).generator()
-    Z = ref.standard_normal((draws, d, r)) * math.sqrt(1.0 / r)
-    xi = ref.standard_normal((draws, d, n)) * 0.7
-    U = V + xi if variant is Variant.M2 else V
-    direct = Z @ (Z.transpose(0, 2, 1) @ U)
-    if variant is Variant.M1:
-        direct = direct + xi
-    assert _max_moment_z(sketch, direct.reshape(draws, -1)) < 4.5
+    block, sketch = _block_draws(params, V, Seed(MASTER, 147), draws)
+    assert block.path == mechanisms.SKETCH
+    direct = _direct_draws(variant, V, r, 0.7, Seed(MASTER, 148), draws)
+    assert _max_moment_z(sketch, direct) < 4.5
+
+
+@pytest.mark.parametrize("n", [3, 1])
+def test_noisy_mech_fold_matches_direct_law(monkeypatch, n):
+    # Lower the fold's overhead so that the rule picks it at d = 6, r = 3
+    # (2 r = d, the widest rank it takes), and compare every first and second
+    # moment of the output with the direct path's: 189 of them at n = 3, 27 at n = 1.
+    monkeypatch.setattr(mechanisms, "FOLD_OVERHEAD", -1)
+    d, r, draws = 6, 3, 40_000
+    V = Seed(MASTER, 150).generator().standard_normal((d, n))
+    params = NoisyMechParams(variant=Variant.M2, r=r, sigma_G=0.7)
+    block, fold = _block_draws(params, V, Seed(MASTER, 151), draws)
+    assert block.path == mechanisms.FOLD
+    direct = _direct_draws(Variant.M2, V, r, 0.7, Seed(MASTER, 152), draws)
+    assert _max_moment_z(fold, direct) < 4.5
+
+
+# (variant, d, r, n) -> path, for the shapes that perfbench's mia and train
+# workloads and criterion 10 sample (d = 128, n = 10), and for the cases that
+# never fold: M1, a rank above d / 2, a single column at d = 128 and an empty query
+PATHS = [
+    (Variant.M2, 128, 4, 10, mechanisms.FOLD),
+    (Variant.M2, 128, 16, 10, mechanisms.FOLD),
+    (Variant.M2, 128, 64, 10, mechanisms.SKETCH),
+    (Variant.M1, 128, 4, 10, mechanisms.DIRECT),
+    (Variant.M1, 128, 16, 10, mechanisms.DIRECT),
+    (Variant.M1, 128, 64, 10, mechanisms.SKETCH),
+    (Variant.M2, 24, 16, 10, mechanisms.DIRECT),
+    (Variant.M2, 128, 65, 10, mechanisms.SKETCH),
+    (Variant.M2, 12, 7, 1, mechanisms.DIRECT),
+    (Variant.M2, 128, 16, 1, mechanisms.DIRECT),
+    (Variant.M2, 128, 16, 0, mechanisms.DIRECT),
+]
+
+
+@pytest.mark.parametrize("variant, d, r, n, path", PATHS)
+def test_noisy_mech_path_table(variant, d, r, n, path):
+    assert mechanisms._path(variant, d, r, n) == path
+    params = NoisyMechParams(variant=variant, r=r, sigma_G=0.5)
+    assert mechanisms.NoiseBlock(params, d, n, [Seed(1)], Seed(1).generator()).path == path
+    # a given draw takes the direct path at every shape
+    Z = wishart_draw(d, r, Seed(MASTER, 153)).Z
+    assert mechanisms.NoiseBlock(params, d, n, [Seed(1)], Seed(1).generator(), Z).path == mechanisms.DIRECT
+
+
+def test_noisy_mech_never_folds_m1_or_a_rank_above_half_d():
+    for d in range(1, 70):
+        for r in range(1, 70):
+            for n in (0, 1, 5, 10):
+                path = mechanisms._path(Variant.M2, d, r, n)
+                assert path != mechanisms.FOLD or 2 * r <= d
+                assert mechanisms._path(Variant.M1, d, r, n) != mechanisms.FOLD
+
+
+@pytest.mark.parametrize("path", [mechanisms.DIRECT, mechanisms.SKETCH, mechanisms.FOLD])
+def test_noisy_mech_raises_no_linalg_error(monkeypatch, path):
+    # Forced onto shapes that the rule never gives them, the sketch (n >= r)
+    # and the fold (r > d) factor singular matrices; each factor then comes
+    # from eigh, and each release is finite. The sketch needs n <= d for its QR.
+    monkeypatch.setattr(mechanisms, "_path", lambda *shape: path)
+    for d in (1, 2, 3, 5):
+        for r in (1, 2, 4, 7):
+            for n in range(0, 4 if path != mechanisms.SKETCH else min(d, 3) + 1):
+                for variant in ([Variant.M2] if path == mechanisms.FOLD else list(Variant)):
+                    params = NoisyMechParams(variant=variant, r=r, sigma_G=0.5, clip_beta=1.0)
+                    V = np.ones((d, n))
+                    out = noisy_mech(V, params, Seed(MASTER, 154).child(d * 100 + r * 10 + n))
+                    assert out.shape == (d, n) and np.all(np.isfinite(out))
+
+
+def test_cholesky_falls_back_per_matrix():
+    # a singular matrix in a stack gets a symmetric square root; the others
+    # keep their Cholesky factor, bit for bit as when factored alone
+    rng = Seed(MASTER, 155).generator()
+    z = rng.standard_normal((3, 1))
+    B = rng.standard_normal((3, 3))
+    A = np.stack([B @ B.T, z @ z.T, B.T @ B])
+    L = mechanisms._cholesky(A)
+    assert np.array_equal(L[0], np.linalg.cholesky(A[0]))
+    assert np.array_equal(L[2], np.linalg.cholesky(A[2]))
+    assert np.abs(L[1] @ L[1].T - A[1]).max() <= 1e-12 * np.abs(A[1]).max()
+    assert np.all(np.isfinite(L))
 
 
 def test_gaussian_mech_vanishing_noise():

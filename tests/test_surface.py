@@ -31,7 +31,7 @@ SURFACE = {
     "accountants.account_small_r": "library",
     "accountants.account_vec": "library",
     "accountants.choose_alpha": "library",
-    "accountants.compose_basic": "library",
+    "accountants.compose_basic": "paper",  # basic composition; the selftest checks its additivity
     "accountants.compose_gaussian_steps": "library",
     "accountants.delta_M_bound": "library",
     "accountants.gaussian_tradeoff": "library",
@@ -56,6 +56,8 @@ SURFACE = {
     "errors.PreconditionError": "library",
     "errors.RegimeError": "library",
     "errors.WishartDpError": "library",
+    "mechanisms.NoiseBlock": "library",
+    "mechanisms.NoiseBlock.release": "library",
     "mechanisms.NoisyMechParams": "library",
     "mechanisms.Variant": "library",
     "mechanisms.amplification_gain": "library",
@@ -63,8 +65,8 @@ SURFACE = {
     "mechanisms.amplify_alignment": "library",
     "mechanisms.clip_frobenius": "library",
     "mechanisms.gaussian_mech": "paper",  # the Gaussian baseline the projections are compared with
-    # its draw= argument lets a test fix M
-    "mechanisms.noisy_mech": "library",
+    # M1 and M2 themselves, NoiseBlock's block of one; its draw= argument lets a test fix M
+    "mechanisms.noisy_mech": "paper",
     "mechanisms.project": "paper",  # the noise-free map M V itself
     "profiler.PrivacyProfile": "library",
     "profiler.PrivacyProfile.eps_at_delta": "library",
@@ -115,7 +117,7 @@ SURFACE = {
     "trainer.load_config": "library",
     "trainer.make_logistic_task": "library",
     "trainer.make_ridge_task": "library",
-    "trainer.noisy_proj_step": "library",
+    "trainer.noisy_proj_step": "oracle",  # one step, which train's block of steps must equal
     "trainer.rp_gd": "library",
     "trainer.train": "library",
 }

@@ -18,6 +18,7 @@ from wishart_dp.errors import ConfigError, DomainError
 from wishart_dp.randmat import Seed, wishart_draw
 from wishart_dp.trainer import (
     FULL_BATCH,
+    NOISY_PROJ_BLOCK,
     DpTrainConfig,
     Mechanism,
     TaskKind,
@@ -297,8 +298,6 @@ def test_noisy_proj_step_equals_m2_mechanism_bitwise():
         step_seed = Seed(MASTER, 438)
         expect = m2_step(W, step_seed)
         assert np.array_equal(noisy_proj_step(task, W, cfg, step_seed), expect)
-        # a reused generator is reset to the step's streams, whatever its own
-        assert np.array_equal(noisy_proj_step(task, W, cfg, step_seed, Seed(1).generator()), expect)
         # train runs the same step from W = 0, step t drawing from seed.child(1).child(t)
         run_seed = Seed(MASTER, 439)
         (W1, _), (W2, _) = train(task, cfg, run_seed)
@@ -309,6 +308,26 @@ def test_noisy_proj_step_equals_m2_mechanism_bitwise():
     alpha = 1.5 * 6 / 12
     expected = compose_gaussian_steps(alpha * (2 * 0.7) ** 2 / 0.4**2, 1, 1.0, delta_M_bound(2, alpha, 6, 12))
     assert budget_spent(cfg, 12)[0][1] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "r, batch, path",
+    [(16, FULL_BATCH, mechanisms.FOLD), (64, FULL_BATCH, mechanisms.SKETCH), (4, 30, mechanisms.FOLD)],
+)
+def test_train_noisy_proj_blocks_equal_single_steps(r, batch, path):
+    # train draws the steps a block at a time; each step it yields equals
+    # noisy_proj_step's from the previous weights, bit for bit, across a whole
+    # block and the 3-step remainder of T = 19
+    task = make_logistic_task(60, 128, 10, Seed(MASTER, 440))
+    assert mechanisms._path(mechanisms.Variant.M2, 128, r, 10) == path
+    cfg = DpTrainConfig(T=19, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1.0, r=r, batch=batch)
+    assert cfg.T % NOISY_PROJ_BLOCK != 0
+    run_seed = Seed(MASTER, 441)
+    W = np.zeros((10, 128))
+    for t, (W_t, g) in enumerate(train(task, cfg, run_seed)):
+        W = noisy_proj_step(task, W, cfg, run_seed.child(1).child(t))
+        assert g is None and np.array_equal(W_t, W)
+    assert t == cfg.T - 1
 
 
 def test_noisy_proj_multi_step_budget():
