@@ -3,9 +3,11 @@
 Two demonstrations:
 
 * almost-sure separation: for any fixed V != V', a fresh Wishart projection
-  M V never coincides with M V' (the coincidence event requires every random
-  column of Z to be orthogonal to the row space of V - V', a measure-zero
-  event), so the noise-free matrix mechanism admits a perfect distinguisher;
+  M V almost surely differs from M V' (a coincidence requires every random
+  column of Z to be orthogonal to the column space of V - V', a measure-zero
+  event). separation_trial measures this non-coincidence; it is not a
+  distinguisher and proves no loss of privacy: M V != M V' holds just as
+  surely at n = 1, where the vector mechanism is differentially private;
 * a desk-scale membership inference attack: shadow models trained with and
   without an adversarial canary record are scored by the canary loss, and the
   score separation is summarized by ROC-AUC and best balanced accuracy.

@@ -63,11 +63,12 @@ def _manifest(args: argparse.Namespace, outputs: list[str]) -> dict:
         if k not in ("func", "command") and not callable(v)
     }
     seed = params.pop("seed", None)
+    # profile-mc draws rank r from stream r of the master seed, every other subcommand from stream 0
+    streams = {"streams": args.r} if args.command == "profile-mc" else {"stream": 0}
     manifest = {
         "subcommand": args.command,
         "params": params,
-        # every subcommand draws from stream 0 of the master seed
-        "seed": None if seed is None else {"master": seed, "stream": 0},
+        "seed": None if seed is None else {"master": seed, **streams},
         "tool_version": __version__,
         "outputs": outputs,
     }
@@ -209,6 +210,9 @@ def _cmd_profile_mc(args) -> int:
     if args.eps_grid is not None:
         grid = args.eps_grid
     else:
+        if not (0.0 < args.eps_step < math.inf and math.isfinite(args.eps_max)):
+            raise DomainError(f"the grid needs a finite --eps-max and a finite --eps-step > 0, "
+                              f"got {args.eps_max} and {args.eps_step}")
         grid = list(np.round(np.arange(0.0, args.eps_max + 1e-12, args.eps_step), 12))
     profiles = []
     per_rank = []
@@ -259,6 +263,8 @@ def _cmd_amplify(args) -> int:
         "threshold": threshold,
         "gain": gain,
     }
+    if args.trials < 0:
+        raise DomainError(f"--trials must be >= 0, got {args.trials}")
     if args.trials:
         seed = _seed(args)
         v = np.zeros(args.d)
@@ -289,6 +295,8 @@ def _cmd_amplify(args) -> int:
 
 
 def _cmd_separate(args) -> int:
+    if args.n < 1:
+        raise DomainError(f"a query output needs n >= 1 columns, got {args.n}")
     seed = _seed(args)
     rng = seed.child(0).generator()
     V = rng.standard_normal((args.d, args.n))
@@ -306,6 +314,8 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.d < 1 or args.r < 1 or not math.isfinite(args.t):
+        raise DomainError(f"the interval needs d, r >= 1 and a finite t, got {args.d}, {args.r}, {args.t}")
     lo = max((math.sqrt(args.d / args.r) - 1.0 - args.t / math.sqrt(args.r)) ** 2, 0.0)
     hi = (math.sqrt(args.d / args.r) + 1.0 + args.t / math.sqrt(args.r)) ** 2
     seed = _seed(args)

@@ -1,7 +1,7 @@
 """The randomized maps: noise-free projection, noisy variants, Gaussian baseline.
 
-project(V, draw) is the noise-free map M V. noisy_mech covers the two noisy
-variants, which share one Wishart factor M = Z Z^T and one Gaussian noise
+project(V, draw) is the noise-free map M V. noisy_mech samples the paper's two
+noisy variants, which share one Wishart factor M = Z Z^T and one Gaussian noise
 block Xi with i.i.d. N(0, sigma_G^2) columns:
 
     M1(V) = M V + Xi          (noise added after projection)
@@ -12,10 +12,10 @@ requested, rescales V to Frobenius norm at most clip_beta before the release.
 A draw has two parts. The first does not depend on V: the normals, drawn from
 the seed's stream, and what is factored from them alone. The second, the
 release, is computed from V. A NoiseBlock holds the first part for a block of
-seeds, one per training step, factored in batched calls, so that a training
-loop pays per step only for the release; noisy_mech is the block of one.
-numpy factors and multiplies a stack one matrix at a time, so a seed's draw
-does not depend on the block it is drawn in, bit for bit.
+seeds, one per step of trainer.noisy_proj, factored in batched calls, so that
+the training loop pays per step only for the release; noisy_mech is the block
+of one. numpy factors and multiplies a stack one matrix at a time, so a seed's
+draw does not depend on the block it is drawn in, bit for bit.
 
 There are three exact paths for M U, with U = V + Xi for M2 and U = V for M1;
 each draws in the order listed:
@@ -39,12 +39,11 @@ The path depends on (variant, d, r, n) alone. Each path is charged its
 normals, the sketch SKETCH_OVERHEAD more and the fold FOLD_OVERHEAD more for
 their linear algebra, and the cheapest is taken; a tie goes to the first of
 direct, sketch, fold. The fold needs 2 r <= d, where Z^T Z is well
-conditioned. An empty query and a given draw take the direct path. Only the
-direct and fold paths draw Z, so a caller can rebuild M from the seed there
-and nowhere else. M is never formed as a d x d matrix. Where LAPACK rejects a
-Cholesky factor as not positive definite, a symmetric square root from eigh,
-a factor of the same product, takes its place, so no LinAlgError reaches a
-caller.
+conditioned. An empty query takes the direct path. Only the direct and fold
+paths draw Z, so a caller can rebuild M from the seed there and nowhere else. M
+is never formed as a d x d matrix. Where LAPACK rejects a Cholesky factor as
+not positive definite, a symmetric square root from eigh, a factor of the same
+product, takes its place, so no LinAlgError reaches a caller.
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ def project(V, draw: WishartDraw) -> np.ndarray:
 
 
 def _path(variant: Variant, d: int, r: int, n: int) -> str:
-    """The path of a draw without a given Z: the cheapest in normals plus overhead."""
+    """The path of a draw: the cheapest in normals plus overhead."""
     if n == 0:
         return DIRECT
     cost = {DIRECT: d * (r + n), SKETCH: n * (2 * d + r) + SKETCH_OVERHEAD}
@@ -170,24 +169,16 @@ class NoiseBlock:
     (Seed.reset), in the order of the path that (variant, d, r, n) selects;
     the whole block is then scaled and factored in batched calls.
     release(b, V) applies seed b's draw to a d x n query V; path names the
-    path taken. A given d x r factor Z fixes M for every seed, which then
-    draw Xi alone.
+    path taken.
     """
 
-    def __init__(
-        self, params: NoisyMechParams, d: int, n: int, seeds, rng: np.random.Generator,
-        Z: np.ndarray | None = None,
-    ):
+    def __init__(self, params: NoisyMechParams, d: int, n: int, seeds, rng: np.random.Generator):
         if d < 1 or n < 0:
             raise DomainError(f"a query must be d x n with d >= 1 and n >= 0, got {d} x {n}")
-        if Z is not None and (Z.ndim != 2 or Z.shape[0] != d):
-            raise DomainError(f"dimension mismatch: draw has shape {Z.shape}, input has d={d}")
         r, sigma = params.r, params.sigma_G
         self.params, self.shape, self.size = params, (d, n), len(seeds)
-        self.path = DIRECT if Z is not None else _path(params.variant, d, r, n)
+        self.path = _path(params.variant, d, r, n)
         shapes = {DIRECT: [(d, r), (d, n)], SKETCH: [(d, n), (n, r), (d, n)], FOLD: [(d, r), (r, n)]}[self.path]
-        if Z is not None:
-            shapes = shapes[1:]
         buffers = [np.empty((self.size, *s)) for s in shapes]
         for b, seed in enumerate(seeds):
             seed.reset(rng)
@@ -207,11 +198,8 @@ class NoiseBlock:
             self.W = G @ G.transpose(0, 2, 1)
             self.H = N @ _cholesky(self.W / r).transpose(0, 2, 1)
         else:
-            if Z is None:
-                self.Z, self.xi = buffers
-                self.Z *= scale
-            else:
-                self.Z, (self.xi,) = Z[None], buffers
+            self.Z, self.xi = buffers
+            self.Z *= scale
             self.xi *= sigma
 
     def release(self, b: int, V) -> np.ndarray:
@@ -241,17 +229,15 @@ class NoiseBlock:
         return out + xi if m1 else out
 
 
-def noisy_mech(V, params: NoisyMechParams, seed: Seed, draw: WishartDraw | None = None) -> np.ndarray:
+def noisy_mech(V, params: NoisyMechParams, seed: Seed) -> np.ndarray:
     """Apply the configured variant, sampling from seed's stream (see the module docstring).
 
-    This is NoiseBlock's block of one. Passing a pre-drawn ``draw`` fixes M
-    and uses the seed for Xi only. The noisy-projection training step applies
-    M2 to V = G^T, the transposed weight gradient, with clip_beta set to its
-    clipping threshold.
+    This is NoiseBlock's block of one. The noisy-projection training step
+    applies M2 to V = G^T, the transposed weight gradient, with clip_beta set
+    to its clipping threshold.
     """
     V = _as_matrix(V)
-    Z = None if draw is None else draw.Z
-    return NoiseBlock(params, *V.shape, [seed], seed.generator(), Z).release(0, V)
+    return NoiseBlock(params, *V.shape, [seed], seed.generator()).release(0, V)
 
 
 def gaussian_mech(v: np.ndarray, sigma: float, seed: Seed) -> np.ndarray:

@@ -25,8 +25,10 @@ seed.child(1), dispatches on the mechanism and yields each step's weights
 and gradient. Only the LoRA mechanisms draw a frozen factor A, from
 seed.child(0); noisy projection and rp_gd act on the weights alone. fit keeps
 the last weights; the CLI prices every step of a run with one budget_spent
-call. Each per-mechanism loop (dp_lora_fa, noisy_proj_step, rp_gd) holds only
-the state its step reads and computes no loss or budget.
+call. The per-mechanism loops dp_lora_fa(task, A, cfg, seed),
+noisy_proj(task, W, cfg, seed) and rp_gd(task, w0, cfg, seed) share one shape
+and yield (weights, gradient) per step; each holds only the state its step
+reads and computes no loss or budget.
 
 dp_lora_fa runs both LoRA mechanisms: noise-free LoRA is its sigma = 0,
 clip = inf case, so the two share one gradient code path. That path clips with
@@ -40,11 +42,12 @@ builds its noisy-projection NoisyMechParams once, not once per step.
 Budgets never claim amplification by subsampling: with Poisson batches the
 reported budget is the unamplified one.
 
-Noisy projection runs NOISY_PROJ_BLOCK steps at a time. A pre-pass draws each
-step's Poisson batch and its mechanism's normals from the step's own streams,
-and factors the block's draws in batched calls (mechanisms.NoiseBlock); only
-the gradient, its clip and the release are left to each step. Every step
-equals noisy_proj_step's, bit for bit, whatever the block size.
+noisy_proj runs NOISY_PROJ_BLOCK steps at a time. A pre-pass draws each step's
+Poisson batch and its mechanism's normals from the step's own streams, and
+factors the block's draws in batched calls (mechanisms.NoiseBlock); only the
+gradient, its clip and the release are left to each step. A step draws what
+mechanisms.noisy_mech would draw from its stream, so the weights do not
+depend on the block size, bit for bit.
 """
 
 from __future__ import annotations
@@ -409,43 +412,38 @@ def dp_lora_fa(
         yield W, ghat
 
 
-def noisy_proj_step(task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:
-    """One clipped noisy-projection step: the next weights W - eta (M (clip(G)^T + Xi))^T.
+def noisy_proj(
+    task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seed: Seed
+) -> Iterator[tuple[np.ndarray, None]]:
+    """Clipped noisy-projection steps W <- W - eta (M (clip(G)^T + Xi))^T from W.
 
-    The M2 mechanism draws the fresh M = Z Z^T and the noise Xi from
-    seed.child(0); a Poisson batch draws from seed itself. train runs these
-    steps a block at a time, step for step equal to this one.
-    budget_spent prices the steps of a run.
+    Step t takes its Poisson batch from seed.child(t), and the M2 mechanism
+    draws its fresh M = Z Z^T and noise Xi from seed.child(t).child(0). The
+    steps run NOISY_PROJ_BLOCK at a time: a pre-pass draws each step's batch
+    and its mechanism's NoiseBlock, which do not depend on the weights, so
+    each step computes only its gradient and the release. Yields (W, None)
+    after each step: the gradient stays inside the mechanism.
     """
     if cfg.mechanism is not Mechanism.NOISY_PROJ:
-        raise ConfigError(f"noisy_proj_step called with mechanism {cfg.mechanism}")
-    batch_rng = None if cfg.batch == FULL_BATCH else seed.generator()
-    idx, _ = _batch_indices(task, cfg, batch_rng)
-    G = task.grad_W(W, idx)
-    return W - cfg.eta * mechanisms.noisy_mech(G.T, cfg._m2_params, seed.child(0)).T
-
-
-def _noisy_proj_block(
-    task: TrainTask, W: np.ndarray, cfg: DpTrainConfig, seeds: list[Seed], rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """The weights after each of the noisy-projection steps keyed by seeds, from W.
-
-    A pre-pass draws every step's batch and its mechanism's NoiseBlock, which
-    do not depend on the weights; each step then computes only its gradient
-    and the release. Step for step this equals noisy_proj_step.
-    """
-    if cfg.batch == FULL_BATCH:
-        batches = [None] * len(seeds)
-    else:
-        batches = [_batch_indices(task, cfg, seed.reset(rng))[0] for seed in seeds]
-    noise = mechanisms.NoiseBlock(
-        cfg._m2_params, task.n_features, task.n_out, [seed.child(0) for seed in seeds], rng
-    )
-    for b, idx in enumerate(batches):
-        step = noise.release(b, task.grad_W(W, idx).T).T
-        step *= cfg.eta
-        W = W - step
-        yield W
+        raise ConfigError(f"noisy_proj called with mechanism {cfg.mechanism}")
+    W = np.asarray(W, dtype=float)
+    if W.shape != (task.n_out, task.n_features):
+        raise DomainError(f"W must have shape ({task.n_out}, {task.n_features}), got {W.shape}")
+    rng = seed.generator()  # one generator per run, reset to each stream
+    for start in range(0, cfg.T, NOISY_PROJ_BLOCK):
+        seeds = [seed.child(t) for t in range(start, min(start + NOISY_PROJ_BLOCK, cfg.T))]
+        if cfg.batch == FULL_BATCH:
+            batches = [None] * len(seeds)
+        else:
+            batches = [_batch_indices(task, cfg, s.reset(rng))[0] for s in seeds]
+        noise = mechanisms.NoiseBlock(
+            cfg._m2_params, task.n_features, task.n_out, [s.child(0) for s in seeds], rng
+        )
+        for b, idx in enumerate(batches):
+            step = noise.release(b, task.grad_W(W, idx).T).T
+            step *= cfg.eta
+            W = W - step
+            yield W, None
 
 
 def _step_price(cfg: DpTrainConfig, d: int) -> tuple[float, float] | None:
@@ -528,19 +526,13 @@ def train(
     whose gradient stays inside the mechanism.
     """
     if cfg.mechanism is Mechanism.RP_GD:
-        for w, g in rp_gd(task, np.zeros(task.n_features), cfg, seed.child(1)):
-            yield w[None, :], g
-        return
-    if cfg.mechanism is Mechanism.NOISY_PROJ:
-        W, step_seed = np.zeros((task.n_out, task.n_features)), seed.child(1)
-        rng = step_seed.generator()
-        for start in range(0, cfg.T, NOISY_PROJ_BLOCK):
-            seeds = [step_seed.child(t) for t in range(start, min(start + NOISY_PROJ_BLOCK, cfg.T))]
-            for W in _noisy_proj_block(task, W, cfg, seeds, rng):
-                yield W, None
-        return
-    A = wishart_draw(task.n_features, cfg.r, seed.child(0)).Z.T
-    yield from dp_lora_fa(task, A, cfg, seed.child(1))
+        steps = rp_gd(task, np.zeros(task.n_features), cfg, seed.child(1))
+        yield from ((w[None, :], g) for w, g in steps)
+    elif cfg.mechanism is Mechanism.NOISY_PROJ:
+        yield from noisy_proj(task, np.zeros((task.n_out, task.n_features)), cfg, seed.child(1))
+    else:
+        A = wishart_draw(task.n_features, cfg.r, seed.child(0)).Z.T
+        yield from dp_lora_fa(task, A, cfg, seed.child(1))
 
 
 def fit(task: TrainTask, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:

@@ -111,6 +111,23 @@ def test_profile_mc_csv_and_manifest(capsys, tmp_path):
     assert manifest["outputs"] == [str(out_csv)]
 
 
+def test_manifest_names_the_seed_streams_consumed(capsys, tmp_path):
+    # profile-mc draws rank r from Seed(seed, r), as its CSV's seed column says
+    out_csv = tmp_path / "profile.csv"
+    code, out, _ = run_cli(
+        capsys,
+        "profile-mc", "--rho", "0.999", "--d", "50", "--r", "4,8", "--delta", "0.05",
+        "--n", "2000", "--seed", "7", "--eps-grid", "0,1", "--out", str(out_csv),
+    )
+    assert code == 0
+    assert json.loads(out)["manifest"]["seed"] == {"master": 7, "streams": [4, 8]}
+    assert {line.rsplit(",", 1)[1] for line in out_csv.read_text().splitlines()[1:]} == {"7:4", "7:8"}
+    # every other subcommand draws from stream 0
+    code, out, _ = run_cli(capsys, "spectrum", "--d", "10", "--r", "2", "--draws", "2", "--seed", "7")
+    assert code == 0
+    assert json.loads(out)["manifest"]["seed"] == {"master": 7, "stream": 0}
+
+
 def test_profile_mc_byte_identical_reruns(capsys):
     args = (
         "profile-mc", "--rho", "0.99", "--d", "30", "--r", "4",
@@ -556,6 +573,28 @@ def test_domain_error_exit_code_and_message(capsys):
     assert code == 3
     assert "inadmissible" in err
     assert "rho" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile-mc", "--rho", "0.9", "--d", "50", "--r", "4", "--delta", "0.01", "--eps-step", "0"],
+        ["profile-mc", "--rho", "0.9", "--d", "50", "--r", "4", "--delta", "0.01", "--eps-max", "nan"],
+        ["spectrum", "--d", "10", "--r", "0"],
+        ["spectrum", "--d", "10", "--r", "2", "--t", "nan"],
+        ["separate", "--d", "10", "--n", "0", "--r", "2", "--trials", "3"],
+        ["amplify", "--rho", "0.5", "--gamma", "5", "--d", "1000", "--delta", "0.1", "--trials", "-5"],
+    ],
+    ids=["eps_step_zero", "eps_max_nan", "spectrum_r_zero", "spectrum_t_nan", "separate_n_zero",
+         "amplify_negative_trials"],
+)
+def test_out_of_domain_flags_exit_3(capsys, argv):
+    # each reaches a DomainError where its value is first used: exit 3, one
+    # error line and no JSON on stdout
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_selftest_passes(capsys):

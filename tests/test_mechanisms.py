@@ -74,22 +74,6 @@ def test_noisy_mech_m1_pure_noise_covariance():
     assert np.abs(off).max() < 0.05
 
 
-def test_noisy_mech_m2_conditional_covariance():
-    # Conditional on M, the M2 columns have covariance sigma^2 M^2.
-    d, sigma = 5, 0.7
-    draw = wishart_draw(d, 4, Seed(MASTER, 111))
-    params = NoisyMechParams(variant=Variant.M2, r=4, sigma_G=sigma)
-    base = Seed(MASTER, 112)
-    n_draws = 10**5
-    samples = np.stack(
-        [noisy_mech(np.zeros((d, 1)), params, base.child(i), draw=draw)[:, 0]
-         for i in range(n_draws)]
-    )
-    cov = samples.T @ samples / n_draws
-    target = sigma**2 * draw.M @ draw.M
-    assert np.abs(cov - target).max() < 0.05 * np.abs(target).max()
-
-
 def test_noisy_mech_clipping_contract():
     d = 4
     V = np.full((d, 2), 0.5)
@@ -134,11 +118,10 @@ def test_noisy_mech_m1_marginal_mean():
     assert np.abs(acc / n - V).max() < 0.05 * np.abs(V).max()
 
 
-def _z_then_xi(V, params, rng, Z=None):
-    """The direct path, rebuilt here: Z (unless given), then Xi, from rng."""
+def _z_then_xi(V, params, rng):
+    """The direct path, rebuilt here: Z, then Xi, from rng."""
     d, n = V.shape
-    if Z is None:
-        Z = rng.standard_normal((d, params.r)) * math.sqrt(1.0 / params.r)
+    Z = rng.standard_normal((d, params.r)) * math.sqrt(1.0 / params.r)
     xi = rng.standard_normal((d, n)) * params.sigma_G
     if params.variant is Variant.M1:
         return Z @ (Z.T @ V) + xi
@@ -156,13 +139,6 @@ def test_noisy_mech_direct_path_is_z_then_xi(variant):
     seed = Seed(MASTER, 141)
     expect = _z_then_xi(V, params, seed.generator())
     assert np.array_equal(noisy_mech(V, params, seed), expect)
-    # a given draw fixes Z at any shape, the sketch's included; the seed draws Xi alone
-    d = 128
-    V = Seed(MASTER, 140).generator().standard_normal((d, n))
-    params = NoisyMechParams(variant=variant, r=64, sigma_G=0.5)
-    draw = wishart_draw(d, 64, Seed(MASTER, 142))
-    expect = _z_then_xi(V, params, seed.generator(), Z=draw.Z)
-    assert np.array_equal(noisy_mech(V, params, seed, draw=draw), expect)
 
 
 def test_noisy_mech_sketch_draws_xi_first():
@@ -302,9 +278,6 @@ def test_noisy_mech_path_table(variant, d, r, n, path):
     assert mechanisms._path(variant, d, r, n) == path
     params = NoisyMechParams(variant=variant, r=r, sigma_G=0.5)
     assert mechanisms.NoiseBlock(params, d, n, [Seed(1)], Seed(1).generator()).path == path
-    # a given draw takes the direct path at every shape
-    Z = wishart_draw(d, r, Seed(MASTER, 153)).Z
-    assert mechanisms.NoiseBlock(params, d, n, [Seed(1)], Seed(1).generator(), Z).path == mechanisms.DIRECT
 
 
 def test_noisy_mech_never_folds_m1_or_a_rank_above_half_d():

@@ -65,8 +65,7 @@ SURFACE = {
     "mechanisms.amplify_alignment": "library",
     "mechanisms.clip_frobenius": "library",
     "mechanisms.gaussian_mech": "paper",  # the Gaussian baseline the projections are compared with
-    # M1 and M2 themselves, NoiseBlock's block of one; its draw= argument lets a test fix M
-    "mechanisms.noisy_mech": "paper",
+    "mechanisms.noisy_mech": "paper",  # M1 and M2 themselves, NoiseBlock's block of one
     "mechanisms.project": "paper",  # the noise-free map M V itself
     "profiler.PrivacyProfile": "library",
     "profiler.PrivacyProfile.eps_at_delta": "library",
@@ -117,7 +116,7 @@ SURFACE = {
     "trainer.load_config": "library",
     "trainer.make_logistic_task": "library",
     "trainer.make_ridge_task": "library",
-    "trainer.noisy_proj_step": "oracle",  # one step, which train's block of steps must equal
+    "trainer.noisy_proj": "library",
     "trainer.rp_gd": "library",
     "trainer.train": "library",
 }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from wishart_dp import accountants, mechanisms
+from wishart_dp import accountants, mechanisms, trainer
 from wishart_dp.accountants import (
     compose_gaussian_steps,
     delta_M_bound,
@@ -32,7 +32,7 @@ from wishart_dp.trainer import (
     load_config,
     make_logistic_task,
     make_ridge_task,
-    noisy_proj_step,
+    noisy_proj,
     rp_gd,
     train,
 )
@@ -261,6 +261,14 @@ def test_noisy_proj_step_requires_config():
     for extra in ({"clip": 1.0}, {"sigma": 0.0, "clip": 1.0}, {"sigma": 0.5}):
         with pytest.raises(ConfigError):
             DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.NOISY_PROJ, r=4, **extra)
+    # the loop takes only its own mechanism, and weights of the task's shape
+    task = make_ridge_task(30, 8, Seed(MASTER, 433))
+    rp_cfg = DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.RP_GD)
+    with pytest.raises(ConfigError):
+        next(noisy_proj(task, np.zeros((1, 8)), rp_cfg, Seed(1)))
+    cfg = DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.NOISY_PROJ, r=4, sigma=0.5, clip=1.0)
+    with pytest.raises(DomainError):
+        next(noisy_proj(task, np.zeros((1, 9)), cfg, Seed(1)))
 
 
 def test_noisy_proj_step_zero_clip_limit():
@@ -268,13 +276,22 @@ def test_noisy_proj_step_zero_clip_limit():
     task = make_ridge_task(30, 8, Seed(MASTER, 433))
     W = Seed(MASTER, 434).generator().standard_normal((1, 8))
     cfg = DpTrainConfig(T=1, eta=1.0, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1e-12, r=4)
-    W2 = noisy_proj_step(task, W, cfg, Seed(MASTER, 435))
-    seed = Seed(MASTER, 435).child(0)
-    gen = seed.generator()
+    [(W2, g)] = noisy_proj(task, W, cfg, Seed(MASTER, 435))
+    assert g is None
+    gen = Seed(MASTER, 435).child(0).child(0).generator()
     Z = gen.standard_normal((8, 4)) * math.sqrt(0.25)
     xi = gen.standard_normal((8, 1)) * 0.5
     pure_noise_update = (xi.T @ (Z @ Z.T)).reshape(1, 8)
     assert np.abs((W - W2) - pure_noise_update).max() < 1e-9
+
+
+def _m2_step(task, cfg, W, seed):
+    """One noisy-projection step from W, rebuilt from its parts.
+
+    The Poisson batch draws from seed, then the gradient's M2 release from seed.child(0).
+    """
+    idx, _ = _batch_indices(task, cfg, seed.generator())
+    return W - cfg.eta * mechanisms.noisy_mech(task.grad_W(W, idx).T, cfg._m2_params, seed.child(0)).T
 
 
 def test_noisy_proj_step_equals_m2_mechanism_bitwise():
@@ -286,23 +303,20 @@ def test_noisy_proj_step_equals_m2_mechanism_bitwise():
             T=2, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.4, clip=0.7, r=r, batch=batch,
             eps_target=None, delta_target=None,
         )
-        params = mechanisms.NoisyMechParams(
+        assert cfg._m2_params == mechanisms.NoisyMechParams(
             variant=mechanisms.Variant.M2, r=r, sigma_G=0.4, clip_beta=0.7
         )
-
-        def m2_step(W, seed):
-            idx, _ = _batch_indices(task, cfg, seed.generator())
-            return W - 0.3 * mechanisms.noisy_mech(task.grad_W(W, idx).T, params, seed.child(0)).T
-
+        # noisy_proj's step t from any W draws from seed.child(t)
         W = Seed(MASTER, 437).generator().standard_normal((1, d))
         step_seed = Seed(MASTER, 438)
-        expect = m2_step(W, step_seed)
-        assert np.array_equal(noisy_proj_step(task, W, cfg, step_seed), expect)
-        # train runs the same step from W = 0, step t drawing from seed.child(1).child(t)
+        (W1, _), (W2, _) = noisy_proj(task, W, cfg, step_seed)
+        assert np.array_equal(W1, _m2_step(task, cfg, W, step_seed.child(0)))
+        assert np.array_equal(W2, _m2_step(task, cfg, W1, step_seed.child(1)))
+        # train runs the same steps from W = 0, step t drawing from seed.child(1).child(t)
         run_seed = Seed(MASTER, 439)
         (W1, _), (W2, _) = train(task, cfg, run_seed)
-        assert np.array_equal(W1, m2_step(np.zeros((1, d)), run_seed.child(1).child(0)))
-        assert np.array_equal(W2, m2_step(W1, run_seed.child(1).child(1)))
+        assert np.array_equal(W1, _m2_step(task, cfg, np.zeros((1, d)), run_seed.child(1).child(0)))
+        assert np.array_equal(W2, _m2_step(task, cfg, W1, run_seed.child(1).child(1)))
     # the step is priced at sensitivity 2 * clip: mu_step = alpha (2 clip)^2 / sigma^2
     cfg = DpTrainConfig(T=1, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.4, clip=0.7, r=6)
     alpha = 1.5 * 6 / 12
@@ -316,8 +330,8 @@ def test_noisy_proj_step_equals_m2_mechanism_bitwise():
 )
 def test_train_noisy_proj_blocks_equal_single_steps(r, batch, path):
     # train draws the steps a block at a time; each step it yields equals
-    # noisy_proj_step's from the previous weights, bit for bit, across a whole
-    # block and the 3-step remainder of T = 19
+    # _m2_step's from the previous weights, bit for bit, across a whole block
+    # and the 3-step remainder of T = 19
     task = make_logistic_task(60, 128, 10, Seed(MASTER, 440))
     assert mechanisms._path(mechanisms.Variant.M2, 128, r, 10) == path
     cfg = DpTrainConfig(T=19, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1.0, r=r, batch=batch)
@@ -325,9 +339,36 @@ def test_train_noisy_proj_blocks_equal_single_steps(r, batch, path):
     run_seed = Seed(MASTER, 441)
     W = np.zeros((10, 128))
     for t, (W_t, g) in enumerate(train(task, cfg, run_seed)):
-        W = noisy_proj_step(task, W, cfg, run_seed.child(1).child(t))
+        W = _m2_step(task, cfg, W, run_seed.child(1).child(t))
         assert g is None and np.array_equal(W_t, W)
     assert t == cfg.T - 1
+
+
+# path -> (task, rank) on which noisy projection's M2 takes that path
+_LOGISTIC_128 = make_logistic_task(60, 128, 10, Seed(MASTER, 440))
+_BLOCK_SHAPES = {
+    mechanisms.FOLD: (_LOGISTIC_128, 4),
+    mechanisms.SKETCH: (_LOGISTIC_128, 64),
+    mechanisms.DIRECT: (make_ridge_task(40, 12, Seed(MASTER, 436)), 6),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    path=hst.sampled_from(sorted(_BLOCK_SHAPES)),
+    T=hst.integers(1, 40),
+    batch=hst.sampled_from([FULL_BATCH, 30]),
+)
+def test_train_noisy_proj_does_not_depend_on_the_block_size(path, T, batch):
+    task, r = _BLOCK_SHAPES[path]
+    assert mechanisms._path(mechanisms.Variant.M2, task.n_features, r, task.n_out) == path
+    cfg = DpTrainConfig(T=T, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1.0, r=r, batch=batch)
+    expect = [W for W, _ in train(task, cfg, Seed(MASTER, 442))]
+    for block in (1, 5, T + 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer, "NOISY_PROJ_BLOCK", block)
+            got = [W for W, _ in train(task, cfg, Seed(MASTER, 442))]
+        assert len(got) == T and all(np.array_equal(a, b) for a, b in zip(got, expect))
 
 
 def test_noisy_proj_multi_step_budget():
