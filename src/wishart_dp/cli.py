@@ -229,7 +229,7 @@ def _cmd_profile_mc(args) -> int:
         try:
             eps_hat = prof.eps_at_delta(args.delta)
         except WishartDpError:
-            eps_hat = math.nan
+            eps_hat = None  # no grid eps is shown to reach --delta
         per_rank.append({"r": r, "eps_hat": eps_hat})
         profiles.append(prof)
     outputs = []
@@ -249,7 +249,11 @@ def _cmd_profile_mc(args) -> int:
         "inputs": {"rho": args.rho, "d": args.d, "delta": args.delta, "n": args.n},
         "per_rank": per_rank,
     }
-    summary = "; ".join(f"r={p['r']}: eps_hat({args.delta}) = {p['eps_hat']:.4g}" for p in per_rank)
+    summary = "; ".join(
+        f"r={p['r']}: eps_hat({args.delta}) = "
+        + ("not reached" if p["eps_hat"] is None else f"{p['eps_hat']:.4g}")
+        for p in per_rank
+    )
     _emit(args, payload, outputs, summary)
     return 0
 
@@ -316,6 +320,8 @@ def _cmd_separate(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.d < 1 or args.r < 1 or not math.isfinite(args.t):
         raise DomainError(f"the interval needs d, r >= 1 and a finite t, got {args.d}, {args.r}, {args.t}")
+    if args.draws < 1:
+        raise DomainError(f"--draws must be >= 1, got {args.draws}")
     lo = max((math.sqrt(args.d / args.r) - 1.0 - args.t / math.sqrt(args.r)) ** 2, 0.0)
     hi = (math.sqrt(args.d / args.r) + 1.0 + args.t / math.sqrt(args.r)) ** 2
     seed = _seed(args)
@@ -384,7 +390,7 @@ def _cmd_train(args) -> int:
     else:
         task = trainer.make_logistic_task(args.n, args.d, args.classes, seed.child(2), reg=args.reg)
     rows = []
-    steps = zip(trainer.train(task, cfg, seed), trainer.budget_spent(cfg, task.n_features))
+    steps = zip(trainer.train(task, cfg, seed), trainer.budget_spent(cfg, task))
     for t, ((W, g), budget) in enumerate(steps, 1):
         loss = task.loss(W)
         if not math.isfinite(loss):
@@ -401,7 +407,8 @@ def _cmd_train(args) -> int:
         "mechanism": cfg.mechanism.value,
         "final_loss": final_loss,
         "steps": cfg.T,
-        "budget": {"eps": eps, "delta": delta} if cfg.mechanism.private else None,
+        # a run without noise spends (inf, 0): it has no budget to report
+        "budget": {"eps": eps, "delta": delta} if math.isfinite(eps) else None,
     }
     _emit(args, payload, outputs, f"final loss {final_loss:.6g} after {cfg.T} steps")
     return 0

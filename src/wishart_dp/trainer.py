@@ -12,13 +12,22 @@ Mechanisms:
   along the path that draws the fewest normals (see mechanisms);
 * RP_GD: vector-query projected gradient descent w <- w - eta M grad.
 
-The two private mechanisms share one accountant. Each step is a Gaussian
-mechanism of mu_step = alpha (2 clip / sigma)^2 that fails to capture with
-probability delta_p (DP-LoRA: alpha = 1, delta_p = 0), and Gaussian steps
-compose exactly by adding mu (Dong, Roth & Su 2019, arXiv:1905.02383): t steps
-spend delta = T(eps; t mu_step) + t delta_p at eps = eps_target. eps_target
-and delta_target cover the whole run, and DP-LoRA calibrates its sigma to
-them once per config, shared by the run's loop and its pricing.
+The two private mechanisms share one accountant. Two datasets are
+neighbours when one example is replaced by another, n fixed. A step clips
+its query (DP-LoRA each example's gradient, noisy projection the batch-mean
+gradient as one matrix), so a replaced example moves it by Delta V of norm at
+most 2 clip, and adds Gaussian noise of scale sigma: a Gaussian mechanism of
+mu = (2 clip / sigma)^2. Gaussian steps compose by adding mu (Dong, Roth & Su
+2019, arXiv:1905.02383), so t steps spend T(eps; t mu): the plain price. It
+holds for noisy projection too, whose step Z Z^T (V + Xi) post-processes the
+Gaussian release V + Xi by a projection drawn independently of the data
+(Blocki, Blum, Datta & Sheffet 2012). At alpha < 1 noisy projection also has
+the capture price T(eps; t alpha mu) + t delta_M_bound(s, alpha, r, d), valid
+when every Delta V has rank at most s. Once the whole-matrix clip binds,
+Delta V can have rank n_out, not 2, so s = min(n_out, d). budget_spent
+reports the smaller price after each step. eps_target and delta_target cover
+the whole run, and DP-LoRA calibrates its sigma to them once per config,
+shared by the run's loop and its pricing.
 
 train(task, cfg, seed) is the one entry point: it draws the steps from
 seed.child(1), dispatches on the mechanism and yields each step's weights
@@ -82,11 +91,6 @@ class Mechanism(enum.Enum):
     DP_LORA_FA = "dp_lora_fa"
     NOISY_PROJ = "noisy_proj"
     RP_GD = "rp_gd"
-
-    @property
-    def private(self) -> bool:
-        """Whether a run of this mechanism reports a privacy budget."""
-        return self in (Mechanism.DP_LORA_FA, Mechanism.NOISY_PROJ)
 
 
 @dataclass(eq=False)
@@ -266,11 +270,10 @@ class DpTrainConfig:
     mechanism: Mechanism = Mechanism.NOISE_FREE_LORA
     r: int = 8
     alpha: float | None = None
-    sens_rank: int = 2
     redraw_each_step: bool = True
 
     def __post_init__(self):
-        for name in ("T", "r", "sens_rank"):
+        for name in ("T", "r"):
             if not _is_count(getattr(self, name)):
                 raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.T < 1:
@@ -300,8 +303,8 @@ class DpTrainConfig:
             raise ConfigError(f"batch must be 'full' or a positive int, got {self.batch!r}")
         if not self.clip > 0.0:
             raise DomainError(f"clip must be > 0, got {self.clip}")
-        if self.r < 1 or self.sens_rank < 1:
-            raise DomainError(f"r and sens_rank must be >= 1, got {self.r} and {self.sens_rank}")
+        if self.r < 1:
+            raise DomainError(f"r must be >= 1, got {self.r}")
         if self.eps_target is not None and not self.eps_target > 0.0:
             raise DomainError(f"eps_target must be > 0, got {self.eps_target}")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
@@ -446,46 +449,36 @@ def noisy_proj(
             yield W, None
 
 
-def _step_price(cfg: DpTrainConfig, d: int) -> tuple[float, float] | None:
-    """(mu_step, delta_p) of one private step over d features; None for a step without noise.
+def budget_spent(cfg: DpTrainConfig, task: TrainTask) -> list[tuple[float, float]]:
+    """(eps, delta) spent after each of the cfg.T steps of a run on task.
 
-    The step is a Gaussian mechanism of sensitivity 2 clip at noise sigma, of
-    which a share alpha is captured: mu_step = alpha (2 clip / sigma)^2, except
-    with probability delta_p. DP-LoRA captures everything: alpha = 1, delta_p = 0.
+    Step t reports the smaller of the plain and the capture price (module
+    docstring) at eps = eps_target, or at eps = 1 without one. A run without
+    noise spends (inf, 0). The prices are set once: the list costs O(T).
     """
     if cfg.mechanism is Mechanism.DP_LORA_FA:
-        alpha, sigma, delta_p = 1.0, cfg._lora_sigma, 0.0
+        sigma = cfg._lora_sigma
     elif cfg.mechanism is Mechanism.NOISY_PROJ:
-        alpha = cfg.alpha if cfg.alpha is not None else min(1.0, 1.5 * cfg.r / d)
         sigma = cfg.sigma
-        delta_p = accountants.delta_M_bound(cfg.sens_rank, alpha, cfg.r, d) if alpha < 1.0 else 0.0
     else:
-        return None
+        sigma = 0.0
     if sigma == 0.0:
-        return None
+        return [(math.inf, 0.0)] * cfg.T
     # (2 clip / sigma) squared, not (2 clip)^2 / sigma^2: sigma^2 underflows to 0
     ratio = 2.0 * cfg.clip / sigma
-    mu_step = alpha * ratio * ratio
-    if not math.isfinite(mu_step):
-        raise DomainError(f"mu_step = alpha (2 clip / sigma)^2 must be finite, got {mu_step}")
-    return mu_step, delta_p
-
-
-def budget_spent(cfg: DpTrainConfig, d: int) -> list[tuple[float, float]]:
-    """(eps, delta) spent after each of the cfg.T steps of a run over d features.
-
-    A private run reports delta = T(eps; t mu_step) + t delta_p after step t,
-    at eps = eps_target, or at eps = 1 without one. A DP-LoRA run without noise
-    and the non-private mechanisms spend (inf, 0). The step is priced once, so
-    the whole list costs O(T).
-    """
-    price = _step_price(cfg, d)
-    if price is None:
-        return [(math.inf, 0.0)] * cfg.T
-    mu_step, delta_p = price
+    mu = ratio * ratio
+    if not math.isfinite(mu):
+        raise DomainError(f"mu = (2 clip / sigma)^2 must be finite, got {mu}")
+    candidates = [(1.0, 0.0)]  # (captured share, per-step capture failure)
+    if cfg.mechanism is Mechanism.NOISY_PROJ:
+        d = task.n_features
+        alpha = cfg.alpha if cfg.alpha is not None else min(1.0, 1.5 * cfg.r / d)
+        if alpha < 1.0:
+            candidates.append((alpha, accountants.delta_M_bound(min(task.n_out, d), alpha, cfg.r, d)))
     eps = cfg.eps_target if cfg.eps_target is not None else 1.0
     return [
-        (eps, accountants.compose_gaussian_steps(t * mu_step, t, eps, delta_p))
+        (eps, min(accountants.compose_gaussian_steps(t * (share * mu), t, eps, delta_p)
+                  for share, delta_p in candidates))
         for t in range(1, cfg.T + 1)
     ]
 
@@ -559,7 +552,6 @@ _CONFIG_FIELDS = {
     "mechanism": None,
     "r": int,
     "alpha": float,
-    "sens_rank": int,
     "redraw_each_step": None,
 }
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}

@@ -16,9 +16,16 @@ from wishart_dp.accountants import account_small_r, gaussian_tradeoff
 from wishart_dp.randmat import Seed
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout holds {name}, which is not JSON")
+
+
 def run_cli(capsys, *argv):
+    """Run cli.main in-process; the stdout of a run that exits 0 must be strict JSON."""
     code = cli.main(list(argv))
     captured = capsys.readouterr()
+    if code == 0:
+        json.loads(captured.out, parse_constant=_reject_constant)
     return code, captured.out, captured.err
 
 
@@ -126,6 +133,18 @@ def test_manifest_names_the_seed_streams_consumed(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "spectrum", "--d", "10", "--r", "2", "--draws", "2", "--seed", "7")
     assert code == 0
     assert json.loads(out)["manifest"]["seed"] == {"master": 7, "stream": 0}
+
+
+def test_profile_mc_reports_null_when_delta_is_not_reached(capsys):
+    # the grid ends at eps = 0.1, long before the profile falls to 0.01
+    code, out, err = run_cli(
+        capsys,
+        "profile-mc", "--rho", "0.9", "--d", "50", "--r", "4", "--delta", "0.01",
+        "--n", "1000", "--eps-max", "0.1", "--seed", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["per_rank"] == [{"r": 4, "eps_hat": None}]
+    assert "r=4: eps_hat(0.01) = not reached" in err
 
 
 def test_profile_mc_byte_identical_reruns(capsys):
@@ -327,8 +346,12 @@ def test_train_matches_library_fit(capsys, tmp_path, task_kind, mechanism_lines)
         task = trainer.make_ridge_task(200, 32, Seed(3).child(2), reg=1e-3)
     else:
         task = trainer.make_logistic_task(200, 32, 10, Seed(3).child(2), reg=1e-3)
-    W = trainer.fit(task, trainer.load_config(cfg_path), Seed(3))
+    cfg = trainer.load_config(cfg_path)
+    W = trainer.fit(task, cfg, Seed(3))
     assert json.loads(out)["final_loss"] == task.loss(W)
+    # the budget is the library's; a run without noise spends (inf, 0) and reports none
+    eps, delta = trainer.budget_spent(cfg, task)[-1]
+    assert json.loads(out)["budget"] == (None if eps == math.inf else {"eps": eps, "delta": delta})
 
 
 @pytest.mark.parametrize(
@@ -421,7 +444,8 @@ def test_train_noisy_proj_budget_columns(capsys, tmp_path, eps_line, eps):
         "--classes", "3", "--seed", "5", "--out", str(out_csv),
     )
     assert code == 0
-    spent = trainer.budget_spent(trainer.load_config(cfg_path), 16)
+    task = trainer.make_logistic_task(40, 16, 3, Seed(5).child(2), reg=1e-4)
+    spent = trainer.budget_spent(trainer.load_config(cfg_path), task)
     rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
     assert len(rows) == 6
     for t, row in enumerate(rows, 1):
@@ -582,11 +606,13 @@ def test_domain_error_exit_code_and_message(capsys):
         ["profile-mc", "--rho", "0.9", "--d", "50", "--r", "4", "--delta", "0.01", "--eps-max", "nan"],
         ["spectrum", "--d", "10", "--r", "0"],
         ["spectrum", "--d", "10", "--r", "2", "--t", "nan"],
+        ["spectrum", "--d", "10", "--r", "2", "--draws", "-3"],
+        ["spectrum", "--d", "10", "--r", "2", "--draws", "0"],
         ["separate", "--d", "10", "--n", "0", "--r", "2", "--trials", "3"],
         ["amplify", "--rho", "0.5", "--gamma", "5", "--d", "1000", "--delta", "0.1", "--trials", "-5"],
     ],
-    ids=["eps_step_zero", "eps_max_nan", "spectrum_r_zero", "spectrum_t_nan", "separate_n_zero",
-         "amplify_negative_trials"],
+    ids=["eps_step_zero", "eps_max_nan", "spectrum_r_zero", "spectrum_t_nan", "spectrum_draws_negative",
+         "spectrum_draws_zero", "separate_n_zero", "amplify_negative_trials"],
 )
 def test_out_of_domain_flags_exit_3(capsys, argv):
     # each reaches a DomainError where its value is first used: exit 3, one

@@ -98,7 +98,6 @@ SURFACE = {
     "specialfn.student_t_quantile": "library",
     "trainer.DpTrainConfig": "library",
     "trainer.Mechanism": "library",
-    "trainer.Mechanism.private": "library",
     "trainer.TaskKind": "library",
     "trainer.TrainTask": "library",
     "trainer.TrainTask.add_example": "library",

@@ -1,6 +1,7 @@
 """Training-loop tests: frozen-factor algebra, chain rule, DP reductions, budgets."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +44,11 @@ from conftest import MASTER
 @pytest.fixture()
 def ridge_task():
     return make_ridge_task(100, 16, Seed(MASTER, 400), reg=1e-3)
+
+
+def _shape(d, n_out=1):
+    """A one-example task of d features and n_out outputs, all that budget_spent reads of a task."""
+    return TrainTask(kind=TaskKind.LOGISTIC, n_features=d, n_classes=n_out, X=np.zeros((1, d)), y=np.zeros(1))
 
 
 def _frozen_factor(r, stream):
@@ -120,7 +126,7 @@ def test_dp_lora_fa_reduces_to_noise_free_bitwise(ridge_task):
     W_dp = fit(ridge_task, dp_cfg, Seed(MASTER, 410))
     W_free = fit(ridge_task, free_cfg, Seed(MASTER, 410))
     assert np.array_equal(W_dp, W_free)
-    assert budget_spent(dp_cfg, 16) == budget_spent(free_cfg, 16) == [(math.inf, 0.0)] * 20
+    assert budget_spent(dp_cfg, ridge_task) == budget_spent(free_cfg, ridge_task) == [(math.inf, 0.0)] * 20
     # the LoRA loop serves the two LoRA mechanisms and no other
     rp_cfg = DpTrainConfig(T=20, eta=0.05, mechanism=Mechanism.RP_GD, r=8)
     with pytest.raises(ConfigError):
@@ -150,7 +156,7 @@ def test_dp_lora_fa_noise_dominates_at_huge_sigma(ridge_task):
     init_loss = ridge_task.loss(np.zeros((1, 16)))
     assert ridge_task.loss(W) > 10 * init_loss  # utility collapses
     # without an eps_target the run is priced at eps = 1: enormous noise buys a tiny delta
-    eps, delta = budget_spent(cfg, 16)[cfg.T - 1]
+    eps, delta = budget_spent(cfg, ridge_task)[cfg.T - 1]
     assert eps == 1.0 and delta < 1e-12
 
 
@@ -163,7 +169,7 @@ def test_dp_lora_fa_budget_composition():
     )
     mu = max_gaussian_mu(0.5, 1e-6)
     assert _lora_fa_sigma(cfg) == pytest.approx(2.0 * math.sqrt(7 / mu), rel=1e-15)
-    budgets = budget_spent(cfg, 16)
+    budgets = budget_spent(cfg, _shape(16))
     assert [eps for eps, _ in budgets] == [0.5] * 7
     for t, (_, delta) in enumerate(budgets, 1):
         assert delta == pytest.approx(gaussian_tradeoff(0.5, t * mu / 7), rel=1e-12)
@@ -183,7 +189,7 @@ def test_dp_lora_fa_budget_bisects_once_per_run(monkeypatch):
         return max_gaussian_mu(eps, delta)
 
     monkeypatch.setattr(accountants, "max_gaussian_mu", counted)
-    budgets = budget_spent(cfg, 32)
+    budgets = budget_spent(cfg, _shape(32))
     assert calls == [(8.0, 1e-5)]
     assert len(budgets) == 50
     assert budgets[-1][0] == 8.0 and budgets[-1][1] <= 1e-5
@@ -201,7 +207,7 @@ def test_dp_lora_fa_calibration_meets_its_target(eps, log_delta, T, clip):
     cfg = DpTrainConfig(
         T=T, eta=0.1, mechanism=Mechanism.DP_LORA_FA, eps_target=eps, delta_target=delta, clip=clip
     )
-    budgets = budget_spent(cfg, 16)
+    budgets = budget_spent(cfg, _shape(16))
     assert len(budgets) == T and all(e == eps for e, _ in budgets)
     deltas = [dl for _, dl in budgets]
     assert deltas[-1] <= delta
@@ -317,11 +323,16 @@ def test_noisy_proj_step_equals_m2_mechanism_bitwise():
         (W1, _), (W2, _) = train(task, cfg, run_seed)
         assert np.array_equal(W1, _m2_step(task, cfg, np.zeros((1, d)), run_seed.child(1).child(0)))
         assert np.array_equal(W2, _m2_step(task, cfg, W1, run_seed.child(1).child(1)))
-    # the step is priced at sensitivity 2 * clip: mu_step = alpha (2 clip)^2 / sigma^2
+    # the step is priced at sensitivity 2 * clip, mu = (2 clip)^2 / sigma^2: the
+    # smaller of the plain price and the capture price at the share alpha, the
+    # capture failing for the rank-1 difference of a scalar-output task
     cfg = DpTrainConfig(T=1, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.4, clip=0.7, r=6)
-    alpha = 1.5 * 6 / 12
-    expected = compose_gaussian_steps(alpha * (2 * 0.7) ** 2 / 0.4**2, 1, 1.0, delta_M_bound(2, alpha, 6, 12))
-    assert budget_spent(cfg, 12)[0][1] == pytest.approx(expected, rel=1e-12)
+    alpha, mu = 1.5 * 6 / 12, (2 * 0.7) ** 2 / 0.4**2
+    expected = min(
+        compose_gaussian_steps(mu, 1, 1.0, 0.0),
+        compose_gaussian_steps(alpha * mu, 1, 1.0, delta_M_bound(1, alpha, 6, 12)),
+    )
+    assert budget_spent(cfg, _shape(12))[0][1] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -373,14 +384,101 @@ def test_train_noisy_proj_does_not_depend_on_the_block_size(path, T, batch):
 
 def test_noisy_proj_multi_step_budget():
     cfg = DpTrainConfig(
-        T=5, eta=0.1, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1.0, r=8,
-        alpha=0.1, sens_rank=2,
+        T=5, eta=0.1, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1.0, r=8, alpha=0.1,
     )
     d = 100
-    mu_step = 0.1 * (2.0) ** 2 / 0.25
-    delta_p = delta_M_bound(2, 0.1, 8, d)
-    expected = compose_gaussian_steps(5 * mu_step, 5, 1.0, delta_p)
-    assert budget_spent(cfg, d)[4][1] == pytest.approx(expected, rel=1e-12)
+    mu = (2.0) ** 2 / 0.25
+    delta_p = delta_M_bound(2, 0.1, 8, d)  # two outputs: a difference of rank <= 2
+    expected = min(
+        compose_gaussian_steps(5 * mu, 5, 1.0, 0.0),
+        compose_gaussian_steps(5 * 0.1 * mu, 5, 1.0, delta_p),
+    )
+    assert budget_spent(cfg, _shape(d, 2))[4][1] == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mechanism=hst.sampled_from([Mechanism.DP_LORA_FA, Mechanism.NOISY_PROJ]),
+    d=hst.integers(2, 300),
+    n_out=hst.integers(1, 12),
+    r_share=hst.floats(0.0, 1.0),
+    T=hst.integers(1, 300),
+    log_sigma=hst.floats(-1.0, 2.0),
+    clip=hst.floats(0.1, 10.0),
+    eps=hst.floats(0.1, 20.0),
+    alpha=hst.none() | hst.floats(0.01, 1.0),
+)
+def test_budget_is_the_smaller_of_the_plain_and_capture_prices(
+    mechanism, d, n_out, r_share, T, log_sigma, clip, eps, alpha
+):
+    r = 1 + int(r_share * (d - 2))  # 1 <= r <= d - 1
+    if mechanism is Mechanism.DP_LORA_FA:
+        cfg = DpTrainConfig(T=T, eta=0.1, mechanism=mechanism, clip=clip, r=r,
+                            eps_target=eps, delta_target=1e-5)
+        sigma = _lora_fa_sigma(cfg)
+    else:
+        sigma = 10.0**log_sigma
+        cfg = DpTrainConfig(T=T, eta=0.1, mechanism=mechanism, sigma=sigma, clip=clip, r=r,
+                            alpha=alpha, eps_target=eps, delta_target=1e-5)
+    ratio = 2.0 * clip / sigma
+    mu = ratio * ratio
+    share = alpha if alpha is not None else min(1.0, 1.5 * r / d)
+    capture = mechanism is Mechanism.NOISY_PROJ and share < 1.0
+    budgets = budget_spent(cfg, _shape(d, n_out))
+    assert len(budgets) == T and all(e == eps for e, _ in budgets)
+    for t, (_, delta) in enumerate(budgets, 1):
+        plain = compose_gaussian_steps(t * mu, t, eps, 0.0)
+        if capture:
+            delta_p = delta_M_bound(min(n_out, d), share, r, d)
+            assert delta == min(plain, compose_gaussian_steps(t * (share * mu), t, eps, delta_p))
+        else:
+            assert delta == plain
+        assert delta <= plain
+    # T(eps; mu) rises with mu, but its two tails' rounded sum can fall by an
+    # ulp where one tail saturates near 1, at the parent's DP-LoRA steps too
+    deltas = [dl for _, dl in budgets]
+    assert all(a <= b * (1.0 + 4.0 * sys.float_info.epsilon) for a, b in zip(deltas, deltas[1:]))
+
+
+def test_noisy_proj_budget_pinned_values():
+    # criterion 10's shape at sigma = 10: the capture price at s = 10 is vacuous,
+    # so the run reports the plain Gaussian price T(8; 200 (2 / 10)^2)
+    cfg = DpTrainConfig(T=200, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=10.0, clip=1.0, r=16,
+                        eps_target=8.0, delta_target=1e-5)
+    eps, delta = budget_spent(cfg, _shape(128, 10))[-1]
+    assert eps == 8.0
+    assert delta == pytest.approx(gaussian_tradeoff(8.0, 200 * 0.2**2), rel=1e-12)
+    assert delta == pytest.approx(0.0787, abs=5e-5)
+    # a scalar output's difference has rank 1: a step's capture fails with
+    # probability delta_M_bound(1, ...), half the rank-2 union bound
+    cfg = DpTrainConfig(T=200, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=10.0, clip=1.0, r=16,
+                        alpha=0.35, eps_target=8.0, delta_target=1e-5)
+    delta_p = delta_M_bound(1, 0.35, 16, 128)
+    assert delta_p == pytest.approx(delta_M_bound(2, 0.35, 16, 128) / 2, rel=1e-12)
+    _, delta = budget_spent(cfg, _shape(128))[-1]
+    assert delta == pytest.approx(compose_gaussian_steps(200 * 0.35 * 0.2**2, 200, 8.0, delta_p), rel=1e-12)
+    assert delta < 0.0031 < gaussian_tradeoff(8.0, 200 * 0.2**2)
+
+
+def test_clipping_the_whole_gradient_raises_the_rank_of_a_replaced_example():
+    # Criterion 10's task at W = 0. Replacing one example moves the batch-mean
+    # gradient by (p' x'^T - p x^T) / n, of rank <= 2. Clipped as one matrix,
+    # the difference c G - c' G' also carries G itself, so its rank reaches
+    # n_out - 1 (softmax gradients' rows sum to 0): the capture price may
+    # assume rank min(n_out, d), not 2.
+    task = make_logistic_task(100, 128, 10, Seed(MASTER, 9000).child(15), reg=1e-4)
+    X, y = task.X.copy(), task.y.copy()
+    X[0], y[0] = Seed(MASTER, 490).generator().standard_normal(128), (y[0] + 1) % 10
+    neighbour = TrainTask(kind=task.kind, n_features=128, n_classes=10, X=X, y=y, reg=task.reg)
+    W = np.zeros((10, 128))
+    G, G2 = task.grad_W(W).T, neighbour.grad_W(W).T
+    assert 1.0 < np.linalg.norm(G) < 1.3 and 1.0 < np.linalg.norm(G2) < 1.3
+
+    def rank(D):
+        return int(np.linalg.matrix_rank(D, tol=1e-9 * np.linalg.norm(D, 2)))
+
+    assert rank(G - G2) <= 2
+    assert rank(mechanisms.clip_frobenius(G, 1.0) - mechanisms.clip_frobenius(G2, 1.0)) > 2
 
 
 def _rp_cfg(eta, T, r, redraw):
@@ -468,7 +566,7 @@ def test_noisy_proj_budget_rejects_underflowing_sigma():
     # sigma^2 underflows to 0 here; mu_step overflows to inf instead
     cfg = DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.NOISY_PROJ, sigma=1e-170, clip=1.0, r=4)
     with pytest.raises(DomainError):
-        budget_spent(cfg, 100)
+        budget_spent(cfg, _shape(100))
 
 
 def test_config_validation():
@@ -482,11 +580,11 @@ def test_config_validation():
     # bool is an int subclass, so batch=True would pass for a batch of 1
     with pytest.raises(ConfigError):
         DpTrainConfig(T=5, eta=0.1, batch=True)
-    for field, value in (("T", 2.5), ("T", 2.0), ("T", True), ("r", 2.5), ("sens_rank", True)):
+    for field, value in (("T", 2.5), ("T", 2.0), ("T", True), ("r", 2.5)):
         with pytest.raises(ConfigError, match=field):
             DpTrainConfig(**{"T": 5, "eta": 0.1, field: value})
     with pytest.raises(DomainError):
-        DpTrainConfig(T=5, eta=0.1, sens_rank=0)
+        DpTrainConfig(T=5, eta=0.1, r=0)
     # the noisy-projection step legitimately takes sigma plus a reporting eps
     DpTrainConfig(T=5, eta=0.1, sigma=0.5, eps_target=1.0, delta_target=1e-5,
                   clip=1.0, mechanism=Mechanism.NOISY_PROJ)
@@ -515,13 +613,12 @@ def test_load_config_roundtrip(tmp_path):
         "mechanism = noisy_proj\n"
         "r = 6\n"
         "alpha = 0.2\n"
-        "sens_rank = 1\n"
         "redraw_each_step = true\n"
     )
     cfg = load_config(path)
     assert cfg.T == 12 and cfg.eta == 0.25 and cfg.batch == FULL_BATCH
     assert cfg.mechanism is Mechanism.NOISY_PROJ and cfg.r == 6
-    assert cfg.alpha == 0.2 and cfg.sens_rank == 1 and cfg.redraw_each_step
+    assert cfg.alpha == 0.2 and cfg.redraw_each_step
 
 
 @pytest.mark.parametrize(
