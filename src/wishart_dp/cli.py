@@ -249,9 +249,10 @@ def _cmd_profile_mc(args) -> int:
         "inputs": {"rho": args.rho, "d": args.d, "delta": args.delta, "n": args.n},
         "per_rank": per_rank,
     }
+    unreached = "not reached" if args.delta * args.n >= 1.0 else "below the 1/n resolution"
     summary = "; ".join(
         f"r={p['r']}: eps_hat({args.delta}) = "
-        + ("not reached" if p["eps_hat"] is None else f"{p['eps_hat']:.4g}")
+        + (unreached if p["eps_hat"] is None else f"{p['eps_hat']:.4g}")
         for p in per_rank
     )
     _emit(args, payload, outputs, summary)

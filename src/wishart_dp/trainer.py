@@ -10,7 +10,8 @@ Mechanisms:
 * NOISY_PROJ: update the weights W <- W - eta (M (clip(G)^T + Xi))^T with a
   fresh M = Z Z^T every step, sampled as mechanisms.noisy_mech samples M2,
   along the path that draws the fewest normals (see mechanisms);
-* RP_GD: vector-query projected gradient descent w <- w - eta M grad.
+* RP_GD: vector-query projected gradient descent w <- w - eta M grad on the
+  full-batch gradient, with a fresh M = Z Z^T every step.
 
 The two private mechanisms share one accountant. Two datasets are
 neighbours when one example is replaced by another, n fixed. A step clips
@@ -21,13 +22,15 @@ mu = (2 clip / sigma)^2. Gaussian steps compose by adding mu (Dong, Roth & Su
 2019, arXiv:1905.02383), so t steps spend T(eps; t mu): the plain price. It
 holds for noisy projection too, whose step Z Z^T (V + Xi) post-processes the
 Gaussian release V + Xi by a projection drawn independently of the data
-(Blocki, Blum, Datta & Sheffet 2012). At alpha < 1 noisy projection also has
-the capture price T(eps; t alpha mu) + t delta_M_bound(s, alpha, r, d), valid
-when every Delta V has rank at most s. Once the whole-matrix clip binds,
-Delta V can have rank n_out, not 2, so s = min(n_out, d). budget_spent
-reports the smaller price after each step. eps_target and delta_target cover
-the whole run, and DP-LoRA calibrates its sigma to them once per config,
-shared by the run's loop and its pricing.
+(Blocki, Blum, Datta & Sheffet 2012). At a share alpha < 1 noisy projection
+also has the capture price T(eps; t alpha mu) + t delta_M_bound(s, alpha, r, d),
+valid when every Delta V has rank at most s. Once the whole-matrix clip binds,
+Delta V can have rank n_out, not 2, so s = min(n_out, d). After each step
+budget_spent reports the smallest of the plain price and the capture prices
+at 1.5 r/d and at 32 shares whose gaps above the mean capture r/d grow
+geometrically; they depend on (r, d) alone, so each is a valid bound.
+eps_target and delta_target cover the whole run, and DP-LoRA calibrates its
+sigma to them once per config, shared by the run's loop and its pricing.
 
 train(task, cfg, seed) is the one entry point: it draws the steps from
 seed.child(1), dispatches on the mechanism and yields each step's weights
@@ -69,6 +72,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import accountants, mechanisms
 from .errors import ConfigError, DegenerateInputError, DomainError
@@ -269,8 +273,6 @@ class DpTrainConfig:
     delta_target: float | None = None
     mechanism: Mechanism = Mechanism.NOISE_FREE_LORA
     r: int = 8
-    alpha: float | None = None
-    redraw_each_step: bool = True
 
     def __post_init__(self):
         for name in ("T", "r"):
@@ -286,29 +288,26 @@ class DpTrainConfig:
             raise ConfigError(f"eps_target must be finite, got {self.eps_target}")
         if self.delta_target is not None and not 0.0 < self.delta_target < 1.0:
             raise ConfigError(f"delta_target must lie in (0, 1), got {self.delta_target}")
-        if self.mechanism is Mechanism.DP_LORA_FA:
-            # there sigma derives from the budget (or vice versa), never both
-            if self.sigma is not None and self.eps_target is not None:
-                raise ConfigError("set either sigma or (eps_target, delta_target), not both")
-            if self.eps_target is not None and not math.isfinite(self.clip):
-                raise ConfigError("a privacy target needs a finite clipping threshold")
-        if self.mechanism is Mechanism.NOISY_PROJ:
-            if self.sigma is None or not self.sigma > 0.0:
-                raise ConfigError(f"noisy projection requires sigma > 0, got {self.sigma}")
-            if not math.isfinite(self.clip):
-                raise ConfigError("noisy projection requires a finite clipping threshold")
+        # DP-LoRA derives sigma from the budget (or vice versa), never both
+        if self.mechanism is Mechanism.DP_LORA_FA and self.sigma is not None and self.eps_target is not None:
+            raise ConfigError("set either sigma or (eps_target, delta_target), not both")
+        if self.mechanism is Mechanism.NOISY_PROJ and (self.sigma is None or not self.sigma > 0.0):
+            raise ConfigError(f"noisy projection requires sigma > 0, got {self.sigma}")
+        private = self.mechanism in (Mechanism.DP_LORA_FA, Mechanism.NOISY_PROJ)
+        if private and (self.sigma or self.eps_target is not None) and not math.isfinite(self.clip):
+            raise ConfigError(f"{self.mechanism.value} with noise or a privacy target needs a finite clip")
         if self.eps_target is not None and self.delta_target is None:
             raise ConfigError("eps_target requires delta_target")
         if self.batch != FULL_BATCH and (not _is_count(self.batch) or self.batch < 1):
             raise ConfigError(f"batch must be 'full' or a positive int, got {self.batch!r}")
+        if self.mechanism is Mechanism.RP_GD and self.batch != FULL_BATCH:
+            raise ConfigError(f"rp_gd steps on the full-batch gradient, got batch {self.batch!r}")
         if not self.clip > 0.0:
             raise DomainError(f"clip must be > 0, got {self.clip}")
         if self.r < 1:
             raise DomainError(f"r must be >= 1, got {self.r}")
         if self.eps_target is not None and not self.eps_target > 0.0:
             raise DomainError(f"eps_target must be > 0, got {self.eps_target}")
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
 
     @functools.cached_property
     def _lora_sigma(self) -> float:
@@ -452,9 +451,9 @@ def noisy_proj(
 def budget_spent(cfg: DpTrainConfig, task: TrainTask) -> list[tuple[float, float]]:
     """(eps, delta) spent after each of the cfg.T steps of a run on task.
 
-    Step t reports the smaller of the plain and the capture price (module
-    docstring) at eps = eps_target, or at eps = 1 without one. A run without
-    noise spends (inf, 0). The prices are set once: the list costs O(T).
+    Step t reports the smallest price (module docstring) over the candidate
+    shares at eps = eps_target, or at eps = 1 without one. A run without
+    noise spends (inf, 0). One array pass prices every step and candidate.
     """
     if cfg.mechanism is Mechanism.DP_LORA_FA:
         sigma = cfg._lora_sigma
@@ -469,18 +468,22 @@ def budget_spent(cfg: DpTrainConfig, task: TrainTask) -> list[tuple[float, float
     mu = ratio * ratio
     if not math.isfinite(mu):
         raise DomainError(f"mu = (2 clip / sigma)^2 must be finite, got {mu}")
-    candidates = [(1.0, 0.0)]  # (captured share, per-step capture failure)
-    if cfg.mechanism is Mechanism.NOISY_PROJ:
-        d = task.n_features
-        alpha = cfg.alpha if cfg.alpha is not None else min(1.0, 1.5 * cfg.r / d)
-        if alpha < 1.0:
-            candidates.append((alpha, accountants.delta_M_bound(min(task.n_out, d), alpha, cfg.r, d)))
+    shares, fails = [1.0], [0.0]  # (captured share, per-step capture failure)
+    r, d = cfg.r, task.n_features
+    if cfg.mechanism is Mechanism.NOISY_PROJ and r < d:
+        # gaps above r/d from half the sd of Beta(r/2, (d-r)/2) to just below 1 - r/d
+        gaps = np.geomspace(0.5 * math.sqrt(r / d * (1.0 - r / d) / (d / 2.0 + 1.0)), 1.0 - r / d, 33)
+        shares += [a for a in [*(r / d + gaps[:-1]).tolist(), 1.5 * r / d] if a < 1.0]
+        fails += [accountants.delta_M_bound(min(task.n_out, d), a, r, d) for a in shares[1:]]
     eps = cfg.eps_target if cfg.eps_target is not None else 1.0
-    return [
-        (eps, min(accountants.compose_gaussian_steps(t * (share * mu), t, eps, delta_p)
-                  for share, delta_p in candidates))
-        for t in range(1, cfg.T + 1)
-    ]
+    t = np.arange(1.0, cfg.T + 1.0)[:, None]
+    mu_sum = t * (np.asarray(shares) * mu)
+    root = np.sqrt(mu_sum)
+    # T(eps; mu) as accountants.gaussian_tradeoff; T(eps; 0) = Phi(-inf) + Phi(-inf) = 0
+    with np.errstate(divide="ignore"):
+        delta = special.ndtr((-eps - mu_sum / 2.0) / root) + special.ndtr(-(eps - mu_sum / 2.0) / root)
+    delta += t * np.asarray(fails)
+    return [(eps, dl) for dl in np.minimum(1.0, delta.min(axis=1)).tolist()]
 
 
 def rp_gd(
@@ -488,9 +491,9 @@ def rp_gd(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Projected gradient descent w <- w - eta M grad on a scalar-output task.
 
-    M = Z Z^T for a (d x r) Wishart factor Z, drawn from seed.child(t) at
-    step t when cfg.redraw_each_step, else once from seed.child(0). Yields
-    (w, grad) after each step, grad being the gradient the step used.
+    M = Z Z^T for a fresh (d x r) Wishart factor Z, drawn from seed.child(t)
+    at step t; the gradient is the full-batch one. Yields (w, grad) after each
+    step, grad being the gradient the step used.
     """
     if cfg.mechanism is not Mechanism.RP_GD:
         raise ConfigError(f"rp_gd called with mechanism {cfg.mechanism}")
@@ -499,11 +502,9 @@ def rp_gd(
     w = np.asarray(w0, dtype=float).copy()
     rng = seed.generator()  # one generator per run, reset to each draw's stream
     for t in range(cfg.T):
-        if t == 0 or cfg.redraw_each_step:
-            Z = wishart_factor(seed.child(t).reset(rng), w.shape[0], cfg.r)
-            M = Z @ Z.T
+        Z = wishart_factor(seed.child(t).reset(rng), w.shape[0], cfg.r)
         g = task.grad_W(w[None, :])[0]
-        w = w - cfg.eta * (M @ g)
+        w = w - cfg.eta * ((Z @ Z.T) @ g)
         yield w, g
 
 
@@ -551,10 +552,7 @@ _CONFIG_FIELDS = {
     "delta_target": float,
     "mechanism": None,
     "r": int,
-    "alpha": float,
-    "redraw_each_step": None,
 }
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def load_config(path) -> DpTrainConfig:
@@ -579,12 +577,10 @@ def load_config(path) -> DpTrainConfig:
                     values[key] = Mechanism(val.lower())
                 elif key == "batch":
                     values[key] = FULL_BATCH if val.lower() == FULL_BATCH else int(val)
-                elif key == "redraw_each_step":
-                    values[key] = _BOOLS[val.lower()]
                 else:
                     caster = _CONFIG_FIELDS[key]
                     values[key] = caster(val) if val.lower() != "none" else None
-            except (KeyError, ValueError):
+            except ValueError:
                 raise ConfigError(f"{path}:{lineno}: invalid value for {key}: {val!r}") from None
     if "T" not in values or "eta" not in values:
         raise ConfigError(f"{path}: config must set at least T and eta")

@@ -147,6 +147,19 @@ def test_profile_mc_reports_null_when_delta_is_not_reached(capsys):
     assert "r=4: eps_hat(0.01) = not reached" in err
 
 
+def test_profile_mc_says_when_delta_is_below_the_resolution(capsys):
+    # at n = 1000 no grid resolves delta = 1e-5, however far it runs
+    code, out, err = run_cli(
+        capsys,
+        "profile-mc", "--rho", "0.9", "--d", "50", "--r", "4", "--delta", "1e-5",
+        "--n", "1000", "--eps-max", "3", "--seed", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["per_rank"] == [{"r": 4, "eps_hat": None}]
+    assert "r=4: eps_hat(1e-05) = below the 1/n resolution" in err
+    assert "not reached" not in err
+
+
 def test_profile_mc_byte_identical_reruns(capsys):
     args = (
         "profile-mc", "--rho", "0.99", "--d", "30", "--r", "4",
@@ -356,8 +369,8 @@ def test_train_matches_library_fit(capsys, tmp_path, task_kind, mechanism_lines)
 
 @pytest.mark.parametrize(
     "bad_line",
-    ["mechanism = bogus\n", "T = five\n", "batch = 2.5\n", "redraw_each_step = ture\n"],
-    ids=["unknown_mechanism", "unparsable_int", "non_integer_batch", "misspelt_bool"],
+    ["mechanism = bogus\n", "T = five\n", "batch = 2.5\n", "clip = wide\n"],
+    ids=["unknown_mechanism", "unparsable_int", "non_integer_batch", "unparsable_float"],
 )
 def test_train_bad_config_value_exits_3(capsys, tmp_path, bad_line):
     cfg_path = tmp_path / "train.cfg"
@@ -368,6 +381,35 @@ def test_train_bad_config_value_exits_3(capsys, tmp_path, bad_line):
     assert code == 3
     assert out == ""
     assert f"{cfg_path}:3:" in err
+
+
+@pytest.mark.parametrize("line", ["alpha = 0.2\n", "redraw_each_step = false\n"], ids=["alpha", "redraw_each_step"])
+def test_train_removed_knob_exits_3_as_unknown_key(capsys, tmp_path, line):
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text("eta = 0.1\nT = 4\n" + line)
+    code, out, err = run_cli(
+        capsys, "train", "--task", "ridge", "--config", str(cfg_path), "--seed", "3"
+    )
+    assert code == 3
+    assert out == ""
+    assert f"{cfg_path}:3: unknown config key" in err
+
+
+@pytest.mark.parametrize(
+    "lines, field",
+    [("mechanism = rp_gd\nbatch = 3\n", "batch"), ("mechanism = dp_lora_fa\nsigma = 0.1\n", "clip")],
+    ids=["rp_gd_minibatch", "dp_lora_fa_noise_without_clip"],
+)
+def test_train_config_a_run_would_misread_exits_3(capsys, tmp_path, lines, field):
+    # rp_gd would ignore the batch; DP-LoRA would add noise to unclipped gradients
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text("T = 5\neta = 0.1\nr = 4\n" + lines)
+    code, out, err = run_cli(
+        capsys, "train", "--task", "ridge", "--config", str(cfg_path), "--seed", "3"
+    )
+    assert code == 3
+    assert out == ""
+    assert field in err
 
 
 def test_train_noisy_proj_without_sigma_exits_3(capsys, tmp_path):

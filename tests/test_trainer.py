@@ -51,6 +51,31 @@ def _shape(d, n_out=1):
     return TrainTask(kind=TaskKind.LOGISTIC, n_features=d, n_classes=n_out, X=np.zeros((1, d)), y=np.zeros(1))
 
 
+def _capture_candidates(r, d, n_out):
+    """(share, per-step capture failure) of each capture price budget_spent tries.
+
+    32 shares whose gaps above the mean r/d of Beta(r/2, (d-r)/2) grow
+    geometrically from half its standard deviation to just below 1 - r/d,
+    and 1.5 r/d; none when r >= d. The failure is a union over min(n_out, d) directions.
+    """
+    if r >= d:
+        return []
+    mean = r / d
+    sd = math.sqrt(mean * (1.0 - mean) / (d / 2.0 + 1.0))
+    shares = [mean + gap for gap in np.geomspace(0.5 * sd, 1.0 - mean, 33)[:-1].tolist()] + [1.5 * mean]
+    return [(a, delta_M_bound(min(n_out, d), a, r, d)) for a in shares if a < 1.0]
+
+
+def _cheapest(mu, t, eps, candidates):
+    """The smallest scalar price of t steps over the plain candidate (1, 0) and the capture ones."""
+    return min(compose_gaussian_steps(t * (a * mu), t, eps, fail) for a, fail in [(1.0, 0.0), *candidates])
+
+
+def _at_most(got, bound):
+    """got <= bound, up to the rounding of budget_spent's array pass: a relative 1e-12, absolute 1e-300."""
+    return got <= bound + max(1e-12 * bound, 1e-300)
+
+
 def _frozen_factor(r, stream):
     """The (r x 16) frozen LoRA factor A drawn from Seed(MASTER, stream)."""
     return wishart_draw(16, r, Seed(MASTER, stream)).Z.T
@@ -324,14 +349,10 @@ def test_noisy_proj_step_equals_m2_mechanism_bitwise():
         assert np.array_equal(W1, _m2_step(task, cfg, np.zeros((1, d)), run_seed.child(1).child(0)))
         assert np.array_equal(W2, _m2_step(task, cfg, W1, run_seed.child(1).child(1)))
     # the step is priced at sensitivity 2 * clip, mu = (2 clip)^2 / sigma^2: the
-    # smaller of the plain price and the capture price at the share alpha, the
-    # capture failing for the rank-1 difference of a scalar-output task
+    # cheapest of the plain price and the capture prices, the capture failing
+    # for the rank-1 difference of a scalar-output task
     cfg = DpTrainConfig(T=1, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.4, clip=0.7, r=6)
-    alpha, mu = 1.5 * 6 / 12, (2 * 0.7) ** 2 / 0.4**2
-    expected = min(
-        compose_gaussian_steps(mu, 1, 1.0, 0.0),
-        compose_gaussian_steps(alpha * mu, 1, 1.0, delta_M_bound(1, alpha, 6, 12)),
-    )
+    expected = _cheapest((2 * 0.7) ** 2 / 0.4**2, 1, 1.0, _capture_candidates(6, 12, 1))
     assert budget_spent(cfg, _shape(12))[0][1] == pytest.approx(expected, rel=1e-12)
 
 
@@ -383,17 +404,15 @@ def test_train_noisy_proj_does_not_depend_on_the_block_size(path, T, batch):
 
 
 def test_noisy_proj_multi_step_budget():
-    cfg = DpTrainConfig(
-        T=5, eta=0.1, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1.0, r=8, alpha=0.1,
-    )
-    d = 100
-    mu = (2.0) ** 2 / 0.25
-    delta_p = delta_M_bound(2, 0.1, 8, d)  # two outputs: a difference of rank <= 2
-    expected = min(
-        compose_gaussian_steps(5 * mu, 5, 1.0, 0.0),
-        compose_gaussian_steps(5 * 0.1 * mu, 5, 1.0, delta_p),
-    )
-    assert budget_spent(cfg, _shape(d, 2))[4][1] == pytest.approx(expected, rel=1e-12)
+    # two outputs: a difference of rank <= 2, so each capture fails with
+    # probability delta_M_bound(2, ...); step t reports the cheapest candidate
+    cfg = DpTrainConfig(T=5, eta=0.1, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1.0, r=8)
+    mu = 2.0**2 / 0.25
+    candidates = _capture_candidates(8, 100, 2)
+    assert len(candidates) == 33 and all(0.08 < a < 1.0 for a, _ in candidates)
+    budgets = budget_spent(cfg, _shape(100, 2))
+    for t, (_, delta) in enumerate(budgets, 1):
+        assert delta == pytest.approx(_cheapest(mu, t, 1.0, candidates), rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -401,17 +420,16 @@ def test_noisy_proj_multi_step_budget():
     mechanism=hst.sampled_from([Mechanism.DP_LORA_FA, Mechanism.NOISY_PROJ]),
     d=hst.integers(2, 300),
     n_out=hst.integers(1, 12),
-    r_share=hst.floats(0.0, 1.0),
+    r_share=hst.floats(0.0, 1.5),
     T=hst.integers(1, 300),
     log_sigma=hst.floats(-1.0, 2.0),
     clip=hst.floats(0.1, 10.0),
     eps=hst.floats(0.1, 20.0),
-    alpha=hst.none() | hst.floats(0.01, 1.0),
 )
 def test_budget_is_the_smaller_of_the_plain_and_capture_prices(
-    mechanism, d, n_out, r_share, T, log_sigma, clip, eps, alpha
+    mechanism, d, n_out, r_share, T, log_sigma, clip, eps
 ):
-    r = 1 + int(r_share * (d - 2))  # 1 <= r <= d - 1
+    r = max(1, round(r_share * d))  # r >= d leaves only the plain price
     if mechanism is Mechanism.DP_LORA_FA:
         cfg = DpTrainConfig(T=T, eta=0.1, mechanism=mechanism, clip=clip, r=r,
                             eps_target=eps, delta_target=1e-5)
@@ -419,45 +437,45 @@ def test_budget_is_the_smaller_of_the_plain_and_capture_prices(
     else:
         sigma = 10.0**log_sigma
         cfg = DpTrainConfig(T=T, eta=0.1, mechanism=mechanism, sigma=sigma, clip=clip, r=r,
-                            alpha=alpha, eps_target=eps, delta_target=1e-5)
+                            eps_target=eps, delta_target=1e-5)
     ratio = 2.0 * clip / sigma
     mu = ratio * ratio
-    share = alpha if alpha is not None else min(1.0, 1.5 * r / d)
-    capture = mechanism is Mechanism.NOISY_PROJ and share < 1.0
+    noisy = mechanism is Mechanism.NOISY_PROJ
+    candidates = _capture_candidates(r, d, n_out) if noisy else []
+    former = min(1.0, 1.5 * r / d)  # the former default share
     budgets = budget_spent(cfg, _shape(d, n_out))
     assert len(budgets) == T and all(e == eps for e, _ in budgets)
     for t, (_, delta) in enumerate(budgets, 1):
         plain = compose_gaussian_steps(t * mu, t, eps, 0.0)
-        if capture:
-            delta_p = delta_M_bound(min(n_out, d), share, r, d)
-            assert delta == min(plain, compose_gaussian_steps(t * (share * mu), t, eps, delta_p))
-        else:
-            assert delta == plain
-        assert delta <= plain
+        assert _at_most(delta, plain)
+        if noisy and former < 1.0:
+            capture = compose_gaussian_steps(t * (former * mu), t, eps, delta_M_bound(min(n_out, d), former, r, d))
+            assert _at_most(delta, capture)
+        cheapest = _cheapest(mu, t, eps, candidates)
+        assert abs(delta - cheapest) <= max(1e-12 * cheapest, 1e-300)
     # T(eps; mu) rises with mu, but its two tails' rounded sum can fall by an
-    # ulp where one tail saturates near 1, at the parent's DP-LoRA steps too
+    # ulp where one tail saturates near 1
     deltas = [dl for _, dl in budgets]
     assert all(a <= b * (1.0 + 4.0 * sys.float_info.epsilon) for a, b in zip(deltas, deltas[1:]))
 
 
 def test_noisy_proj_budget_pinned_values():
-    # criterion 10's shape at sigma = 10: the capture price at s = 10 is vacuous,
-    # so the run reports the plain Gaussian price T(8; 200 (2 / 10)^2)
+    # criterion 10's shape at sigma = 10. Ten outputs make a capture fail with
+    # probability up to ten Beta tails, yet the best share still beats the
+    # plain Gaussian price T(8; 200 (2 / 10)^2), which the former default
+    # share 1.5 r/d could not
     cfg = DpTrainConfig(T=200, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=10.0, clip=1.0, r=16,
                         eps_target=8.0, delta_target=1e-5)
+    plain = gaussian_tradeoff(8.0, 200 * 0.2**2)
+    assert plain == pytest.approx(0.0787, abs=5e-5)
+    former = compose_gaussian_steps(200 * 0.1875 * 0.2**2, 200, 8.0, delta_M_bound(10, 0.1875, 16, 128))
+    assert former == 1.0
     eps, delta = budget_spent(cfg, _shape(128, 10))[-1]
-    assert eps == 8.0
-    assert delta == pytest.approx(gaussian_tradeoff(8.0, 200 * 0.2**2), rel=1e-12)
-    assert delta == pytest.approx(0.0787, abs=5e-5)
-    # a scalar output's difference has rank 1: a step's capture fails with
-    # probability delta_M_bound(1, ...), half the rank-2 union bound
-    cfg = DpTrainConfig(T=200, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=10.0, clip=1.0, r=16,
-                        alpha=0.35, eps_target=8.0, delta_target=1e-5)
-    delta_p = delta_M_bound(1, 0.35, 16, 128)
-    assert delta_p == pytest.approx(delta_M_bound(2, 0.35, 16, 128) / 2, rel=1e-12)
+    assert eps == 8.0 and delta <= 5e-4
+    # a scalar output's difference has rank 1: a capture fails with
+    # probability delta_M_bound(1, ...), at most a tenth of the ten-direction union
     _, delta = budget_spent(cfg, _shape(128))[-1]
-    assert delta == pytest.approx(compose_gaussian_steps(200 * 0.35 * 0.2**2, 200, 8.0, delta_p), rel=1e-12)
-    assert delta < 0.0031 < gaussian_tradeoff(8.0, 200 * 0.2**2)
+    assert delta <= 4e-4
 
 
 def test_clipping_the_whole_gradient_raises_the_rank_of_a_replaced_example():
@@ -481,23 +499,21 @@ def test_clipping_the_whole_gradient_raises_the_rank_of_a_replaced_example():
     assert rank(mechanisms.clip_frobenius(G, 1.0) - mechanisms.clip_frobenius(G2, 1.0)) > 2
 
 
-def _rp_cfg(eta, T, r, redraw):
-    return DpTrainConfig(T=T, eta=eta, mechanism=Mechanism.RP_GD, r=r, redraw_each_step=redraw)
+def _rp_cfg(eta, T, r):
+    return DpTrainConfig(T=T, eta=eta, mechanism=Mechanism.RP_GD, r=r)
 
 
 def test_rp_gd_stationary_point():
     task = make_ridge_task(50, 8, Seed(MASTER, 440), noise=0.0, reg=0.0)
     w_star = task.ridge_optimum()
-    steps = rp_gd(task, w_star, _rp_cfg(0.05, 10, 8, False), Seed(MASTER, 441))
+    steps = rp_gd(task, w_star, _rp_cfg(0.05, 10, 8), Seed(MASTER, 441))
     losses = [task.loss(w[None, :]) for w, _ in steps]
     assert max(losses) - min(losses) < 1e-20
 
 
 def test_rp_gd_tracks_plain_gd(ridge_task):
     # Per-step redraws make the projected update unbiased (E[M] = I), so the
-    # averaged trajectory tracks plain GD. A single fixed square-case M does
-    # not enjoy this: its smallest nonzero eigenvalue sits near 0, stalling
-    # the matching directions, so the sample-once variant is not compared.
+    # averaged trajectory tracks plain GD.
     d, T, eta = 16, 500, 1e-2
     w = np.zeros(d)
     for _ in range(T):
@@ -505,30 +521,20 @@ def test_rp_gd_tracks_plain_gd(ridge_task):
     final_plain = ridge_task.loss(w[None, :])
     ratios = []
     for s in range(20):
-        *_, (w, _) = rp_gd(ridge_task, np.zeros(d), _rp_cfg(eta, T, d, True), Seed(MASTER, 442).child(s))
+        *_, (w, _) = rp_gd(ridge_task, np.zeros(d), _rp_cfg(eta, T, d), Seed(MASTER, 442).child(s))
         ratios.append(ridge_task.loss(w[None, :]) / final_plain)
     assert float(np.mean(ratios)) <= 1.1
 
 
 def test_rp_gd_rank_one_confinement():
-    from wishart_dp.randmat import wishart_draw
-
+    # at r = 1 step t moves w along its own factor column z_t alone, so five
+    # steps from 0 stay in the span of the five columns drawn
     task = make_ridge_task(40, 10, Seed(MASTER, 443))
-    # with a fixed rank-1 M every update stays along the single factor column
-    *_, (w, _) = rp_gd(task, np.zeros(10), _rp_cfg(0.05, 5, 1, False), Seed(MASTER, 444))
-    Z = wishart_draw(10, 1, Seed(MASTER, 444).child(0)).Z
-    direction = Z[:, 0] / np.linalg.norm(Z)
-    resid = w - direction * float(w @ direction)
-    assert np.linalg.norm(resid) < 1e-10
-
-
-def test_rp_gd_fixed_and_redrawn_share_first_step(ridge_task):
-    # both modes draw step 0's M from seed.child(0); they part only from step 1 on
-    w0 = Seed(MASTER, 445).generator().standard_normal(16)
-    fixed = list(rp_gd(ridge_task, w0, _rp_cfg(0.05, 3, 4, False), Seed(MASTER, 446)))
-    redrawn = list(rp_gd(ridge_task, w0, _rp_cfg(0.05, 3, 4, True), Seed(MASTER, 446)))
-    assert np.array_equal(fixed[0][0], redrawn[0][0])
-    assert not np.array_equal(fixed[-1][0], redrawn[-1][0])
+    *_, (w, _) = rp_gd(task, np.zeros(10), _rp_cfg(0.05, 5, 1), Seed(MASTER, 444))
+    Z = np.hstack([wishart_draw(10, 1, Seed(MASTER, 444).child(t)).Z for t in range(5)])
+    Q, _ = np.linalg.qr(Z)
+    assert np.linalg.norm(w) > 1e-3
+    assert np.linalg.norm(w - Q @ (Q.T @ w)) < 1e-10 * np.linalg.norm(w)
 
 
 def test_fit_dispatches_all_mechanisms():
@@ -612,23 +618,19 @@ def test_load_config_roundtrip(tmp_path):
         "sigma = 0.3\n"
         "mechanism = noisy_proj\n"
         "r = 6\n"
-        "alpha = 0.2\n"
-        "redraw_each_step = true\n"
     )
     cfg = load_config(path)
     assert cfg.T == 12 and cfg.eta == 0.25 and cfg.batch == FULL_BATCH
     assert cfg.mechanism is Mechanism.NOISY_PROJ and cfg.r == 6
-    assert cfg.alpha == 0.2 and cfg.redraw_each_step
 
 
-@pytest.mark.parametrize(
-    "value, expected",
-    [("1", True), ("True", True), ("YES", True), ("0", False), ("false", False), ("No", False)],
-)
-def test_load_config_reads_redraw_flag(tmp_path, value, expected):
+@pytest.mark.parametrize("line", ["alpha = 0.2\n", "redraw_each_step = true\n"], ids=["alpha", "redraw_each_step"])
+def test_load_config_rejects_removed_knobs(tmp_path, line):
+    # budget_spent derives the captured share, and rp_gd redraws M every step
     path = tmp_path / "train.cfg"
-    path.write_text(f"T = 5\neta = 0.1\nredraw_each_step = {value}\n")
-    assert load_config(path).redraw_each_step is expected
+    path.write_text("T = 5\neta = 0.1\n" + line)
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_config(path)
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -712,17 +714,24 @@ def test_config_rejects_budget_with_unbounded_clip():
     with pytest.raises(ConfigError):
         DpTrainConfig(T=5, eta=0.1, eps_target=1.0, delta_target=1e-5,
                       mechanism=Mechanism.DP_LORA_FA)
+    # noise without a clip bounds nothing; sigma = 0 without one is noise-free LoRA
+    with pytest.raises(ConfigError, match="clip"):
+        DpTrainConfig(T=5, eta=0.1, sigma=0.1, mechanism=Mechanism.DP_LORA_FA)
+    DpTrainConfig(T=5, eta=0.1, sigma=0.0, mechanism=Mechanism.DP_LORA_FA)
+
+
+def test_config_rejects_rp_gd_minibatch():
+    # rp_gd steps on the full-batch gradient: a batch setting would be ignored
+    with pytest.raises(ConfigError, match="batch"):
+        DpTrainConfig(T=5, eta=0.1, batch=3, mechanism=Mechanism.RP_GD)
+    DpTrainConfig(T=5, eta=0.1, batch=FULL_BATCH, mechanism=Mechanism.RP_GD)
 
 
 def test_config_rejects_out_of_range_budget_inputs():
-    # the noisy-projection budget is priced at eps_target > 0 and alpha in (0, 1]
+    # the noisy-projection budget is priced at eps_target > 0
     with pytest.raises(DomainError):
         DpTrainConfig(T=5, eta=0.1, sigma=0.5, clip=1.0, eps_target=0.0, delta_target=1e-5,
                       mechanism=Mechanism.NOISY_PROJ)
-    for alpha in (0.0, 1.5):
-        with pytest.raises(DomainError):
-            DpTrainConfig(T=5, eta=0.1, sigma=0.5, clip=1.0, alpha=alpha,
-                          mechanism=Mechanism.NOISY_PROJ)
 
 
 # ---------------------------------------------------------------------------
