@@ -29,8 +29,10 @@ Delta V can have rank n_out, not 2, so s = min(n_out, d). After each step
 budget_spent reports the smallest of the plain price and the capture prices
 at 1.5 r/d and at 32 shares whose gaps above the mean capture r/d grow
 geometrically; they depend on (r, d) alone, so each is a valid bound.
-eps_target and delta_target cover the whole run, and DP-LoRA calibrates its
-sigma to them once per config, shared by the run's loop and its pricing.
+eps_target covers the whole run: every step reports the delta spent at it.
+Only DP-LoRA reads delta_target: it calibrates its sigma to (eps_target,
+delta_target) once per config, shared by the run's loop and its pricing.
+Noisy projection, whose sigma is given, rejects a delta_target.
 
 train(task, cfg, seed) is the one entry point: it draws the steps from
 seed.child(1), dispatches on the mechanism and yields each step's weights
@@ -53,6 +55,14 @@ built per step would, for less. A run without draws builds none. A config
 builds its noisy-projection NoisyMechParams once, not once per step.
 Budgets never claim amplification by subsampling: with Poisson batches the
 reported budget is the unamplified one.
+
+The logistic softmax is laid out class-major: TrainTask forms the (n_out x n)
+logits W X^T from a cached contiguous X^T, so its max and sum over classes run
+down the short axis of a contiguous array, and a full batch subtracts a cached
+one-hot Y^T. output_grad returns the (n x n_out) transpose view. A task caches
+X^T, Y^T and its row indices, so its X and y are treated as immutable once
+built; add_example builds a new task. dp_lora_fa forms the data-only product
+X A^T and its row norms once per run, and a Poisson step takes its rows.
 
 noisy_proj runs NOISY_PROJ_BLOCK steps at a time. A pre-pass draws each step's
 Poisson batch and its mechanism's normals from the step's own streams, and
@@ -104,7 +114,8 @@ class TrainTask:
     RIDGE is scalar-output squared error plus an L2 term; LOGISTIC is
     multinomial cross-entropy with integer labels. Per-example gradients
     carry the data term only; the (data-independent) regularizer is added to
-    batch gradients after averaging.
+    batch gradients after averaging. X and y are not to be changed once the
+    task is built: it caches X^T, the one-hot labels and the row indices.
     """
 
     kind: TaskKind
@@ -146,8 +157,34 @@ class TrainTask:
     def n_out(self) -> int:
         return self.n_classes if self.kind is TaskKind.LOGISTIC else 1
 
-    def _logits(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return X @ W.T
+    @functools.cached_property
+    def _Xt(self) -> np.ndarray:
+        """X^T as a contiguous (n_features x n) array: the full batch's right factor of W X^T."""
+        return np.ascontiguousarray(self.X.T)
+
+    @functools.cached_property
+    def _Yt(self) -> np.ndarray:
+        """The labels one-hot, class-major (n_out x n): what output_grad subtracts on the full batch."""
+        Yt = np.zeros((self.n_out, self.n_examples))
+        Yt[self.y, self._rows] = 1.0
+        return Yt
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """0, ..., n_examples - 1: the column of each example's label in the class-major softmax."""
+        return np.arange(self.n_examples)
+
+    @staticmethod
+    def _softmax_t(W: np.ndarray, Xt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Class-major (n_out x n) shifted logits Z = W X^T - max, exp(Z) and its column sums s.
+
+        The softmax is exp(Z) / s. Each example is a column, so the max and
+        the sum run down the short class axis of a contiguous array.
+        """
+        Z = W @ Xt
+        Z -= Z.max(axis=0)
+        E = np.exp(Z)
+        return Z, E, E.sum(axis=0)
 
     def loss(self, W: np.ndarray, idx: np.ndarray | None = None) -> float:
         X = self.X if idx is None else self.X[idx]
@@ -158,33 +195,27 @@ class TrainTask:
         if self.kind is TaskKind.RIDGE:
             resid = X @ W[0] - y
             return 0.5 * float(np.mean(resid**2)) + reg_term
-        Z = self._logits(W, X)
-        Z -= Z.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(Z).sum(axis=1))
-        return float(np.mean(log_norm - Z[self._rows[: X.shape[0]], y])) + reg_term
+        Z, _, s = self._softmax_t(W, self._Xt if idx is None else X.T)
+        return float(np.mean(np.log(s) - Z[y, self._rows[: X.shape[0]]])) + reg_term
 
     def output_grad(self, W: np.ndarray, idx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Batch rows X and the data-term gradient P with respect to the outputs X W^T.
 
         P is (n x n_out): the residual column for RIDGE, softmax minus one-hot
-        for LOGISTIC. Example b's W-gradient is the outer product p_b x_b^T.
+        for LOGISTIC, the latter a transposed view of the class-major softmax.
+        Example b's W-gradient is the outer product p_b x_b^T.
         """
         X = self.X if idx is None else self.X[idx]
-        y = self.y if idx is None else self.y[idx]
         if self.kind is TaskKind.RIDGE:
+            y = self.y if idx is None else self.y[idx]
             return X, (X @ W[0] - y)[:, None]
-        # the softmax of the logits, in place
-        P = self._logits(W, X)
-        P -= P.max(axis=1, keepdims=True)
-        np.exp(P, out=P)
-        P /= P.sum(axis=1, keepdims=True)
-        P[self._rows[: X.shape[0]], y] -= 1.0
-        return X, P
-
-    @functools.cached_property
-    def _rows(self) -> np.ndarray:
-        """0, ..., n_examples - 1: the row index of each label in output_grad."""
-        return np.arange(self.n_examples)
+        _, P, s = self._softmax_t(W, self._Xt if idx is None else X.T)
+        P /= s
+        if idx is None:
+            P -= self._Yt
+        else:
+            P[self.y[idx], self._rows[: X.shape[0]]] -= 1.0
+        return X, P.T
 
     def per_example_grad_W(self, W: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         """Data-term gradients, one (n_out x n_features) slice per example.
@@ -296,7 +327,11 @@ class DpTrainConfig:
         private = self.mechanism in (Mechanism.DP_LORA_FA, Mechanism.NOISY_PROJ)
         if private and (self.sigma or self.eps_target is not None) and not math.isfinite(self.clip):
             raise ConfigError(f"{self.mechanism.value} with noise or a privacy target needs a finite clip")
-        if self.eps_target is not None and self.delta_target is None:
+        # noisy projection reports the delta it spends at eps_target; only DP-LoRA calibrates to a delta
+        if self.mechanism is Mechanism.NOISY_PROJ:
+            if self.delta_target is not None:
+                raise ConfigError("noisy projection reads no delta_target: it reports the delta spent at eps_target")
+        elif self.eps_target is not None and self.delta_target is None:
             raise ConfigError("eps_target requires delta_target")
         if self.batch != FULL_BATCH and (not _is_count(self.batch) or self.batch < 1):
             raise ConfigError(f"batch must be 'full' or a positive int, got {self.batch!r}")
@@ -335,13 +370,16 @@ def _batch_indices(task: TrainTask, cfg: DpTrainConfig, rng: np.random.Generator
 def _clipped_mean_grad_B(
     task: TrainTask,
     W: np.ndarray,
-    A: np.ndarray,
+    XA: np.ndarray,
+    XA_norms: np.ndarray,
     idx: np.ndarray | None,
     clip: float,
     divisor: int,
 ) -> np.ndarray:
     """Per-example B-gradients via the chain rule, clipped and averaged.
 
+    XA = X A^T is the run's (n x r) product of the examples with the frozen
+    factor, and XA_norms its row norms; a Poisson batch takes its rows of both.
     Example b's B-gradient is the outer product p_b (A x_b)^T, so its norm is
     ||p_b|| ||A x_b|| and the clipped sum is (f * P)^T (X A^T) with f the
     per-example clip factors ("ghost" norms: Goodfellow 2015, arXiv:1510.01799;
@@ -350,12 +388,13 @@ def _clipped_mean_grad_B(
     At clip = inf (noise-free LoRA) the clipping is skipped, so the step is
     plain gradient descent on B.
     """
-    X, P = task.output_grad(W, idx)
-    if X.shape[0] == 0:
-        return np.zeros((W.shape[0], A.shape[0]))
-    XA = X @ A.T
+    _, P = task.output_grad(W, idx)
+    if P.shape[0] == 0:
+        return np.zeros((W.shape[0], XA.shape[1]))
+    if idx is not None:
+        XA, XA_norms = XA[idx], XA_norms[idx]
     if math.isfinite(clip):
-        norms = np.linalg.norm(P, axis=1) * np.linalg.norm(XA, axis=1)
+        norms = np.linalg.norm(P, axis=1) * XA_norms
         factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
         P = P * factors[:, None]
     return P.T @ XA / divisor
@@ -397,13 +436,15 @@ def dp_lora_fa(
         raise DomainError(f"A must have shape (r, {task.n_features}), got {A.shape}")
     # one generator per run, reset to step t's stream seed.child(t)
     rng = seed.generator() if sigma > 0.0 or cfg.batch != FULL_BATCH else None
+    XA = task.X @ A.T  # the data's side of every step's B-gradient, once per run
+    XA_norms = np.linalg.norm(XA, axis=1)
     B = np.zeros((task.n_out, A.shape[0]))
     W = B @ A
     for t in range(cfg.T):
         if rng is not None:
             seed.child(t).reset(rng)
         idx, divisor = _batch_indices(task, cfg, rng)
-        ghat = _clipped_mean_grad_B(task, W, A, idx, clip, divisor)
+        ghat = _clipped_mean_grad_B(task, W, XA, XA_norms, idx, clip, divisor)
         if task.reg:
             ghat = ghat + (task.reg * W) @ A.T
         if sigma > 0.0:

@@ -397,11 +397,17 @@ def test_train_removed_knob_exits_3_as_unknown_key(capsys, tmp_path, line):
 
 @pytest.mark.parametrize(
     "lines, field",
-    [("mechanism = rp_gd\nbatch = 3\n", "batch"), ("mechanism = dp_lora_fa\nsigma = 0.1\n", "clip")],
-    ids=["rp_gd_minibatch", "dp_lora_fa_noise_without_clip"],
+    [
+        ("mechanism = rp_gd\nbatch = 3\n", "batch"),
+        ("mechanism = dp_lora_fa\nsigma = 0.1\n", "clip"),
+        ("mechanism = noisy_proj\nsigma = 0.5\nclip = 1.0\neps_target = 1.0\ndelta_target = 1e-9\n",
+         "delta_target"),
+    ],
+    ids=["rp_gd_minibatch", "dp_lora_fa_noise_without_clip", "noisy_proj_delta_target"],
 )
 def test_train_config_a_run_would_misread_exits_3(capsys, tmp_path, lines, field):
-    # rp_gd would ignore the batch; DP-LoRA would add noise to unclipped gradients
+    # rp_gd would ignore the batch; DP-LoRA would add noise to unclipped gradients;
+    # noisy projection would report a delta unrelated to the target it was given
     cfg_path = tmp_path / "train.cfg"
     cfg_path.write_text("T = 5\neta = 0.1\nr = 4\n" + lines)
     code, out, err = run_cli(
@@ -472,7 +478,7 @@ def test_train_divergent_run_exits_3_at_the_first_non_finite_loss(capsys, tmp_pa
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("eps_line, eps", [("", 1.0), ("eps_target = 2.0\ndelta_target = 1e-5\n", 2.0)])
+@pytest.mark.parametrize("eps_line, eps", [("", 1.0), ("eps_target = 2.0\n", 2.0)])
 def test_train_noisy_proj_budget_columns(capsys, tmp_path, eps_line, eps):
     # each step reports eps_target (1 without one) and the budget spent at that eps
     cfg_path = tmp_path / "train.cfg"

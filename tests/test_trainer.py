@@ -437,7 +437,7 @@ def test_budget_is_the_smaller_of_the_plain_and_capture_prices(
     else:
         sigma = 10.0**log_sigma
         cfg = DpTrainConfig(T=T, eta=0.1, mechanism=mechanism, sigma=sigma, clip=clip, r=r,
-                            eps_target=eps, delta_target=1e-5)
+                            eps_target=eps)
     ratio = 2.0 * clip / sigma
     mu = ratio * ratio
     noisy = mechanism is Mechanism.NOISY_PROJ
@@ -465,7 +465,7 @@ def test_noisy_proj_budget_pinned_values():
     # plain Gaussian price T(8; 200 (2 / 10)^2), which the former default
     # share 1.5 r/d could not
     cfg = DpTrainConfig(T=200, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=10.0, clip=1.0, r=16,
-                        eps_target=8.0, delta_target=1e-5)
+                        eps_target=8.0)
     plain = gaussian_tradeoff(8.0, 200 * 0.2**2)
     assert plain == pytest.approx(0.0787, abs=5e-5)
     former = compose_gaussian_steps(200 * 0.1875 * 0.2**2, 200, 8.0, delta_M_bound(10, 0.1875, 16, 128))
@@ -591,9 +591,12 @@ def test_config_validation():
             DpTrainConfig(**{"T": 5, "eta": 0.1, field: value})
     with pytest.raises(DomainError):
         DpTrainConfig(T=5, eta=0.1, r=0)
-    # the noisy-projection step legitimately takes sigma plus a reporting eps
-    DpTrainConfig(T=5, eta=0.1, sigma=0.5, eps_target=1.0, delta_target=1e-5,
-                  clip=1.0, mechanism=Mechanism.NOISY_PROJ)
+    # noisy projection takes sigma plus the eps it reports delta at, and no
+    # delta_target: only DP-LoRA calibrates to one
+    DpTrainConfig(T=5, eta=0.1, sigma=0.5, eps_target=1.0, clip=1.0, mechanism=Mechanism.NOISY_PROJ)
+    with pytest.raises(ConfigError, match="delta_target"):
+        DpTrainConfig(T=5, eta=0.1, sigma=0.5, eps_target=1.0, delta_target=1e-9,
+                      clip=1.0, mechanism=Mechanism.NOISY_PROJ)
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.1, -math.inf])
@@ -730,8 +733,7 @@ def test_config_rejects_rp_gd_minibatch():
 def test_config_rejects_out_of_range_budget_inputs():
     # the noisy-projection budget is priced at eps_target > 0
     with pytest.raises(DomainError):
-        DpTrainConfig(T=5, eta=0.1, sigma=0.5, clip=1.0, eps_target=0.0, delta_target=1e-5,
-                      mechanism=Mechanism.NOISY_PROJ)
+        DpTrainConfig(T=5, eta=0.1, sigma=0.5, clip=1.0, eps_target=0.0, mechanism=Mechanism.NOISY_PROJ)
 
 
 # ---------------------------------------------------------------------------
@@ -770,12 +772,18 @@ def _materialized_clipped_mean(task, W, A, idx, clip, divisor):
     return gB.sum(axis=0) / divisor, np.sqrt(np.einsum("bnr,bnr->b", gB, gB)).sum() / divisor
 
 
+def _ghost(task, W, A, idx, clip, divisor):
+    """_clipped_mean_grad_B through the run's X A^T and its row norms, as dp_lora_fa forms them."""
+    XA = task.X @ A.T
+    return _clipped_mean_grad_B(task, W, XA, np.linalg.norm(XA, axis=1), idx, clip, divisor)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_ghost_cases())
 def test_ghost_clipped_mean_matches_materialized_oracle(case):
     task, W, A, idx, clip = case
     divisor = 7
-    got = _clipped_mean_grad_B(task, W, A, idx, clip, divisor)
+    got = _ghost(task, W, A, idx, clip, divisor)
     want, scale = _materialized_clipped_mean(task, W, A, idx, clip, divisor)
     assert got.shape == (task.n_out, A.shape[0])
     if idx is not None and idx.size == 0:
@@ -783,6 +791,12 @@ def test_ghost_clipped_mean_matches_materialized_oracle(case):
     else:
         # relative to the summed term norms: clipped terms may cancel to ~0 in the sum
         assert np.linalg.norm(got - want) <= 1e-12 * scale
+    # a full-batch run's first step, from W = 0, clips through the X A^T it formed once
+    cfg = DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, clip=clip, r=A.shape[0])
+    [(_, ghat)] = dp_lora_fa(task, A, cfg, Seed(MASTER, 491))
+    W0 = np.zeros_like(W)
+    want, scale = _materialized_clipped_mean(task, W0, A, None, clip, task.n_examples)
+    assert np.linalg.norm(ghat - want) <= 1e-12 * scale
 
 
 @settings(max_examples=100, deadline=None)
@@ -791,5 +805,77 @@ def test_ghost_clipped_per_example_norms_within_clip(case):
     task, W, A, idx, clip = case
     rows = range(task.n_examples) if idx is None else idx
     for b in rows:
-        one = _clipped_mean_grad_B(task, W, A, np.array([b]), clip, 1)
+        one = _ghost(task, W, A, np.array([b]), clip, 1)
         assert np.linalg.norm(one) <= clip * (1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The class-major logistic kernel against the row-major formulas
+# ---------------------------------------------------------------------------
+
+
+@hst.composite
+def _logistic_kernel_cases(draw):
+    """(task, W, idx): a logistic task, weights whose largest logit is up to 700 in size, and a batch."""
+    n_classes = draw(hst.integers(1, 10))
+    n = draw(hst.integers(1, 40))
+    d = draw(hst.integers(1, 16))
+    seed = Seed(MASTER, draw(hst.integers(0, 2**32 - 1)))
+    task = make_logistic_task(n, d, n_classes, seed.child(0), reg=draw(hst.sampled_from([0.0, 1e-3])))
+    rng = seed.child(1).generator()
+    W = rng.standard_normal((n_classes, d))
+    W *= draw(hst.floats(0.0, 700.0)) / max(float(np.abs(task.X @ W.T).max()), 1e-300)
+    batch = draw(hst.sampled_from(["full", "poisson", "empty", "single"]))
+    idx = {
+        "full": None,
+        "poisson": np.flatnonzero(rng.random(n) < 0.5),
+        "empty": np.array([], dtype=int),
+        "single": np.array([int(rng.integers(n))]),
+    }[batch]
+    return task, W, idx
+
+
+def _row_major_oracle(task, W, idx):
+    """P, grad_W and loss by the row-major (n x n_out) formulas, each with its scale.
+
+    The scale is the size of the terms a value is formed from (softmax plus
+    one-hot, |P|^T |X| / n plus |reg W|, |log-sum| plus |label logit|): the
+    class-major kernel sums in another order, and softmax minus one-hot may
+    cancel to ~0.
+    """
+    X = task.X if idx is None else task.X[idx]
+    y = task.y if idx is None else task.y[idx]
+    rows = np.arange(X.shape[0])
+    Z = X @ W.T
+    Z -= Z.max(axis=1, keepdims=True)
+    E = np.exp(Z)
+    log_norm = np.log(E.sum(axis=1))
+    S = E / E.sum(axis=1, keepdims=True)
+    onehot = np.zeros_like(S)
+    onehot[rows, y] = 1.0
+    P = S - onehot
+    reg_term = 0.5 * task.reg * float(np.sum(W * W))
+    if X.shape[0] == 0:
+        return P, S, task.reg * W, np.abs(task.reg * W), 0.0, 0.0
+    G = P.T @ X / X.shape[0] + task.reg * W
+    G_scale = (S + onehot).T @ np.abs(X) / X.shape[0] + np.abs(task.reg * W)
+    loss = float(np.mean(log_norm - Z[rows, y])) + reg_term
+    loss_scale = float(np.mean(np.abs(log_norm) + np.abs(Z[rows, y]))) + reg_term
+    return P, S + onehot, G, G_scale, loss, loss_scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(_logistic_kernel_cases())
+def test_class_major_softmax_matches_row_major_formulas(case):
+    task, W, idx = case
+    P_want, P_scale, G_want, G_scale, loss_want, loss_scale = _row_major_oracle(task, W, idx)
+    X, P = task.output_grad(W, idx)
+    assert np.array_equal(X, task.X if idx is None else task.X[idx])
+    assert P.shape == P_want.shape == (X.shape[0], task.n_classes)
+    assert np.all(np.abs(P - P_want) <= 1e-12 * P_scale + 1e-300)
+    G = task.grad_W(W, idx)
+    assert G.shape == W.shape
+    assert np.all(np.abs(G - G_want) <= 1e-12 * G_scale + 1e-300)
+    assert abs(task.loss(W, idx) - loss_want) <= 1e-12 * loss_scale + 1e-300
+    # the cached X^T and one-hot Y^T leave the task's data as they were
+    assert np.array_equal(task._Xt, task.X.T) and np.array_equal(task._Yt.argmax(axis=0), task.y)
