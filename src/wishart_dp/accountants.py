@@ -15,6 +15,8 @@ Three regimes are covered:
 Each report holds only what its accountant computed: the intermediates and the
 (eps, delta) pair, with the unclamped delta alongside the [0, 1]-clamped value.
 The caller's inputs are not echoed back; the CLI builds the JSON shape.
+T(eps; mu) is written once, in _tradeoff, and the Beta capture tail once, in
+delta_M_bound; gaussian_tradeoff checks one float pair, compose_gaussian_steps arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import (
     DegenerateInputError,
@@ -34,7 +37,7 @@ from .errors import (
 )
 from . import profiler
 from .randmat import Seed
-from .specialfn import chi2_quantile, normal_cdf, reg_inc_betac, student_t_quantile
+from .specialfn import chi2_quantile, reg_inc_betac, student_t_quantile
 
 DEFAULT_SUPPORT_SAMPLES = 10**6
 
@@ -143,21 +146,27 @@ def account_vec(
     )
 
 
-def gaussian_tradeoff(eps: float, mu: float) -> float:
-    """Exact two-sided tail T(eps; mu) of the Gaussian privacy-loss variable.
+def _tradeoff(eps, mu, root):
+    """Unchecked T(eps; mu) on floats or arrays, root = sqrt(mu) > 0 (math.sqrt keeps a float fast).
 
-    T(eps; mu) = Phi((-eps - mu/2)/sqrt(mu)) + 1 - Phi((eps - mu/2)/sqrt(mu)),
-    with T(eps; 0) = 0 by convention (the loss is identically zero).
+    1 - Phi(x) is evaluated as Phi(-x), so deep tails are not absorbed by the 1.
     """
-    if not eps >= 0.0:
-        raise DomainError(f"eps must be >= 0, got {eps}")
-    if not mu >= 0.0:
-        raise DomainError(f"mu must be >= 0, got {mu}")
+    return special.ndtr((-eps - mu / 2.0) / root) + special.ndtr(-(eps - mu / 2.0) / root)
+
+
+def gaussian_tradeoff(eps: float, mu: float) -> float:
+    """Exact two-sided tail T(eps; mu) = P(|L| > eps) of the Gaussian privacy loss L ~ N(mu/2, mu).
+
+    T(eps; 0) = 0 by convention (the loss is identically zero). The formula
+    is _tradeoff's, which compose_gaussian_steps shares.
+    """
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and >= 0, got {eps}")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"mu must be finite and >= 0, got {mu}")
     if mu == 0.0:
         return 0.0
-    root = math.sqrt(mu)
-    # 1 - Phi(x) evaluated as Phi(-x) so deep tails are not absorbed by the 1.
-    return normal_cdf((-eps - mu / 2.0) / root) + normal_cdf(-(eps - mu / 2.0) / root)
+    return float(_tradeoff(eps, mu, math.sqrt(mu)))
 
 
 def delta_M_bound(s: int, alpha: float, r: int, d: int) -> float:
@@ -191,15 +200,13 @@ def account_small_r(
         raise DomainError(f"eps must be > 0, got {eps}")
     if not sens_frob >= 0.0:
         raise DomainError(f"sens_frob must be >= 0, got {sens_frob}")
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     mu_bar = alpha * (sens_frob / sigma) * (sens_frob / sigma)  # sigma * sigma may underflow
-    if not math.isfinite(mu_bar):
-        raise DomainError(f"mu_bar = alpha sens_frob^2 / sigma^2 must be finite, got {mu_bar}")
     # T(eps; mu) is nondecreasing in mu, so its value at mu_bar covers every
-    # captured sensitivity up to alpha ||dV||_F^2.
+    # captured sensitivity up to alpha ||dV||_F^2; it rejects an infinite mu_bar.
     delta_E = gaussian_tradeoff(eps, mu_bar)
     if alpha == 1.0:
         delta_M = 0.0
@@ -263,26 +270,22 @@ def choose_alpha(
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    if not mu > 0.0:
-        raise DomainError(f"mu must be > 0, got {mu}")
     if r < 1 or d < 2:
         raise DomainError(f"need r >= 1 and d >= 2, got r={r}, d={d}")
     if r > d / 2:
         raise PreconditionError(f"choose_alpha requires r <= d/2, got r={r}, d={d}")
-    delta_gauss = gaussian_tradeoff(eps, mu)
+    delta_gauss = gaussian_tradeoff(eps, mu)  # rejects a negative or non-finite mu
     if delta_gauss <= 0.0:
         raise DomainError(f"Gaussian baseline delta is 0 at eps={eps}, mu={mu}; nothing to improve")
     half = delta_gauss / 2.0
 
     alpha = (1.0 + eta) * r / d
 
-    def beta_half(rank: int) -> float:
-        a = (1.0 + eta) * rank / d
-        if a >= 1.0:
-            return float(s)
-        return s * reg_inc_betac(a, rank / 2.0, (d - rank) / 2.0)
+    def capture_tail(rank: int) -> float:
+        # rank <= d / 2 and eta < 1, so the share (1 + eta) rank / d is below 1
+        return delta_M_bound(s, (1.0 + eta) * rank / d, rank, d)
 
-    if beta_half(r) > half:
+    if capture_tail(r) > half:
         chernoff_r = math.ceil(72.0 / (eta * eta) * math.log(4.0 * s / delta_gauss))
         # The tail rises, then falls, as the rank grows (measured for d up to
         # 1e5 and eta from 0.001 to 0.9), and it exceeds half at r, so
@@ -292,7 +295,7 @@ def choose_alpha(
         lo, hi = r, d // 2 + 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if beta_half(mid) <= half:
+            if capture_tail(mid) <= half:
                 hi = mid
             else:
                 lo = mid
@@ -303,7 +306,7 @@ def choose_alpha(
             r_bound=r_min,
             detail=(
                 f"rank r={r} is too small: the capture-tail term "
-                f"{beta_half(r):.4g} exceeds delta_Gauss/2 = {half:.4g}; "
+                f"{capture_tail(r):.4g} exceeds delta_Gauss/2 = {half:.4g}; "
                 f"minimal admissible r is {r_min if r_min is not None else '> d/2'} "
                 f"(Chernoff guide: r >= {chernoff_r})"
             ),
@@ -422,18 +425,23 @@ def compose_basic(budgets) -> tuple[float, float]:
     return sum(e for e, _ in budgets), sum(dl for _, dl in budgets)
 
 
-def compose_gaussian_steps(mu_sum: float, steps: int, eps: float, per_step_delta_p: float) -> float:
-    """Compose conditionally Gaussian steps exactly: T(eps; sum mu_t) + steps * delta_p.
+def compose_gaussian_steps(mu_sum, steps, eps, per_step_delta_p):
+    """Compose conditionally Gaussian steps exactly: min(1, T(eps; sum mu_t) + steps * delta_p).
 
     Gaussian privacy losses add across independent steps, so the trade-off of
     the composition is the trade-off at the summed mu (Dong, Roth & Su 2019,
     arXiv:1905.02383); each step contributes its capture-failure probability
     through a union bound. Pricing t equal steps is O(1): pass t * mu_step.
+    The arguments broadcast, so one call prices a whole run, bit for bit as a
+    loop of scalar calls would.
     """
-    if not mu_sum >= 0.0:
-        raise DomainError(f"the summed mu must be >= 0, got {mu_sum}")
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    if not per_step_delta_p >= 0.0:
-        raise DomainError(f"per_step_delta_p must be >= 0, got {per_step_delta_p}")
-    return min(1.0, gaussian_tradeoff(eps, mu_sum) + steps * per_step_delta_p)
+    mu_sum, steps, eps, delta_p = (np.asarray(x, dtype=float) for x in (mu_sum, steps, eps, per_step_delta_p))
+    for name, value, low in (("eps", eps, 0), ("mu_sum", mu_sum, 0), ("steps", steps, 1), ("delta_p", delta_p, 0)):
+        ok = (low <= value) & (value < math.inf)
+        if not ok.all():
+            raise DomainError(f"{name} must be finite and >= {low}, got {value[~ok].flat[0]}")
+    # T(eps; 0) = 0, where the expression divides by 0 (0/0 at eps = 0); a
+    # ratio that overflows to -inf gives Phi = 0, as it should
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tradeoff = np.where(mu_sum > 0.0, _tradeoff(eps, mu_sum, np.sqrt(mu_sum)), 0.0)
+    return np.minimum(1.0, tradeoff + steps * delta_p)

@@ -207,6 +207,8 @@ def _cmd_choose_alpha(args) -> int:
 
 
 def _cmd_profile_mc(args) -> int:
+    if not 0.0 < args.delta < 1.0:
+        raise DomainError(f"--delta must lie in (0, 1), got {args.delta}")
     if args.eps_grid is not None:
         grid = args.eps_grid
     else:
@@ -300,8 +302,8 @@ def _cmd_amplify(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    if args.n < 1:
-        raise DomainError(f"a query output needs n >= 1 columns, got {args.n}")
+    if args.d < 1 or args.n < 1:
+        raise DomainError(f"a query output needs d >= 1 rows and n >= 1 columns, got d={args.d}, n={args.n}")
     seed = _seed(args)
     rng = seed.child(0).generator()
     V = rng.standard_normal((args.d, args.n))

@@ -2,10 +2,9 @@
 
 Each wrapper validates its scalar arguments and raises DomainError for NaN,
 infinite or out-of-domain input, then makes one library call (scipy.special,
-or math.erfc and math.lgamma) and returns a Python float. scipy.special
-reports a domain failure by returning NaN, so a NaN result (e.g. a subnormal
-dof whose half rounds to 0) raises DomainError too: no wrapper ever returns
-NaN.
+or math.lgamma) and returns a Python float. scipy.special reports a domain
+failure by returning NaN, so a NaN result (e.g. a subnormal dof whose half
+rounds to 0) raises DomainError too: no wrapper ever returns NaN.
 
 Only scipy.special is imported; scipy.stats and scipy.optimize would add
 their import cost to every CLI start.
@@ -50,8 +49,7 @@ def _not_nan(value, what: str) -> float:
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF P(N(0,1) <= x)."""
-    x = _require_finite("x", x)
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return float(special.ndtr(_require_finite("x", x)))
 
 
 def normal_quantile(p: float) -> float:

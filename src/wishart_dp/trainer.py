@@ -32,7 +32,7 @@ geometrically; they depend on (r, d) alone, so each is a valid bound.
 eps_target covers the whole run: every step reports the delta spent at it.
 Only DP-LoRA reads delta_target: it calibrates its sigma to (eps_target,
 delta_target) once per config, shared by the run's loop and its pricing.
-Noisy projection, whose sigma is given, rejects a delta_target.
+A given sigma, noisy projection's or DP-LoRA's, rejects a delta_target.
 
 train(task, cfg, seed) is the one entry point: it draws the steps from
 seed.child(1), dispatches on the mechanism and yields each step's weights
@@ -82,7 +82,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import accountants, mechanisms
 from .errors import ConfigError, DegenerateInputError, DomainError
@@ -270,6 +269,8 @@ class TrainTask:
 def make_ridge_task(
     n: int, d: int, seed: Seed, noise: float = 0.1, reg: float = 1e-3
 ) -> TrainTask:
+    if n < 1 or d < 1:
+        raise DomainError(f"a ridge task needs n, d >= 1, got n={n}, d={d}")
     rng = seed.generator()
     X = rng.standard_normal((n, d))
     w_true = rng.standard_normal(d) / math.sqrt(d)
@@ -279,8 +280,8 @@ def make_ridge_task(
 
 def make_logistic_task(n: int, d: int, n_classes: int, seed: Seed, reg: float = 0.0) -> TrainTask:
     """Standard-normal features, labels from a random ground-truth linear map."""
-    if n_classes < 1:
-        raise DomainError(f"a logistic task needs n_classes >= 1, got {n_classes}")
+    if n < 1 or d < 1 or n_classes < 1:
+        raise DomainError(f"a logistic task needs n, d, n_classes >= 1, got n={n}, d={d}, n_classes={n_classes}")
     rng = seed.generator()
     X = rng.standard_normal((n, d))
     W_true = rng.standard_normal((n_classes, d)) / math.sqrt(d)
@@ -320,7 +321,8 @@ class DpTrainConfig:
         if self.delta_target is not None and not 0.0 < self.delta_target < 1.0:
             raise ConfigError(f"delta_target must lie in (0, 1), got {self.delta_target}")
         # DP-LoRA derives sigma from the budget (or vice versa), never both
-        if self.mechanism is Mechanism.DP_LORA_FA and self.sigma is not None and self.eps_target is not None:
+        targets = (self.eps_target, self.delta_target) != (None, None)
+        if self.mechanism is Mechanism.DP_LORA_FA and self.sigma is not None and targets:
             raise ConfigError("set either sigma or (eps_target, delta_target), not both")
         if self.mechanism is Mechanism.NOISY_PROJ and (self.sigma is None or not self.sigma > 0.0):
             raise ConfigError(f"noisy projection requires sigma > 0, got {self.sigma}")
@@ -346,8 +348,15 @@ class DpTrainConfig:
 
     @functools.cached_property
     def _lora_sigma(self) -> float:
-        """_lora_fa_sigma(self), once per config: a run's loop and its pricing share one calibration."""
-        return _lora_fa_sigma(self)
+        """The DP LoRA loop's noise scale, once per config: sigma, or calibrated to (eps_target, delta_target).
+
+        The calibrated sigma = 2 clip sqrt(T / mu*) makes the T steps' summed mu
+        the largest mu* that spends at most delta_target at eps_target. A run's
+        loop and its pricing share one calibration.
+        """
+        if self.eps_target is None:
+            return self.sigma or 0.0
+        return 2.0 * self.clip * math.sqrt(self.T / accountants.max_gaussian_mu(self.eps_target, self.delta_target))
 
     @functools.cached_property
     def _m2_params(self) -> NoisyMechParams:
@@ -400,18 +409,6 @@ def _clipped_mean_grad_B(
     return P.T @ XA / divisor
 
 
-def _lora_fa_sigma(cfg: DpTrainConfig) -> float:
-    """The DP LoRA loop's noise scale: cfg.sigma, or calibrated to (eps_target, delta_target).
-
-    The calibrated sigma = 2 clip sqrt(T / mu*) makes the T steps' summed mu
-    the largest mu* that spends at most delta_target at eps_target.
-    """
-    if cfg.eps_target is not None:
-        mu = accountants.max_gaussian_mu(cfg.eps_target, cfg.delta_target)
-        return 2.0 * cfg.clip * math.sqrt(cfg.T / mu)
-    return cfg.sigma or 0.0
-
-
 def dp_lora_fa(
     task: TrainTask, A: np.ndarray, cfg: DpTrainConfig, seed: Seed
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -420,7 +417,7 @@ def dp_lora_fa(
     A is the frozen (r x d) factor. Yields (W, ghat) after each step, ghat
     being the clipped, noised B-gradient the step used; step t draws from
     seed.child(t). DP_LORA_FA clips at cfg.clip and adds noise of the sigma
-    that _lora_fa_sigma resolves: each step is a Gaussian mechanism of
+    that cfg._lora_sigma resolves: each step is a Gaussian mechanism of
     sensitivity 2 * clip on the summed clipped gradient, and budget_spent
     prices the run by exact Gaussian composition. NOISE_FREE_LORA runs the
     same loop at sigma = 0, clip = inf.
@@ -494,7 +491,7 @@ def budget_spent(cfg: DpTrainConfig, task: TrainTask) -> list[tuple[float, float
 
     Step t reports the smallest price (module docstring) over the candidate
     shares at eps = eps_target, or at eps = 1 without one. A run without
-    noise spends (inf, 0). One array pass prices every step and candidate.
+    noise spends (inf, 0). One compose_gaussian_steps call prices them all.
     """
     if cfg.mechanism is Mechanism.DP_LORA_FA:
         sigma = cfg._lora_sigma
@@ -507,8 +504,6 @@ def budget_spent(cfg: DpTrainConfig, task: TrainTask) -> list[tuple[float, float
     # (2 clip / sigma) squared, not (2 clip)^2 / sigma^2: sigma^2 underflows to 0
     ratio = 2.0 * cfg.clip / sigma
     mu = ratio * ratio
-    if not math.isfinite(mu):
-        raise DomainError(f"mu = (2 clip / sigma)^2 must be finite, got {mu}")
     shares, fails = [1.0], [0.0]  # (captured share, per-step capture failure)
     r, d = cfg.r, task.n_features
     if cfg.mechanism is Mechanism.NOISY_PROJ and r < d:
@@ -518,13 +513,8 @@ def budget_spent(cfg: DpTrainConfig, task: TrainTask) -> list[tuple[float, float
         fails += [accountants.delta_M_bound(min(task.n_out, d), a, r, d) for a in shares[1:]]
     eps = cfg.eps_target if cfg.eps_target is not None else 1.0
     t = np.arange(1.0, cfg.T + 1.0)[:, None]
-    mu_sum = t * (np.asarray(shares) * mu)
-    root = np.sqrt(mu_sum)
-    # T(eps; mu) as accountants.gaussian_tradeoff; T(eps; 0) = Phi(-inf) + Phi(-inf) = 0
-    with np.errstate(divide="ignore"):
-        delta = special.ndtr((-eps - mu_sum / 2.0) / root) + special.ndtr(-(eps - mu_sum / 2.0) / root)
-    delta += t * np.asarray(fails)
-    return [(eps, dl) for dl in np.minimum(1.0, delta.min(axis=1)).tolist()]
+    delta = accountants.compose_gaussian_steps(t * (np.asarray(shares) * mu), t, eps, fails)
+    return [(eps, dl) for dl in delta.min(axis=1).tolist()]
 
 
 def rp_gd(

@@ -143,6 +143,19 @@ def test_gaussian_tradeoff_zero_mu_convention():
     assert gaussian_tradeoff(1.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("eps, mu, name", [
+    (math.nan, 1.0, "eps"), (math.inf, 1.0, "eps"), (-1.0, 1.0, "eps"),
+    (1.0, math.nan, "mu"), (1.0, math.inf, "mu"), (1.0, -1.0, "mu"),
+])
+def test_gaussian_tradeoff_rejects_non_finite_or_negative_input(eps, mu, name):
+    # the kernel itself rejects these, naming the argument: no Phi argument
+    # check stands behind it
+    with pytest.raises(DomainError, match=f"^{name} must be finite and >= 0"):
+        gaussian_tradeoff(eps, mu)
+    with pytest.raises(DomainError, match=name):
+        compose_gaussian_steps(np.array([1.0, mu]), 1, np.array([1.0, eps]), 0.0)
+
+
 def test_gaussian_tradeoff_at_eps_zero_equals_one():
     # Both Phi arguments collapse to -sqrt(mu)/2, so the two terms sum to
     # exactly 1 for every mu > 0: vacuous at eps = 0, but correct as a tail
@@ -466,9 +479,32 @@ def test_compose_gaussian_single_step_matches_small_r():
 def test_compose_gaussian_zero_mu():
     mus = [0.0, 0.0, 0.0]
     assert compose_gaussian_steps(sum(mus), len(mus), 1.0, 1e-3) == pytest.approx(3e-3, abs=1e-15)
+    # at eps = 0 the trade-off expression is 0/0; T(0; 0) = 0 all the same
+    assert compose_gaussian_steps(0.0, 1, 0.0, 0.0) == 0.0
+    assert gaussian_tradeoff(0.0, 0.0) == 0.0
     for mu_sum, steps, delta_p in ((1.0, 1, math.nan), (math.nan, 1, 0.0), (-1.0, 1, 0.0), (1.0, 0, 0.0)):
         with pytest.raises(DomainError):
             compose_gaussian_steps(mu_sum, steps, 1.0, delta_p)
+
+
+_KERNEL_FLOATS = hst.one_of(hst.just(0.0), hst.floats(min_value=0.0, max_value=1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.lists(hst.tuples(_KERNEL_FLOATS, _KERNEL_FLOATS, hst.integers(1, 10**6), _KERNEL_FLOATS),
+                 min_size=1, max_size=16))
+def test_compose_gaussian_array_call_equals_scalar_calls_bit_for_bit(rows):
+    # one call over arrays, as budget_spent makes, prices each entry exactly
+    # as a scalar call does, and the trade-off term as gaussian_tradeoff does
+    mu, eps, steps, delta_p = (np.array(col, dtype=float) for col in zip(*rows))
+    delta_p = np.minimum(delta_p, 1.0)
+    composed = compose_gaussian_steps(mu, steps, eps, delta_p)
+    assert composed.shape == mu.shape
+    for i in range(mu.size):
+        one = compose_gaussian_steps(float(mu[i]), int(steps[i]), float(eps[i]), float(delta_p[i]))
+        assert one == composed[i]
+        T = compose_gaussian_steps(float(mu[i]), 1, float(eps[i]), 0.0)
+        assert T == gaussian_tradeoff(float(eps[i]), float(mu[i]))
 
 
 def test_compose_gaussian_against_loss_monte_carlo():

@@ -224,8 +224,7 @@ def test_train_in_process_calls_match_a_fresh_process(capsys, tmp_path):
     # An in-process call builds only its subcommand: a usage error between two
     # runs leaves them unchanged, and both match a run in its own interpreter.
     cfg = tmp_path / "train.cfg"
-    cfg.write_text("T = 10\neta = 0.1\nmechanism = dp_lora_fa\nsigma = 0.5\nclip = 1.0\n"
-                   "delta_target = 1e-5\nr = 4\n")
+    cfg.write_text("T = 10\neta = 0.1\nmechanism = dp_lora_fa\nsigma = 0.5\nclip = 1.0\nr = 4\n")
     out_csv = tmp_path / "traj.csv"
     argv = ["train", "--task", "ridge", "--config", str(cfg), "--n", "50", "--d", "8",
             "--seed", "4", "--out", str(out_csv)]
@@ -283,7 +282,7 @@ def test_spectrum_subcommand(capsys):
 
 def test_train_subcommand(capsys, tmp_path):
     cfg = tmp_path / "train.cfg"
-    cfg.write_text("T = 20\neta = 0.05\nmechanism = dp_lora_fa\nsigma = 0.1\nclip = 1.0\nr = 4\ndelta_target = 1e-5\n")
+    cfg.write_text("T = 20\neta = 0.05\nmechanism = dp_lora_fa\nsigma = 0.1\nclip = 1.0\nr = 4\n")
     out_csv = tmp_path / "traj.csv"
     code, out, _ = run_cli(
         capsys,
@@ -337,7 +336,7 @@ def test_train_missing_config_exits_3(capsys, tmp_path):
     "task_kind, mechanism_lines",
     [
         ("ridge", "mechanism = noise_free_lora\n"),
-        ("ridge", "mechanism = dp_lora_fa\nsigma = 0.1\nclip = 1.0\ndelta_target = 1e-5\n"),
+        ("ridge", "mechanism = dp_lora_fa\nsigma = 0.1\nclip = 1.0\n"),
         ("ridge", "mechanism = dp_lora_fa\nsigma = 0\nclip = 1.0\n"),
         ("logistic", "mechanism = noisy_proj\nsigma = 0.5\nclip = 1.0\n"),
         ("ridge", "mechanism = rp_gd\n"),
@@ -402,12 +401,15 @@ def test_train_removed_knob_exits_3_as_unknown_key(capsys, tmp_path, line):
         ("mechanism = dp_lora_fa\nsigma = 0.1\n", "clip"),
         ("mechanism = noisy_proj\nsigma = 0.5\nclip = 1.0\neps_target = 1.0\ndelta_target = 1e-9\n",
          "delta_target"),
+        ("mechanism = dp_lora_fa\nsigma = 0.1\nclip = 1.0\ndelta_target = 1e-5\n", "delta_target"),
     ],
-    ids=["rp_gd_minibatch", "dp_lora_fa_noise_without_clip", "noisy_proj_delta_target"],
+    ids=["rp_gd_minibatch", "dp_lora_fa_noise_without_clip", "noisy_proj_delta_target",
+         "dp_lora_fa_sigma_delta_target"],
 )
 def test_train_config_a_run_would_misread_exits_3(capsys, tmp_path, lines, field):
     # rp_gd would ignore the batch; DP-LoRA would add noise to unclipped gradients;
-    # noisy projection would report a delta unrelated to the target it was given
+    # noisy projection, and DP-LoRA at a given sigma, would report a delta
+    # unrelated to the target they were given
     cfg_path = tmp_path / "train.cfg"
     cfg_path.write_text("T = 5\neta = 0.1\nr = 4\n" + lines)
     code, out, err = run_cli(
@@ -650,22 +652,37 @@ def test_domain_error_exit_code_and_message(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["profile-mc", "--rho", "0.9", "--d", "50", "--r", "4", "--delta", "0.01", "--eps-step", "0"],
-        ["profile-mc", "--rho", "0.9", "--d", "50", "--r", "4", "--delta", "0.01", "--eps-max", "nan"],
-        ["spectrum", "--d", "10", "--r", "0"],
-        ["spectrum", "--d", "10", "--r", "2", "--t", "nan"],
-        ["spectrum", "--d", "10", "--r", "2", "--draws", "-3"],
-        ["spectrum", "--d", "10", "--r", "2", "--draws", "0"],
-        ["separate", "--d", "10", "--n", "0", "--r", "2", "--trials", "3"],
-        ["amplify", "--rho", "0.5", "--gamma", "5", "--d", "1000", "--delta", "0.1", "--trials", "-5"],
+        "profile-mc --rho 0.9 --d 50 --r 4 --delta 0.01 --eps-step 0 --seed 1",
+        "profile-mc --rho 0.9 --d 50 --r 4 --delta 0.01 --eps-max nan --seed 1",
+        "profile-mc --rho 0.9 --d 50 --r 4 --delta nan --seed 1",
+        "profile-mc --rho 0.9 --d 50 --r 4 --delta inf --seed 1",
+        "spectrum --d 10 --r 0 --seed 1",
+        "spectrum --d 10 --r 2 --t nan --seed 1",
+        "spectrum --d 10 --r 2 --draws -3 --seed 1",
+        "spectrum --d 10 --r 2 --draws 0 --seed 1",
+        "separate --d 10 --n 0 --r 2 --trials 3 --seed 1",
+        "separate --d=-1 --n 3 --r 2 --trials 3 --seed 1",
+        "amplify --rho 0.5 --gamma 5 --d 1000 --delta 0.1 --trials -5 --seed 1",
+        "mia --n-data=-1 --mechanism noise_free_lora --r 4 --steps 5 --eta 1 --seed 1",
+        "mia --d=-1 --mechanism noise_free_lora --r 4 --steps 5 --eta 1 --seed 1",
+        "account-small-r --eps 1 --sens 1 --s 1 --d 2048 --r 32 --sigma inf --alpha 0.0235",
+        "account-small-r --eps inf --sens 1 --s 1 --d 2048 --r 32 --sigma 0.5 --alpha 0.0235",
+        "choose-alpha --eps inf --mu 4 --s 1 --d 2048 --r 64 --eta 0.5",
+        "choose-alpha --eps 1 --mu inf --s 1 --d 2048 --r 64 --eta 0.5",
     ],
-    ids=["eps_step_zero", "eps_max_nan", "spectrum_r_zero", "spectrum_t_nan", "spectrum_draws_negative",
-         "spectrum_draws_zero", "separate_n_zero", "amplify_negative_trials"],
+    ids=["eps_step_zero", "eps_max_nan", "profile_delta_nan", "profile_delta_inf", "spectrum_r_zero",
+         "spectrum_t_nan", "spectrum_draws_negative", "spectrum_draws_zero", "separate_n_zero",
+         "separate_d_negative", "amplify_negative_trials", "mia_n_data_negative", "mia_d_negative",
+         "small_r_sigma_inf", "small_r_eps_inf", "choose_alpha_eps_inf", "choose_alpha_mu_inf"],
 )
-def test_out_of_domain_flags_exit_3(capsys, argv):
-    # each reaches a DomainError where its value is first used: exit 3, one
-    # error line and no JSON on stdout
-    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+def test_out_of_domain_flags_exit_3(capsys, monkeypatch, argv):
+    # each is rejected before anything is drawn: exit 3, one error line and
+    # no JSON on stdout
+    def no_draws(seed):
+        raise AssertionError(f"{argv}: a generator was built before the rejection")
+
+    monkeypatch.setattr(Seed, "generator", no_draws)
+    code, out, err = run_cli(capsys, *argv.split())
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -26,7 +26,6 @@ from wishart_dp.trainer import (
     TrainTask,
     _batch_indices,
     _clipped_mean_grad_B,
-    _lora_fa_sigma,
     budget_spent,
     dp_lora_fa,
     fit,
@@ -175,7 +174,6 @@ def test_dp_lora_fa_noise_dominates_at_huge_sigma(ridge_task):
     A = _frozen_factor(8, 413)
     cfg = DpTrainConfig(
         T=10, eta=0.01, mechanism=Mechanism.DP_LORA_FA, sigma=1e6, clip=1.0, r=8,
-        delta_target=1e-5,
     )
     *_, (W, _) = dp_lora_fa(ridge_task, A, cfg, Seed(MASTER, 414))
     init_loss = ridge_task.loss(np.zeros((1, 16)))
@@ -193,7 +191,7 @@ def test_dp_lora_fa_budget_composition():
         clip=1.0, r=4,
     )
     mu = max_gaussian_mu(0.5, 1e-6)
-    assert _lora_fa_sigma(cfg) == pytest.approx(2.0 * math.sqrt(7 / mu), rel=1e-15)
+    assert cfg._lora_sigma == pytest.approx(2.0 * math.sqrt(7 / mu), rel=1e-15)
     budgets = budget_spent(cfg, _shape(16))
     assert [eps for eps, _ in budgets] == [0.5] * 7
     for t, (_, delta) in enumerate(budgets, 1):
@@ -238,7 +236,7 @@ def test_dp_lora_fa_calibration_meets_its_target(eps, log_delta, T, clip):
     assert deltas[-1] <= delta
     assert all(a <= b for a, b in zip(deltas, deltas[1:]))
     # 1% less noise overspends the target
-    ratio = 2.0 * clip / (0.99 * _lora_fa_sigma(cfg))
+    ratio = 2.0 * clip / (0.99 * cfg._lora_sigma)
     assert compose_gaussian_steps(T * ratio * ratio, T, eps, 0.0) > delta
 
 
@@ -433,7 +431,7 @@ def test_budget_is_the_smaller_of_the_plain_and_capture_prices(
     if mechanism is Mechanism.DP_LORA_FA:
         cfg = DpTrainConfig(T=T, eta=0.1, mechanism=mechanism, clip=clip, r=r,
                             eps_target=eps, delta_target=1e-5)
-        sigma = _lora_fa_sigma(cfg)
+        sigma = cfg._lora_sigma
     else:
         sigma = 10.0**log_sigma
         cfg = DpTrainConfig(T=T, eta=0.1, mechanism=mechanism, sigma=sigma, clip=clip, r=r,
@@ -541,7 +539,7 @@ def test_fit_dispatches_all_mechanisms():
     task = make_logistic_task(40, 8, 3, Seed(MASTER, 460))
     for mech, extra in (
         (Mechanism.NOISE_FREE_LORA, {}),
-        (Mechanism.DP_LORA_FA, {"sigma": 0.1, "clip": 1.0, "delta_target": 1e-5}),
+        (Mechanism.DP_LORA_FA, {"sigma": 0.1, "clip": 1.0}),
         (Mechanism.NOISY_PROJ, {"sigma": 0.1, "clip": 1.0}),
     ):
         cfg = DpTrainConfig(T=5, eta=0.2, mechanism=mech, r=4, **extra)
@@ -597,6 +595,14 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="delta_target"):
         DpTrainConfig(T=5, eta=0.1, sigma=0.5, eps_target=1.0, delta_target=1e-9,
                       clip=1.0, mechanism=Mechanism.NOISY_PROJ)
+    # DP-LoRA reads delta_target only to calibrate sigma with eps_target; at a
+    # given sigma it reports the delta spent at eps = 1
+    with pytest.raises(ConfigError, match="delta_target"):
+        DpTrainConfig(T=5, eta=0.1, sigma=0.5, delta_target=1e-5, clip=1.0, mechanism=Mechanism.DP_LORA_FA)
+    DpTrainConfig(T=5, eta=0.1, eps_target=1.0, delta_target=1e-5, clip=1.0, mechanism=Mechanism.DP_LORA_FA)
+    # noise-free LoRA and rp_gd still accept the targets they do not read
+    for mech in (Mechanism.NOISE_FREE_LORA, Mechanism.RP_GD):
+        DpTrainConfig(T=5, eta=0.1, eps_target=8.0, delta_target=1e-5, mechanism=mech)
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.1, -math.inf])
