@@ -418,7 +418,7 @@ def compose_basic(budgets) -> tuple[float, float]:
     """Basic composition: the eps and the delta of the budgets add up."""
     budgets = [(float(e), float(dl)) for e, dl in budgets]
     if not budgets:
-        raise DegenerateInputError("compose_basic: empty budget list")
+        raise DegenerateInputError("compose_basic: budgets must be nonempty")
     # +inf eps is an unbounded step; NaN fails both tests
     if not all(e >= 0.0 and dl >= 0.0 for e, dl in budgets):
         raise DomainError(f"compose_basic: budgets need eps >= 0 and delta >= 0, got {budgets}")

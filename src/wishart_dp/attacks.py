@@ -171,7 +171,7 @@ def run_mia(
 ) -> MiaResult:
     """Train n_in models on D + canary and n_out on D; score both by canary loss."""
     if n_in < 2 or n_out < 2:
-        raise DomainError("run_mia needs at least 2 models on each side")
+        raise DomainError(f"run_mia needs n_in, n_out >= 2 models, got n_in={n_in}, n_out={n_out}")
     task_in = task.add_example(canary.x_q, canary.y_q)
     scores_in = np.empty(n_in)
     scores_out = np.empty(n_out)

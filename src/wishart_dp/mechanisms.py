@@ -40,10 +40,11 @@ normals, the sketch SKETCH_OVERHEAD more and the fold FOLD_OVERHEAD more for
 their linear algebra, and the cheapest is taken; a tie goes to the first of
 direct, sketch, fold. The fold needs 2 r <= d, where Z^T Z is well
 conditioned. An empty query takes the direct path. Only the direct and fold
-paths draw Z, so a caller can rebuild M from the seed there and nowhere else. M
-is never formed as a d x d matrix. Where LAPACK rejects a Cholesky factor as
-not positive definite, a symmetric square root from eigh, a factor of the same
-product, takes its place, so no LinAlgError reaches a caller.
+paths draw Z, so a caller can rebuild M from the seed there and nowhere else.
+noisy_mech and NoiseBlock never form M as a d x d matrix (project does).
+Where LAPACK rejects a Cholesky factor as not positive definite, a symmetric
+square root from eigh, a factor of the same product, takes its place, so no
+LinAlgError reaches a caller.
 """
 
 from __future__ import annotations
@@ -85,13 +86,13 @@ def _as_matrix(V) -> np.ndarray:
     if V.ndim == 1:
         V = V[:, None]
     if V.ndim != 2:
-        raise DomainError(f"mechanism input must be a d x n matrix, got ndim={V.ndim}")
+        raise DomainError(f"the query V must be a d x n matrix, got ndim={V.ndim}")
     return V
 
 
 def _check_finite(V: np.ndarray) -> None:
     if not np.isfinite(V).all():
-        raise DomainError("mechanism input must be finite")
+        raise DomainError("the query V must be finite")
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class NoisyMechParams:
 def clip_frobenius(X: np.ndarray, beta: float) -> np.ndarray:
     """Rescale X to Frobenius norm at most beta: X * min(1, beta / ||X||_F)."""
     if not beta > 0.0:
-        raise DomainError(f"clipping threshold must be > 0, got {beta}")
+        raise DomainError(f"the clipping threshold beta must be > 0, got {beta}")
     flat = np.asarray(X, dtype=float).ravel(order="K")
     norm = math.sqrt(flat.dot(flat))  # np.linalg.norm(X), bit for bit, with less overhead
     if not math.isfinite(norm):
@@ -206,9 +207,9 @@ class NoiseBlock:
         """Seed b's draw of the configured variant at the d x n query V, clipped first if set."""
         V = _as_matrix(V)
         if V.shape != self.shape:
-            raise DomainError(f"the block draws {self.shape} queries, got one of shape {V.shape}")
+            raise DomainError(f"V must have the block's query shape {self.shape}, got {V.shape}")
         if not 0 <= b < self.size:
-            raise DomainError(f"the block holds {self.size} draws, got index {b}")
+            raise DomainError(f"b must index one of the block's {self.size} draws, got {b}")
         params = self.params
         if params.clip_beta is not None:
             V = clip_frobenius(V, params.clip_beta)

@@ -107,11 +107,12 @@ def wishart_draw(d: int, r: int, seed: Seed) -> WishartDraw:
     return WishartDraw(Z=wishart_factor(seed.generator(), d, r))
 
 
-def _default_rank_tol(s: np.ndarray, shape: tuple[int, ...]) -> float:
+def _rank_tol(s: np.ndarray, shape: tuple[int, ...]) -> float:
+    """The cutoff below which a singular value of a matrix of this shape counts as zero."""
     return max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
 
 
-def col_projector(Z: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+def col_projector(Z: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto col(Z), rank determined by singular values."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
@@ -119,8 +120,7 @@ def col_projector(Z: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     if not np.isfinite(Z).all():
         raise DomainError("col_projector: Z must be finite")
     U, s, _ = np.linalg.svd(Z, full_matrices=False)
-    tol = _default_rank_tol(s, Z.shape) if rank_tol is None else rank_tol
-    k = int(np.sum(s > tol))
+    k = int(np.sum(s > _rank_tol(s, Z.shape)))
     if k == 0:
         raise DegenerateInputError("col_projector: matrix is numerically zero")
     Uk = U[:, :k]
@@ -144,7 +144,7 @@ class OrthogonalSplit:
     Z_perp: np.ndarray
 
 
-def orthogonal_split(Z: np.ndarray, U: np.ndarray, rank_tol: float | None = None) -> OrthogonalSplit:
+def orthogonal_split(Z: np.ndarray, U: np.ndarray) -> OrthogonalSplit:
     """Split M = ZZ^T into the block correlated with span(U) and the residual block."""
     Z = np.asarray(Z, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -164,8 +164,7 @@ def orthogonal_split(Z: np.ndarray, U: np.ndarray, rank_tol: float | None = None
     else:
         G = U.T @ Z
         _, sv, Vt = np.linalg.svd(G, full_matrices=False)
-        tol = _default_rank_tol(sv, G.shape) if rank_tol is None else rank_tol
-        p = int(np.sum(sv > tol))
+        p = int(np.sum(sv > _rank_tol(sv, G.shape)))
         Vp = Vt[:p].T
         P_H = Vp @ Vp.T
     Z_par = Z @ P_H

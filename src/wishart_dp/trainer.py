@@ -53,23 +53,23 @@ gradient is materialized. A run whose steps draw builds one generator and
 resets it to each step's stream (Seed.reset), which draws what a generator
 built per step would, for less. A run without draws builds none. A config
 builds its noisy-projection NoisyMechParams once, not once per step.
-Budgets never claim amplification by subsampling: with Poisson batches the
-reported budget is the unamplified one.
+Every step uses the full batch, so budgets claim no amplification by
+subsampling.
 
 The logistic softmax is laid out class-major: TrainTask forms the (n_out x n)
 logits W X^T from a cached contiguous X^T, so its max and sum over classes run
-down the short axis of a contiguous array, and a full batch subtracts a cached
+down the short axis of a contiguous array, and output_grad subtracts a cached
 one-hot Y^T. output_grad returns the (n x n_out) transpose view. A task caches
 X^T, Y^T and its row indices, so its X and y are treated as immutable once
 built; add_example builds a new task. dp_lora_fa forms the data-only product
-X A^T and its row norms once per run, and a Poisson step takes its rows.
+X A^T and its row norms once per run.
 
-noisy_proj runs NOISY_PROJ_BLOCK steps at a time. A pre-pass draws each step's
-Poisson batch and its mechanism's normals from the step's own streams, and
-factors the block's draws in batched calls (mechanisms.NoiseBlock); only the
-gradient, its clip and the release are left to each step. A step draws what
-mechanisms.noisy_mech would draw from its stream, so the weights do not
-depend on the block size, bit for bit.
+noisy_proj runs NOISY_PROJ_BLOCK steps at a time. It draws each step's
+mechanism normals from the step's own stream and factors the block's draws in
+batched calls (mechanisms.NoiseBlock); only the gradient, its clip and the
+release are left to each step. A step draws what mechanisms.noisy_mech would
+draw from its stream, so the weights do not depend on the block size, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ from .errors import ConfigError, DegenerateInputError, DomainError
 from .mechanisms import NoisyMechParams, Variant
 from .randmat import Seed, wishart_draw, wishart_factor
 
-FULL_BATCH = "full"
 # Steps whose draws a noisy-projection run makes and factors at once. The
 # steps do not depend on it; at d = 128, r = 16 a block's buffers hold 0.3 MB.
 NOISY_PROJ_BLOCK = 16
@@ -131,7 +130,7 @@ class TrainTask:
         if self.X.shape[0] == 0:
             raise DegenerateInputError("a task needs at least one example")
         if not np.all(np.isfinite(self.X)):
-            raise DomainError("features must be finite")
+            raise DomainError("the features X must be finite")
         if not math.isfinite(self.reg):
             raise DomainError(f"reg must be finite, got {self.reg}")
         y = np.asarray(self.y, dtype=float)
@@ -158,12 +157,12 @@ class TrainTask:
 
     @functools.cached_property
     def _Xt(self) -> np.ndarray:
-        """X^T as a contiguous (n_features x n) array: the full batch's right factor of W X^T."""
+        """X^T as a contiguous (n_features x n) array: the right factor of the logits W X^T."""
         return np.ascontiguousarray(self.X.T)
 
     @functools.cached_property
     def _Yt(self) -> np.ndarray:
-        """The labels one-hot, class-major (n_out x n): what output_grad subtracts on the full batch."""
+        """The labels one-hot, class-major (n_out x n): what output_grad subtracts from the softmax."""
         Yt = np.zeros((self.n_out, self.n_examples))
         Yt[self.y, self._rows] = 1.0
         return Yt
@@ -185,52 +184,40 @@ class TrainTask:
         E = np.exp(Z)
         return Z, E, E.sum(axis=0)
 
-    def loss(self, W: np.ndarray, idx: np.ndarray | None = None) -> float:
-        X = self.X if idx is None else self.X[idx]
-        y = self.y if idx is None else self.y[idx]
-        if X.shape[0] == 0:
-            return 0.0
+    def loss(self, W: np.ndarray) -> float:
         reg_term = 0.5 * self.reg * float(np.sum(W * W))
         if self.kind is TaskKind.RIDGE:
-            resid = X @ W[0] - y
+            resid = self.X @ W[0] - self.y
             return 0.5 * float(np.mean(resid**2)) + reg_term
-        Z, _, s = self._softmax_t(W, self._Xt if idx is None else X.T)
-        return float(np.mean(np.log(s) - Z[y, self._rows[: X.shape[0]]])) + reg_term
+        Z, _, s = self._softmax_t(W, self._Xt)
+        return float(np.mean(np.log(s) - Z[self.y, self._rows])) + reg_term
 
-    def output_grad(self, W: np.ndarray, idx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Batch rows X and the data-term gradient P with respect to the outputs X W^T.
+    def output_grad(self, W: np.ndarray) -> np.ndarray:
+        """The data-term gradient P with respect to the outputs X W^T.
 
         P is (n x n_out): the residual column for RIDGE, softmax minus one-hot
         for LOGISTIC, the latter a transposed view of the class-major softmax.
         Example b's W-gradient is the outer product p_b x_b^T.
         """
-        X = self.X if idx is None else self.X[idx]
         if self.kind is TaskKind.RIDGE:
-            y = self.y if idx is None else self.y[idx]
-            return X, (X @ W[0] - y)[:, None]
-        _, P, s = self._softmax_t(W, self._Xt if idx is None else X.T)
+            return (self.X @ W[0] - self.y)[:, None]
+        _, P, s = self._softmax_t(W, self._Xt)
         P /= s
-        if idx is None:
-            P -= self._Yt
-        else:
-            P[self.y[idx], self._rows[: X.shape[0]]] -= 1.0
-        return X, P.T
+        P -= self._Yt
+        return P.T
 
-    def per_example_grad_W(self, W: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+    def per_example_grad_W(self, W: np.ndarray) -> np.ndarray:
         """Data-term gradients, one (n_out x n_features) slice per example.
 
         Materializes an (n, n_out, n_features) tensor; training never calls it
         and tests use it as the reference for the ghost-norm kernel.
         """
-        X, P = self.output_grad(W, idx)
-        return P[:, :, None] * X[:, None, :]
+        P = self.output_grad(W)
+        return P[:, :, None] * self.X[:, None, :]
 
-    def grad_W(self, W: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        X, P = self.output_grad(W, idx)
-        if X.shape[0] == 0:
-            return self.reg * W
-        G = P.T @ X
-        G /= X.shape[0]
+    def grad_W(self, W: np.ndarray) -> np.ndarray:
+        G = self.output_grad(W).T @ self.X
+        G /= self.n_examples
         G += self.reg * W
         return G
 
@@ -298,7 +285,6 @@ def _is_count(value) -> bool:
 class DpTrainConfig:
     T: int
     eta: float
-    batch: int | str = FULL_BATCH
     clip: float = math.inf
     sigma: float | None = None
     eps_target: float | None = None
@@ -324,6 +310,10 @@ class DpTrainConfig:
         targets = (self.eps_target, self.delta_target) != (None, None)
         if self.mechanism is Mechanism.DP_LORA_FA and self.sigma is not None and targets:
             raise ConfigError("set either sigma or (eps_target, delta_target), not both")
+        if self.mechanism is Mechanism.DP_LORA_FA and self.sigma is None and self.eps_target is None:
+            raise ConfigError("dp_lora_fa needs sigma or (eps_target, delta_target): without either it adds no noise")
+        if self.mechanism in (Mechanism.NOISE_FREE_LORA, Mechanism.RP_GD) and self.sigma is not None:
+            raise ConfigError(f"{self.mechanism.value} adds no noise and reads no sigma, got sigma {self.sigma}")
         if self.mechanism is Mechanism.NOISY_PROJ and (self.sigma is None or not self.sigma > 0.0):
             raise ConfigError(f"noisy projection requires sigma > 0, got {self.sigma}")
         private = self.mechanism in (Mechanism.DP_LORA_FA, Mechanism.NOISY_PROJ)
@@ -335,10 +325,6 @@ class DpTrainConfig:
                 raise ConfigError("noisy projection reads no delta_target: it reports the delta spent at eps_target")
         elif self.eps_target is not None and self.delta_target is None:
             raise ConfigError("eps_target requires delta_target")
-        if self.batch != FULL_BATCH and (not _is_count(self.batch) or self.batch < 1):
-            raise ConfigError(f"batch must be 'full' or a positive int, got {self.batch!r}")
-        if self.mechanism is Mechanism.RP_GD and self.batch != FULL_BATCH:
-            raise ConfigError(f"rp_gd steps on the full-batch gradient, got batch {self.batch!r}")
         if not self.clip > 0.0:
             raise DomainError(f"clip must be > 0, got {self.clip}")
         if self.r < 1:
@@ -364,49 +350,28 @@ class DpTrainConfig:
         return NoisyMechParams(variant=Variant.M2, r=self.r, sigma_G=self.sigma, clip_beta=self.clip)
 
 
-def _batch_indices(task: TrainTask, cfg: DpTrainConfig, rng: np.random.Generator | None):
-    """Poisson-subsampled indices at rate q = batch/N, or everything.
-
-    rng is read only for Poisson batches; a full batch may pass None.
-    """
-    if cfg.batch == FULL_BATCH:
-        return None, task.n_examples
-    q = min(1.0, cfg.batch / task.n_examples)
-    mask = rng.random(task.n_examples) < q
-    return np.flatnonzero(mask), cfg.batch
-
-
 def _clipped_mean_grad_B(
-    task: TrainTask,
-    W: np.ndarray,
-    XA: np.ndarray,
-    XA_norms: np.ndarray,
-    idx: np.ndarray | None,
-    clip: float,
-    divisor: int,
+    task: TrainTask, W: np.ndarray, XA: np.ndarray, XA_norms: np.ndarray, clip: float
 ) -> np.ndarray:
-    """Per-example B-gradients via the chain rule, clipped and averaged.
+    """Per-example B-gradients via the chain rule, clipped and averaged over all n examples.
 
     XA = X A^T is the run's (n x r) product of the examples with the frozen
-    factor, and XA_norms its row norms; a Poisson batch takes its rows of both.
-    Example b's B-gradient is the outer product p_b (A x_b)^T, so its norm is
-    ||p_b|| ||A x_b|| and the clipped sum is (f * P)^T (X A^T) with f the
-    per-example clip factors ("ghost" norms: Goodfellow 2015, arXiv:1510.01799;
-    Li et al. 2022, arXiv:2110.05679). No per-example gradient is formed.
+    factor, and XA_norms its row norms. Every step uses the full batch, so
+    its budget claims no amplification by subsampling. Example b's B-gradient
+    is the outer product p_b (A x_b)^T, so its norm is ||p_b|| ||A x_b|| and
+    the clipped sum is (f * P)^T (X A^T) with f the per-example clip factors
+    ("ghost" norms: Goodfellow 2015, arXiv:1510.01799; Li et al. 2022,
+    arXiv:2110.05679). No per-example gradient is formed.
 
     At clip = inf (noise-free LoRA) the clipping is skipped, so the step is
     plain gradient descent on B.
     """
-    _, P = task.output_grad(W, idx)
-    if P.shape[0] == 0:
-        return np.zeros((W.shape[0], XA.shape[1]))
-    if idx is not None:
-        XA, XA_norms = XA[idx], XA_norms[idx]
+    P = task.output_grad(W)
     if math.isfinite(clip):
         norms = np.linalg.norm(P, axis=1) * XA_norms
         factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
         P = P * factors[:, None]
-    return P.T @ XA / divisor
+    return P.T @ XA / task.n_examples
 
 
 def dp_lora_fa(
@@ -432,7 +397,7 @@ def dp_lora_fa(
     if A.ndim != 2 or A.shape[1] != task.n_features:
         raise DomainError(f"A must have shape (r, {task.n_features}), got {A.shape}")
     # one generator per run, reset to step t's stream seed.child(t)
-    rng = seed.generator() if sigma > 0.0 or cfg.batch != FULL_BATCH else None
+    rng = seed.generator() if sigma > 0.0 else None
     XA = task.X @ A.T  # the data's side of every step's B-gradient, once per run
     XA_norms = np.linalg.norm(XA, axis=1)
     B = np.zeros((task.n_out, A.shape[0]))
@@ -440,13 +405,12 @@ def dp_lora_fa(
     for t in range(cfg.T):
         if rng is not None:
             seed.child(t).reset(rng)
-        idx, divisor = _batch_indices(task, cfg, rng)
-        ghat = _clipped_mean_grad_B(task, W, XA, XA_norms, idx, clip, divisor)
+        ghat = _clipped_mean_grad_B(task, W, XA, XA_norms, clip)
         if task.reg:
             ghat = ghat + (task.reg * W) @ A.T
         if sigma > 0.0:
             noise = rng.standard_normal(ghat.shape)
-            ghat = ghat + (sigma / divisor) * noise
+            ghat = ghat + (sigma / task.n_examples) * noise
         B = B - cfg.eta * ghat
         W = B @ A
         yield W, ghat
@@ -457,11 +421,11 @@ def noisy_proj(
 ) -> Iterator[tuple[np.ndarray, None]]:
     """Clipped noisy-projection steps W <- W - eta (M (clip(G)^T + Xi))^T from W.
 
-    Step t takes its Poisson batch from seed.child(t), and the M2 mechanism
-    draws its fresh M = Z Z^T and noise Xi from seed.child(t).child(0). The
-    steps run NOISY_PROJ_BLOCK at a time: a pre-pass draws each step's batch
-    and its mechanism's NoiseBlock, which do not depend on the weights, so
-    each step computes only its gradient and the release. Yields (W, None)
+    G is the full-batch gradient, so the budget claims no amplification by
+    subsampling. Step t's M2 mechanism draws its fresh M = Z Z^T and noise Xi
+    from seed.child(t).child(0). The steps run NOISY_PROJ_BLOCK at a time: a
+    block's NoiseBlock, which does not depend on the weights, is drawn first,
+    so each step computes only its gradient and the release. Yields (W, None)
     after each step: the gradient stays inside the mechanism.
     """
     if cfg.mechanism is not Mechanism.NOISY_PROJ:
@@ -471,16 +435,12 @@ def noisy_proj(
         raise DomainError(f"W must have shape ({task.n_out}, {task.n_features}), got {W.shape}")
     rng = seed.generator()  # one generator per run, reset to each stream
     for start in range(0, cfg.T, NOISY_PROJ_BLOCK):
-        seeds = [seed.child(t) for t in range(start, min(start + NOISY_PROJ_BLOCK, cfg.T))]
-        if cfg.batch == FULL_BATCH:
-            batches = [None] * len(seeds)
-        else:
-            batches = [_batch_indices(task, cfg, s.reset(rng))[0] for s in seeds]
+        steps = range(start, min(start + NOISY_PROJ_BLOCK, cfg.T))
         noise = mechanisms.NoiseBlock(
-            cfg._m2_params, task.n_features, task.n_out, [s.child(0) for s in seeds], rng
+            cfg._m2_params, task.n_features, task.n_out, [seed.child(t).child(0) for t in steps], rng
         )
-        for b, idx in enumerate(batches):
-            step = noise.release(b, task.grad_W(W, idx).T).T
+        for b in range(len(steps)):
+            step = noise.release(b, task.grad_W(W).T).T
             step *= cfg.eta
             W = W - step
             yield W, None
@@ -529,7 +489,7 @@ def rp_gd(
     if cfg.mechanism is not Mechanism.RP_GD:
         raise ConfigError(f"rp_gd called with mechanism {cfg.mechanism}")
     if task.n_out != 1:
-        raise DomainError("rp_gd is defined for scalar-output (vector-query) tasks")
+        raise DomainError(f"rp_gd needs a scalar-output (vector-query) task, got n_out = {task.n_out}")
     w = np.asarray(w0, dtype=float).copy()
     rng = seed.generator()  # one generator per run, reset to each draw's stream
     for t in range(cfg.T):
@@ -576,7 +536,6 @@ def fit(task: TrainTask, cfg: DpTrainConfig, seed: Seed) -> np.ndarray:
 _CONFIG_FIELDS = {
     "T": int,
     "eta": float,
-    "batch": None,
     "clip": float,
     "sigma": float,
     "eps_target": float,
@@ -606,8 +565,6 @@ def load_config(path) -> DpTrainConfig:
             try:
                 if key == "mechanism":
                     values[key] = Mechanism(val.lower())
-                elif key == "batch":
-                    values[key] = FULL_BATCH if val.lower() == FULL_BATCH else int(val)
                 else:
                     caster = _CONFIG_FIELDS[key]
                     values[key] = caster(val) if val.lower() != "none" else None

@@ -1,11 +1,28 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wishart_dp.randmat import Seed
 
 # One master seed for the whole suite; substreams derive from it so tests stay
 # independent of execution order.
 MASTER = 20250809
+
+# Property tests draw the same examples on every run by default, so a failure
+# replays on any machine and never depends on a local example database.
+# HYPOTHESIS_PROFILE=explore draws fresh examples, ten times as many, and
+# prints the blob that reproduces a failure.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.register_profile("explore", deadline=None, print_blob=True)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+settings.load_profile(PROFILE)
+
+
+def examples(n: int) -> int:
+    """A property test's example count: n by default, 10 n under the explore profile."""
+    return 10 * n if PROFILE == "explore" else n
 
 
 def capture_fraction_samples(d: int, r: int, u: np.ndarray, n: int, seed: Seed) -> np.ndarray:

@@ -32,12 +32,13 @@ from wishart_dp.errors import (
     DegenerateInputError,
     DomainError,
     InadmissibleAlignmentError,
+    PreconditionError,
     RegimeError,
 )
 from wishart_dp.randmat import Seed
 from wishart_dp.specialfn import reg_inc_betac
 
-from conftest import MASTER
+from conftest import MASTER, examples
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,7 @@ def test_gaussian_tradeoff_monotone_in_mu():
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=examples(500))
 @given(
     eps=hst.floats(min_value=0.0, max_value=60.0),
     mu=hst.lists(hst.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=2),
@@ -300,7 +301,7 @@ def _scan_r_bound(eps, mu, s, d, r, eta):
     return None
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200))
 @given(
     d=hst.integers(min_value=4, max_value=3000),
     r_frac=hst.floats(min_value=0.0, max_value=1.0),
@@ -344,7 +345,7 @@ def test_choose_alpha_halves_with_doubled_dimension():
     assert a2 == pytest.approx(a1 / 2.0, rel=1e-12)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300))
 @given(
     eps=hst.floats(min_value=0.1, max_value=20.0),
     log_delta=hst.floats(min_value=-10.0, max_value=-2.0),
@@ -490,7 +491,7 @@ def test_compose_gaussian_zero_mu():
 _KERNEL_FLOATS = hst.one_of(hst.just(0.0), hst.floats(min_value=0.0, max_value=1e300))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300))
 @given(hst.lists(hst.tuples(_KERNEL_FLOATS, _KERNEL_FLOATS, hst.integers(1, 10**6), _KERNEL_FLOATS),
                  min_size=1, max_size=16))
 def test_compose_gaussian_array_call_equals_scalar_calls_bit_for_bit(rows):
@@ -519,3 +520,49 @@ def test_compose_gaussian_against_loss_monte_carlo():
     se = math.sqrt(emp * (1 - emp) / L.size)
     composed = compose_gaussian_steps(sum(mus), len(mus), eps, 1e-6)
     assert composed == pytest.approx(emp + 2e-6, abs=2 * se + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Input checks: each rejection raises its WishartDpError subclass and names the argument
+# ---------------------------------------------------------------------------
+
+
+def _small_r(**kw):
+    args = {"eps": 1.0, "sens_frob": 1.0, "s": 1, "d": 100, "r": 10, "sigma": 1.0, "alpha": 0.5}
+    return account_small_r(**{**args, **kw})
+
+
+def _choose(**kw):
+    return choose_alpha(**{"eps": 1.0, "mu": 4.0, "s": 2, "d": 2048, "r": 64, "eta": 0.5, **kw})
+
+
+_REJECTIONS = {
+    "alignment-rho": (lambda: AlignmentSpec(rho=1.5, d=10, r=2), DomainError, "rho"),
+    "alignment-d": (lambda: AlignmentSpec(rho=0.5, d=1, r=1), DomainError, "d"),
+    "alignment-r": (lambda: AlignmentSpec(rho=0.5, d=10, r=0), DomainError, "r"),
+    "vec-delta-prime": (lambda: account_vec(AlignmentSpec(0.999, 400, 128), delta_prime=0.0), DomainError,
+                        "delta_prime"),
+    "delta-M-s": (lambda: delta_M_bound(0, 0.5, 10, 100), DomainError, "s"),
+    "delta-M-alpha": (lambda: delta_M_bound(1, 1.0, 10, 100), DomainError, "alpha"),
+    "small-r-eps": (lambda: _small_r(eps=0.0), DomainError, "eps"),
+    "small-r-alpha": (lambda: _small_r(alpha=1.5), DomainError, "alpha"),
+    "choose-alpha-eta": (lambda: _choose(eta=1.0), DomainError, "eta"),
+    "choose-alpha-r": (lambda: _choose(r=0), DomainError, "r"),
+    "choose-alpha-r-above-half-d": (lambda: _choose(d=100, r=51), PreconditionError, "r"),
+    # T(1000; 1) is 0: there is no Gaussian delta to improve on
+    "choose-alpha-zero-baseline": (lambda: _choose(eps=1000.0, mu=1.0), DomainError, "mu"),
+    "large-r-s": (lambda: account_large_r(**dict(_LARGE_R_ARGS, s=-1)), DomainError, "s"),
+    "large-r-p": (lambda: account_large_r(**dict(_LARGE_R_ARGS, p=21)), DomainError, "p"),
+    "large-r-d": (lambda: account_large_r(**dict(_LARGE_R_ARGS, d=20)), DomainError, "d"),
+    "large-r-beta": (lambda: account_large_r(**dict(_LARGE_R_ARGS, beta=0.0)), DomainError, "beta"),
+    "large-r-delta-par": (lambda: account_large_r(**dict(_LARGE_R_ARGS, delta_par=1.0)), DomainError, "delta_par"),
+    "compose-basic-empty": (lambda: compose_basic([]), DegenerateInputError, "budgets"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_input_check_raises_and_names_the_argument(case):
+    call, error, name = _REJECTIONS[case]
+    with pytest.raises(error, match=rf"\b{name}\b") as raised:
+        call()
+    assert raised.type is error

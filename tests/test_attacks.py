@@ -14,7 +14,7 @@ from wishart_dp.attacks import (
 )
 from wishart_dp.errors import DegenerateInputError, DomainError
 from wishart_dp.randmat import Seed
-from wishart_dp.trainer import DpTrainConfig, Mechanism, make_logistic_task
+from wishart_dp.trainer import DpTrainConfig, Mechanism, make_logistic_task, make_ridge_task
 
 from conftest import MASTER
 
@@ -158,3 +158,27 @@ def test_run_mia_noise_dominated_is_chance(small_task):
     res = run_mia(small_task, cfg, canary, 60, 60, Seed(MASTER, 528))
     se = res.auc_stderr()
     assert abs(res.auc - 0.5) <= 3 * max(se, 0.05)
+
+
+# ---------------------------------------------------------------------------
+# Input checks: each rejection raises its WishartDpError subclass and names the argument
+# ---------------------------------------------------------------------------
+
+_FREE = DpTrainConfig(T=5, eta=1.0, mechanism=Mechanism.NOISE_FREE_LORA, r=4)
+_PROBE = Canary(x_q=np.ones(10), y_q=1, ref_seed=Seed(MASTER, 529))
+_REJECTIONS = {
+    "separation-shapes": (lambda: separation_trial(np.ones((4, 2)), np.ones((4, 3)), 2, 10, Seed(1)), "V"),
+    "separation-trials": (lambda: separation_trial(np.ones(4), np.zeros(4), 2, 0, Seed(1)), "n_trials"),
+    # a ridge task has one output, so no least likely class to label a canary with
+    "canary-ridge-task": (lambda: craft_canary(make_ridge_task(10, 4, Seed(1)), _FREE, Seed(1)), "task"),
+    "mia-n-in": (lambda: run_mia(make_logistic_task(20, 10, 3, Seed(1)), _FREE, _PROBE, 1, 2, Seed(1)), "n_in"),
+    "mia-n-out": (lambda: run_mia(make_logistic_task(20, 10, 3, Seed(1)), _FREE, _PROBE, 2, 1, Seed(1)), "n_out"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_input_check_raises_and_names_the_argument(case):
+    call, name = _REJECTIONS[case]
+    with pytest.raises(DomainError, match=rf"\b{name}\b") as raised:
+        call()
+    assert raised.type is DomainError

@@ -368,8 +368,8 @@ def test_train_matches_library_fit(capsys, tmp_path, task_kind, mechanism_lines)
 
 @pytest.mark.parametrize(
     "bad_line",
-    ["mechanism = bogus\n", "T = five\n", "batch = 2.5\n", "clip = wide\n"],
-    ids=["unknown_mechanism", "unparsable_int", "non_integer_batch", "unparsable_float"],
+    ["mechanism = bogus\n", "T = five\n", "clip = wide\n"],
+    ids=["unknown_mechanism", "unparsable_int", "unparsable_float"],
 )
 def test_train_bad_config_value_exits_3(capsys, tmp_path, bad_line):
     cfg_path = tmp_path / "train.cfg"
@@ -382,8 +382,11 @@ def test_train_bad_config_value_exits_3(capsys, tmp_path, bad_line):
     assert f"{cfg_path}:3:" in err
 
 
-@pytest.mark.parametrize("line", ["alpha = 0.2\n", "redraw_each_step = false\n"], ids=["alpha", "redraw_each_step"])
+@pytest.mark.parametrize(
+    "line", ["alpha = 0.2\n", "redraw_each_step = false\n", "batch = 10\n"], ids=["alpha", "redraw_each_step", "batch"]
+)
 def test_train_removed_knob_exits_3_as_unknown_key(capsys, tmp_path, line):
+    # the capture share is derived, rp_gd redraws M every step and every step uses the full batch
     cfg_path = tmp_path / "train.cfg"
     cfg_path.write_text("eta = 0.1\nT = 4\n" + line)
     code, out, err = run_cli(
@@ -391,25 +394,30 @@ def test_train_removed_knob_exits_3_as_unknown_key(capsys, tmp_path, line):
     )
     assert code == 3
     assert out == ""
-    assert f"{cfg_path}:3: unknown config key" in err
+    assert f"{cfg_path}:3: unknown config key {line.split()[0]!r}" in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 @pytest.mark.parametrize(
     "lines, field",
     [
-        ("mechanism = rp_gd\nbatch = 3\n", "batch"),
         ("mechanism = dp_lora_fa\nsigma = 0.1\n", "clip"),
         ("mechanism = noisy_proj\nsigma = 0.5\nclip = 1.0\neps_target = 1.0\ndelta_target = 1e-9\n",
          "delta_target"),
         ("mechanism = dp_lora_fa\nsigma = 0.1\nclip = 1.0\ndelta_target = 1e-5\n", "delta_target"),
+        ("mechanism = dp_lora_fa\nclip = 1.0\n", "sigma"),
+        ("mechanism = dp_lora_fa\nclip = 1.0\ndelta_target = 1e-5\n", "sigma"),
+        ("mechanism = noise_free_lora\nsigma = 0.5\n", "sigma"),
+        ("mechanism = rp_gd\nsigma = 0.5\n", "sigma"),
     ],
-    ids=["rp_gd_minibatch", "dp_lora_fa_noise_without_clip", "noisy_proj_delta_target",
-         "dp_lora_fa_sigma_delta_target"],
+    ids=["dp_lora_fa_noise_without_clip", "noisy_proj_delta_target", "dp_lora_fa_sigma_delta_target",
+         "dp_lora_fa_without_noise", "dp_lora_fa_delta_target_only", "noise_free_lora_sigma", "rp_gd_sigma"],
 )
 def test_train_config_a_run_would_misread_exits_3(capsys, tmp_path, lines, field):
-    # rp_gd would ignore the batch; DP-LoRA would add noise to unclipped gradients;
-    # noisy projection, and DP-LoRA at a given sigma, would report a delta
-    # unrelated to the target they were given
+    # DP-LoRA would add noise to unclipped gradients, or none at all without
+    # sigma or a target; noisy projection, and DP-LoRA at a given sigma, would
+    # report a delta unrelated to the target they were given; noise-free LoRA
+    # and rp_gd add no noise, whatever sigma says
     cfg_path = tmp_path / "train.cfg"
     cfg_path.write_text("T = 5\neta = 0.1\nr = 4\n" + lines)
     code, out, err = run_cli(

@@ -412,3 +412,39 @@ def test_amplification_empirical_frequency():
         cos = float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
         hits += cos >= rho + gain
     assert hits >= 0.99 * trials
+
+
+# ---------------------------------------------------------------------------
+# Input checks: each rejection raises its WishartDpError subclass and names the argument
+# ---------------------------------------------------------------------------
+
+_M2 = NoisyMechParams(variant=Variant.M2, r=2, sigma_G=1.0)
+
+
+def _block():
+    """A two-draw block of 6 x 1 queries."""
+    return mechanisms.NoiseBlock(_M2, 6, 1, [Seed(1), Seed(2)], Seed(1).generator())
+
+
+_REJECTIONS = {
+    "project-3d-query": (lambda: project(np.ones((2, 2, 2)), wishart_draw(2, 1, Seed(1))), "V"),
+    "clip-zero-threshold": (lambda: clip_frobenius(np.ones(3), 0.0), "beta"),
+    "amplify-negative-gamma": (lambda: amplify_alignment(np.array([1.0, 0.0]), -1.0, Seed(1)), "gamma"),
+    "threshold-d": (lambda: amplification_threshold(0.5, 0, 0.1), "d"),
+    "threshold-delta": (lambda: amplification_threshold(0.5, 10, 1.0), "delta"),
+    "threshold-rho": (lambda: amplification_threshold(-1.0, 10, 0.1), "rho"),
+    "params-r": (lambda: NoisyMechParams(variant=Variant.M2, r=0, sigma_G=1.0), "r"),
+    "params-clip": (lambda: NoisyMechParams(variant=Variant.M2, r=2, sigma_G=1.0, clip_beta=0.0), "clip_beta"),
+    "block-d": (lambda: mechanisms.NoiseBlock(_M2, 0, 1, [Seed(1)], Seed(1).generator()), "d"),
+    "release-shape": (lambda: _block().release(0, np.ones((6, 2))), "V"),
+    "release-index": (lambda: _block().release(2, np.ones(6)), "b"),
+    "release-negative-index": (lambda: _block().release(-1, np.ones(6)), "b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_input_check_raises_and_names_the_argument(case):
+    call, name = _REJECTIONS[case]
+    with pytest.raises(DomainError, match=rf"\b{name}\b") as raised:
+        call()
+    assert raised.type is DomainError

@@ -25,7 +25,7 @@ from wishart_dp.profiler import (
 )
 from wishart_dp.randmat import Seed, wishart_draw
 
-from conftest import MASTER
+from conftest import MASTER, examples
 
 
 def scalar_loss(A: float, B: float, d: int, r: int) -> float:
@@ -233,7 +233,7 @@ def test_profile_is_nonincreasing_and_clamped():
     assert all(0.0 <= v <= 1.0 for v in dh)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60))
 @given(
     eps_grid=hst.lists(
         hst.sampled_from([0.0, 0.5, 1.0, 3.0]) | hst.floats(min_value=-1.0, max_value=20.0),
@@ -445,3 +445,31 @@ def test_profile_lies_below_certified_frontier():
 
     for eps, dh, se in zip(prof.eps_grid, prof.delta_hat, prof.stderr):
         assert dh <= frontier_delta(eps) + 3 * se
+
+
+# ---------------------------------------------------------------------------
+# Input checks: each rejection raises its WishartDpError subclass and names the argument
+# ---------------------------------------------------------------------------
+
+_E1 = np.array([1.0, 0.0])
+_REJECTIONS = {
+    "ratio-r": (lambda: sample_ratio_arrays(0.5, 10, 0, 10, Seed(1)), "r"),
+    "ratio-rho": (lambda: sample_ratio_arrays(1.5, 10, 2, 10, Seed(1)), "rho"),
+    "ratio-n": (lambda: sample_ratio_arrays(0.5, 10, 2, 0, Seed(1)), "n"),
+    "support-r": (lambda: delta_support(0.5, 0, 10, Seed(1)), "r"),
+    "support-n": (lambda: delta_support(0.5, 2, 1, Seed(1)), "n"),
+    "profile-rho": (lambda: mc_privacy_profile(0.0, 10, 2, [1.0], 100, Seed(1)), "rho"),
+    "profile-n": (lambda: mc_privacy_profile(0.5, 10, 2, [1.0], 1, Seed(1)), "n"),
+    "point-outside-half-space": (lambda: ratio_from_point(-_E1, _E1, _E1[::-1], 2), "v"),
+    "density-shapes": (lambda: log_density_mv(np.ones(3), _E1, 2, 1.0), "y"),
+    "density-r": (lambda: log_density_mv(_E1, _E1, 0, 1.0), "r"),
+    "density-sigma2": (lambda: log_density_mv(_E1, _E1, 2, 0.0), "sigma2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_input_check_raises_and_names_the_argument(case):
+    call, name = _REJECTIONS[case]
+    with pytest.raises(DomainError, match=rf"\b{name}\b") as raised:
+        call()
+    assert raised.type is DomainError

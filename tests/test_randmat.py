@@ -238,3 +238,21 @@ def test_capture_fraction_haar_invariance():
     a = capture_fraction_samples(d, r, u, n, Seed(MASTER, 96))
     b = capture_fraction_samples(d, r, Q @ u, n, Seed(MASTER, 97))
     assert stats.ks_2samp(a, b).statistic < 0.02
+
+
+# ---------------------------------------------------------------------------
+# Input checks: each rejection raises its WishartDpError subclass and names the argument
+# ---------------------------------------------------------------------------
+
+_REJECTIONS = {
+    "split-U-rows": (lambda: orthogonal_split(np.ones((4, 2)), np.eye(3)[:, :1]), "U"),
+    "child-negative-index": (lambda: Seed(1).child(-1), "index"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_input_check_raises_and_names_the_argument(case):
+    call, name = _REJECTIONS[case]
+    with pytest.raises(DomainError, match=rf"\b{name}\b") as raised:
+        call()
+    assert raised.type is DomainError

@@ -17,6 +17,8 @@ from hypothesis import strategies as hst
 from wishart_dp import specialfn as sf
 from wishart_dp.errors import DomainError
 
+from conftest import examples
+
 
 def test_normal_cdf_symmetry_point():
     assert sf.normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
@@ -194,7 +196,7 @@ _WRAPPERS = {
 }
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300))
 @given(hst.data(), hst.sampled_from(sorted(_WRAPPERS)))
 def test_wrappers_reject_bad_arguments(data, name):
     spec = _WRAPPERS[name]
@@ -206,7 +208,7 @@ def test_wrappers_reject_bad_arguments(data, name):
         getattr(sf, name)(*args)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=examples(500))
 @given(hst.data(), hst.sampled_from(sorted(_WRAPPERS)))
 def test_wrappers_never_return_nan(data, name):
     # In-domain arguments give a float that is not NaN, or DomainError where
@@ -224,7 +226,7 @@ _ROUNDTRIP_DOF = hst.floats(min_value=0.5, max_value=1e4)
 _ROUNDTRIP_P = hst.floats(min_value=1e-12, max_value=1.0 - 1e-12)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=examples(400))
 @given(_ROUNDTRIP_DOF, _ROUNDTRIP_P)
 def test_t_roundtrip_property(nu, p):
     assert sf.student_t_cdf(nu, sf.student_t_quantile(nu, p)) == pytest.approx(
@@ -232,7 +234,7 @@ def test_t_roundtrip_property(nu, p):
     )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=examples(400))
 @given(_ROUNDTRIP_DOF, _ROUNDTRIP_P)
 def test_chi2_roundtrip_property(nu, p):
     assert sf.chi2_cdf(nu, sf.chi2_quantile(nu, p)) == pytest.approx(

@@ -18,13 +18,11 @@ from wishart_dp.accountants import (
 from wishart_dp.errors import ConfigError, DomainError
 from wishart_dp.randmat import Seed, wishart_draw
 from wishart_dp.trainer import (
-    FULL_BATCH,
     NOISY_PROJ_BLOCK,
     DpTrainConfig,
     Mechanism,
     TaskKind,
     TrainTask,
-    _batch_indices,
     _clipped_mean_grad_B,
     budget_spent,
     dp_lora_fa,
@@ -37,7 +35,7 @@ from wishart_dp.trainer import (
     train,
 )
 
-from conftest import MASTER
+from conftest import MASTER, examples
 
 
 @pytest.fixture()
@@ -218,7 +216,7 @@ def test_dp_lora_fa_budget_bisects_once_per_run(monkeypatch):
     assert budgets[-1][0] == 8.0 and budgets[-1][1] <= 1e-5
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100))
 @given(
     eps=hst.floats(min_value=0.1, max_value=20.0),
     log_delta=hst.floats(min_value=-10.0, max_value=-2.0),
@@ -251,21 +249,6 @@ def test_dp_lora_fa_per_example_clip_bound(ridge_task):
     clipped = norms * factors
     assert np.all(clipped <= beta + 1e-12)
     assert np.any(norms > beta)  # the threshold actually binds somewhere
-
-
-def test_poisson_subsampling_mean_batch(ridge_task):
-    from wishart_dp.trainer import _batch_indices
-
-    cfg = DpTrainConfig(T=1, eta=0.1, batch=20, mechanism=Mechanism.DP_LORA_FA, sigma=0.0)
-    base = Seed(MASTER, 418)
-    sizes = []
-    for i in range(10**4):
-        idx, _ = _batch_indices(ridge_task, cfg, base.child(i).generator())
-        sizes.append(len(idx))
-    mean = float(np.mean(sizes))
-    q = 20 / ridge_task.n_examples
-    se = math.sqrt(ridge_task.n_examples * q * (1 - q) / len(sizes))
-    assert abs(mean - 20.0) <= 3 * se
 
 
 def test_dp_lora_fa_decreases_loss_within_budget(ridge_task):
@@ -317,19 +300,17 @@ def test_noisy_proj_step_zero_clip_limit():
 def _m2_step(task, cfg, W, seed):
     """One noisy-projection step from W, rebuilt from its parts.
 
-    The Poisson batch draws from seed, then the gradient's M2 release from seed.child(0).
+    The M2 mechanism releases the full-batch gradient, drawing from seed.child(0).
     """
-    idx, _ = _batch_indices(task, cfg, seed.generator())
-    return W - cfg.eta * mechanisms.noisy_mech(task.grad_W(W, idx).T, cfg._m2_params, seed.child(0)).T
+    return W - cfg.eta * mechanisms.noisy_mech(task.grad_W(W).T, cfg._m2_params, seed.child(0)).T
 
 
 def test_noisy_proj_step_equals_m2_mechanism_bitwise():
-    # d = 12, r = 6 samples the direct path and d = 128, r = 64 the sketch; a
-    # Poisson batch draws from the step's seed before the mechanism resets it
-    for d, r, batch in [(12, 6, FULL_BATCH), (128, 64, FULL_BATCH), (12, 6, 10)]:
+    # d = 12, r = 6 samples the direct path and d = 128, r = 64 the sketch
+    for d, r in [(12, 6), (128, 64)]:
         task = make_ridge_task(40, d, Seed(MASTER, 436))
         cfg = DpTrainConfig(
-            T=2, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.4, clip=0.7, r=r, batch=batch,
+            T=2, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.4, clip=0.7, r=r,
             eps_target=None, delta_target=None,
         )
         assert cfg._m2_params == mechanisms.NoisyMechParams(
@@ -355,16 +336,17 @@ def test_noisy_proj_step_equals_m2_mechanism_bitwise():
 
 
 @pytest.mark.parametrize(
-    "r, batch, path",
-    [(16, FULL_BATCH, mechanisms.FOLD), (64, FULL_BATCH, mechanisms.SKETCH), (4, 30, mechanisms.FOLD)],
+    "r, path",
+    [(16, mechanisms.FOLD), (64, mechanisms.SKETCH), (4, mechanisms.FOLD)],
+    ids=["16-full-fold", "64-full-sketch", "4-full-fold"],
 )
-def test_train_noisy_proj_blocks_equal_single_steps(r, batch, path):
+def test_train_noisy_proj_blocks_equal_single_steps(r, path):
     # train draws the steps a block at a time; each step it yields equals
     # _m2_step's from the previous weights, bit for bit, across a whole block
     # and the 3-step remainder of T = 19
     task = make_logistic_task(60, 128, 10, Seed(MASTER, 440))
     assert mechanisms._path(mechanisms.Variant.M2, 128, r, 10) == path
-    cfg = DpTrainConfig(T=19, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1.0, r=r, batch=batch)
+    cfg = DpTrainConfig(T=19, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1.0, r=r)
     assert cfg.T % NOISY_PROJ_BLOCK != 0
     run_seed = Seed(MASTER, 441)
     W = np.zeros((10, 128))
@@ -383,16 +365,15 @@ _BLOCK_SHAPES = {
 }
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30))
 @given(
     path=hst.sampled_from(sorted(_BLOCK_SHAPES)),
     T=hst.integers(1, 40),
-    batch=hst.sampled_from([FULL_BATCH, 30]),
 )
-def test_train_noisy_proj_does_not_depend_on_the_block_size(path, T, batch):
+def test_train_noisy_proj_does_not_depend_on_the_block_size(path, T):
     task, r = _BLOCK_SHAPES[path]
     assert mechanisms._path(mechanisms.Variant.M2, task.n_features, r, task.n_out) == path
-    cfg = DpTrainConfig(T=T, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1.0, r=r, batch=batch)
+    cfg = DpTrainConfig(T=T, eta=0.3, mechanism=Mechanism.NOISY_PROJ, sigma=0.5, clip=1.0, r=r)
     expect = [W for W, _ in train(task, cfg, Seed(MASTER, 442))]
     for block in (1, 5, T + 3):
         with pytest.MonkeyPatch.context() as patch:
@@ -413,7 +394,7 @@ def test_noisy_proj_multi_step_budget():
         assert delta == pytest.approx(_cheapest(mu, t, 1.0, candidates), rel=1e-12)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150))
 @given(
     mechanism=hst.sampled_from([Mechanism.DP_LORA_FA, Mechanism.NOISY_PROJ]),
     d=hst.integers(2, 300),
@@ -551,7 +532,7 @@ def test_fit_dispatches_all_mechanisms():
 
 @pytest.mark.parametrize("mech, extra", [
     (Mechanism.NOISE_FREE_LORA, {}),
-    (Mechanism.DP_LORA_FA, {"sigma": 0.1, "clip": 1.0, "batch": 10}),
+    (Mechanism.DP_LORA_FA, {"sigma": 0.1, "clip": 1.0}),
     (Mechanism.NOISY_PROJ, {"sigma": 0.1, "clip": 1.0}),
     (Mechanism.RP_GD, {}),
 ])
@@ -579,11 +560,6 @@ def test_config_validation():
                       clip=1.0, mechanism=Mechanism.DP_LORA_FA)
     with pytest.raises(ConfigError):
         DpTrainConfig(T=5, eta=0.1, eps_target=1.0)
-    with pytest.raises(ConfigError):
-        DpTrainConfig(T=5, eta=0.1, batch=0)
-    # bool is an int subclass, so batch=True would pass for a batch of 1
-    with pytest.raises(ConfigError):
-        DpTrainConfig(T=5, eta=0.1, batch=True)
     for field, value in (("T", 2.5), ("T", 2.0), ("T", True), ("r", 2.5)):
         with pytest.raises(ConfigError, match=field):
             DpTrainConfig(**{"T": 5, "eta": 0.1, field: value})
@@ -600,9 +576,19 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="delta_target"):
         DpTrainConfig(T=5, eta=0.1, sigma=0.5, delta_target=1e-5, clip=1.0, mechanism=Mechanism.DP_LORA_FA)
     DpTrainConfig(T=5, eta=0.1, eps_target=1.0, delta_target=1e-5, clip=1.0, mechanism=Mechanism.DP_LORA_FA)
-    # noise-free LoRA and rp_gd still accept the targets they do not read
+    # DP-LoRA without sigma or eps_target would add no noise; sigma = 0 is its
+    # clipped noise-free run
+    for extra in ({}, {"delta_target": 1e-5}):
+        with pytest.raises(ConfigError, match="sigma"):
+            DpTrainConfig(T=5, eta=0.1, clip=1.0, mechanism=Mechanism.DP_LORA_FA, **extra)
+    DpTrainConfig(T=5, eta=0.1, sigma=0.0, clip=1.0, mechanism=Mechanism.DP_LORA_FA)
+    # noise-free LoRA and rp_gd add no noise, so they reject a sigma, even 0,
+    # but still accept the targets they do not read
     for mech in (Mechanism.NOISE_FREE_LORA, Mechanism.RP_GD):
-        DpTrainConfig(T=5, eta=0.1, eps_target=8.0, delta_target=1e-5, mechanism=mech)
+        for sigma in (0.0, 0.5):
+            with pytest.raises(ConfigError, match="sigma"):
+                DpTrainConfig(T=5, eta=0.1, sigma=sigma, mechanism=mech)
+        DpTrainConfig(T=5, eta=0.1, eps_target=8.0, delta_target=1e-5, clip=2.0, mechanism=mech)
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.1, -math.inf])
@@ -622,14 +608,13 @@ def test_load_config_roundtrip(tmp_path):
         "# sample config\n"
         "T = 12\n"
         "eta = 0.25\n"
-        "batch = full\n"
         "clip = 1.5\n"
         "sigma = 0.3\n"
         "mechanism = noisy_proj\n"
         "r = 6\n"
     )
     cfg = load_config(path)
-    assert cfg.T == 12 and cfg.eta == 0.25 and cfg.batch == FULL_BATCH
+    assert cfg.T == 12 and cfg.eta == 0.25 and cfg.clip == 1.5 and cfg.sigma == 0.3
     assert cfg.mechanism is Mechanism.NOISY_PROJ and cfg.r == 6
 
 
@@ -657,6 +642,10 @@ def test_task_kinds_and_example_loss():
     losses = [t.example_loss(W, x, y) for y in range(4)]
     # cross-entropy of the argmax class is the smallest
     assert int(np.argmin(losses)) == int(np.argmax(W @ x))
+    # a ridge probe's loss is half its squared residual
+    ridge = make_ridge_task(30, 6, Seed(MASTER, 473))
+    w = W[:1]
+    assert ridge.example_loss(w, x, 0.5) == pytest.approx(0.5 * (float(w[0] @ x) - 0.5) ** 2, rel=1e-15)
     # a NaN probe feature or ridge target is rejected rather than scored NaN
     with pytest.raises(DomainError):
         t.example_loss(W, np.r_[math.nan, x[1:]], 0)
@@ -729,11 +718,43 @@ def test_config_rejects_budget_with_unbounded_clip():
     DpTrainConfig(T=5, eta=0.1, sigma=0.0, mechanism=Mechanism.DP_LORA_FA)
 
 
-def test_config_rejects_rp_gd_minibatch():
-    # rp_gd steps on the full-batch gradient: a batch setting would be ignored
-    with pytest.raises(ConfigError, match="batch"):
-        DpTrainConfig(T=5, eta=0.1, batch=3, mechanism=Mechanism.RP_GD)
-    DpTrainConfig(T=5, eta=0.1, batch=FULL_BATCH, mechanism=Mechanism.RP_GD)
+def _config_file(tmp_path, text):
+    path = tmp_path / "train.cfg"
+    path.write_text(text)
+    return path
+
+
+# case -> (call on a temporary directory, the error it raises, a pattern that names the argument)
+_REJECTIONS = {
+    "task-non-finite-X": (
+        lambda tmp: TrainTask(TaskKind.RIDGE, 2, 1, X=[[math.nan, 1.0], [1.0, 1.0]], y=[1.0, 1.0]),
+        DomainError, r"\bX\b"),
+    "ridge-optimum-of-logistic-task": (
+        lambda tmp: make_logistic_task(10, 3, 2, Seed(MASTER, 474)).ridge_optimum(), DomainError, "ridge_optimum"),
+    "ridge-task-n": (lambda tmp: make_ridge_task(0, 3, Seed(MASTER, 475)), DomainError, r"\bn\b"),
+    "config-T": (lambda tmp: DpTrainConfig(T=0, eta=0.1), DomainError, r"\bT\b"),
+    "config-clip": (lambda tmp: DpTrainConfig(T=5, eta=0.1, clip=0.0), DomainError, r"\bclip\b"),
+    "rp-gd-mechanism": (
+        lambda tmp: next(rp_gd(make_ridge_task(10, 3, Seed(MASTER, 475)), np.zeros(3),
+                               DpTrainConfig(T=1, eta=0.1), Seed(1))),
+        ConfigError, r"\bmechanism\b"),
+    "rp-gd-vector-output": (
+        lambda tmp: next(rp_gd(make_logistic_task(10, 3, 2, Seed(MASTER, 474)), np.zeros(3), _rp_cfg(0.1, 1, 2),
+                               Seed(1))),
+        DomainError, r"\bn_out\b"),
+    "config-line-without-equals": (
+        lambda tmp: load_config(_config_file(tmp, "T = 5\neta 0.1\n")), ConfigError, r"train\.cfg:2: "),
+    "config-without-T": (lambda tmp: load_config(_config_file(tmp, "eta = 0.1\n")), ConfigError, r"\bT\b"),
+    "config-without-eta": (lambda tmp: load_config(_config_file(tmp, "T = 5\n")), ConfigError, r"\beta\b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_input_check_raises_and_names_the_argument(tmp_path, case):
+    call, error, pattern = _REJECTIONS[case]
+    with pytest.raises(error, match=pattern) as raised:
+        call(tmp_path)
+    assert raised.type is error
 
 
 def test_config_rejects_out_of_range_budget_inputs():
@@ -749,7 +770,7 @@ def test_config_rejects_out_of_range_budget_inputs():
 
 @hst.composite
 def _ghost_cases(draw):
-    """(task, W, A, idx, clip): a small task, weights, factor and batch."""
+    """(task, W, A, clip): a small task, weights and factor."""
     kind = draw(hst.sampled_from([TaskKind.RIDGE, TaskKind.LOGISTIC]))
     n = draw(hst.integers(1, 30))
     d = draw(hst.integers(1, 12))
@@ -762,57 +783,50 @@ def _ghost_cases(draw):
     rng = seed.child(1).generator()
     W = rng.standard_normal((task.n_out, d)) * draw(hst.sampled_from([0.0, 0.1, 1.0, 10.0]))
     A = rng.standard_normal((r, d)) / math.sqrt(r)
-    # None is the full batch; a Poisson batch may be empty (rate 0) or hold everyone
-    rate = draw(hst.one_of(hst.none(), hst.sampled_from([0.0, 0.3, 1.0])))
-    idx = None if rate is None else np.flatnonzero(rng.random(n) < rate)
     clip = draw(hst.one_of(hst.just(math.inf), hst.floats(1e-3, 10.0)))
-    return task, W, A, idx, clip
+    return task, W, A, clip
 
 
-def _materialized_clipped_mean(task, W, A, idx, clip, divisor):
+def _materialized_clipped_mean(task, W, A, clip):
     """Oracle clipped mean, and the sum of its terms' norms (the scale of rounding error)."""
-    gB = np.einsum("bnd,rd->bnr", task.per_example_grad_W(W, idx), A)
+    gB = np.einsum("bnd,rd->bnr", task.per_example_grad_W(W), A)
     if math.isfinite(clip):
         norms = np.sqrt(np.einsum("bnr,bnr->b", gB, gB))
         gB = gB * np.minimum(1.0, clip / np.maximum(norms, 1e-300))[:, None, None]
-    return gB.sum(axis=0) / divisor, np.sqrt(np.einsum("bnr,bnr->b", gB, gB)).sum() / divisor
+    n = task.n_examples
+    return gB.sum(axis=0) / n, np.sqrt(np.einsum("bnr,bnr->b", gB, gB)).sum() / n
 
 
-def _ghost(task, W, A, idx, clip, divisor):
+def _ghost(task, W, A, clip):
     """_clipped_mean_grad_B through the run's X A^T and its row norms, as dp_lora_fa forms them."""
     XA = task.X @ A.T
-    return _clipped_mean_grad_B(task, W, XA, np.linalg.norm(XA, axis=1), idx, clip, divisor)
+    return _clipped_mean_grad_B(task, W, XA, np.linalg.norm(XA, axis=1), clip)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150))
 @given(_ghost_cases())
 def test_ghost_clipped_mean_matches_materialized_oracle(case):
-    task, W, A, idx, clip = case
-    divisor = 7
-    got = _ghost(task, W, A, idx, clip, divisor)
-    want, scale = _materialized_clipped_mean(task, W, A, idx, clip, divisor)
+    task, W, A, clip = case
+    got = _ghost(task, W, A, clip)
+    want, scale = _materialized_clipped_mean(task, W, A, clip)
     assert got.shape == (task.n_out, A.shape[0])
-    if idx is not None and idx.size == 0:
-        assert np.array_equal(got, np.zeros_like(got))
-    else:
-        # relative to the summed term norms: clipped terms may cancel to ~0 in the sum
-        assert np.linalg.norm(got - want) <= 1e-12 * scale
-    # a full-batch run's first step, from W = 0, clips through the X A^T it formed once
+    # relative to the summed term norms: clipped terms may cancel to ~0 in the sum
+    assert np.linalg.norm(got - want) <= 1e-12 * scale
+    # a run's first step, from W = 0, clips through the X A^T it formed once
     cfg = DpTrainConfig(T=1, eta=0.1, mechanism=Mechanism.DP_LORA_FA, sigma=0.0, clip=clip, r=A.shape[0])
     [(_, ghat)] = dp_lora_fa(task, A, cfg, Seed(MASTER, 491))
-    W0 = np.zeros_like(W)
-    want, scale = _materialized_clipped_mean(task, W0, A, None, clip, task.n_examples)
+    want, scale = _materialized_clipped_mean(task, np.zeros_like(W), A, clip)
     assert np.linalg.norm(ghat - want) <= 1e-12 * scale
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100))
 @given(_ghost_cases())
 def test_ghost_clipped_per_example_norms_within_clip(case):
-    task, W, A, idx, clip = case
-    rows = range(task.n_examples) if idx is None else idx
-    for b in rows:
-        one = _ghost(task, W, A, np.array([b]), clip, 1)
-        assert np.linalg.norm(one) <= clip * (1.0 + 1e-12)
+    # each example's clipped B-gradient, as the mean over a task of that example alone
+    task, W, A, clip = case
+    for b in range(task.n_examples):
+        alone = TrainTask(task.kind, task.n_features, task.n_classes, X=task.X[b : b + 1], y=task.y[b : b + 1])
+        assert np.linalg.norm(_ghost(alone, W, A, clip)) <= clip * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +836,7 @@ def test_ghost_clipped_per_example_norms_within_clip(case):
 
 @hst.composite
 def _logistic_kernel_cases(draw):
-    """(task, W, idx): a logistic task, weights whose largest logit is up to 700 in size, and a batch."""
+    """(task, W): a logistic task, and weights whose largest logit is up to 700 in size."""
     n_classes = draw(hst.integers(1, 10))
     n = draw(hst.integers(1, 40))
     d = draw(hst.integers(1, 16))
@@ -831,17 +845,10 @@ def _logistic_kernel_cases(draw):
     rng = seed.child(1).generator()
     W = rng.standard_normal((n_classes, d))
     W *= draw(hst.floats(0.0, 700.0)) / max(float(np.abs(task.X @ W.T).max()), 1e-300)
-    batch = draw(hst.sampled_from(["full", "poisson", "empty", "single"]))
-    idx = {
-        "full": None,
-        "poisson": np.flatnonzero(rng.random(n) < 0.5),
-        "empty": np.array([], dtype=int),
-        "single": np.array([int(rng.integers(n))]),
-    }[batch]
-    return task, W, idx
+    return task, W
 
 
-def _row_major_oracle(task, W, idx):
+def _row_major_oracle(task, W):
     """P, grad_W and loss by the row-major (n x n_out) formulas, each with its scale.
 
     The scale is the size of the terms a value is formed from (softmax plus
@@ -849,8 +856,7 @@ def _row_major_oracle(task, W, idx):
     class-major kernel sums in another order, and softmax minus one-hot may
     cancel to ~0.
     """
-    X = task.X if idx is None else task.X[idx]
-    y = task.y if idx is None else task.y[idx]
+    X, y = task.X, task.y
     rows = np.arange(X.shape[0])
     Z = X @ W.T
     Z -= Z.max(axis=1, keepdims=True)
@@ -861,8 +867,6 @@ def _row_major_oracle(task, W, idx):
     onehot[rows, y] = 1.0
     P = S - onehot
     reg_term = 0.5 * task.reg * float(np.sum(W * W))
-    if X.shape[0] == 0:
-        return P, S, task.reg * W, np.abs(task.reg * W), 0.0, 0.0
     G = P.T @ X / X.shape[0] + task.reg * W
     G_scale = (S + onehot).T @ np.abs(X) / X.shape[0] + np.abs(task.reg * W)
     loss = float(np.mean(log_norm - Z[rows, y])) + reg_term
@@ -870,18 +874,17 @@ def _row_major_oracle(task, W, idx):
     return P, S + onehot, G, G_scale, loss, loss_scale
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300))
 @given(_logistic_kernel_cases())
 def test_class_major_softmax_matches_row_major_formulas(case):
-    task, W, idx = case
-    P_want, P_scale, G_want, G_scale, loss_want, loss_scale = _row_major_oracle(task, W, idx)
-    X, P = task.output_grad(W, idx)
-    assert np.array_equal(X, task.X if idx is None else task.X[idx])
-    assert P.shape == P_want.shape == (X.shape[0], task.n_classes)
+    task, W = case
+    P_want, P_scale, G_want, G_scale, loss_want, loss_scale = _row_major_oracle(task, W)
+    P = task.output_grad(W)
+    assert P.shape == P_want.shape == (task.n_examples, task.n_classes)
     assert np.all(np.abs(P - P_want) <= 1e-12 * P_scale + 1e-300)
-    G = task.grad_W(W, idx)
+    G = task.grad_W(W)
     assert G.shape == W.shape
     assert np.all(np.abs(G - G_want) <= 1e-12 * G_scale + 1e-300)
-    assert abs(task.loss(W, idx) - loss_want) <= 1e-12 * loss_scale + 1e-300
+    assert abs(task.loss(W) - loss_want) <= 1e-12 * loss_scale + 1e-300
     # the cached X^T and one-hot Y^T leave the task's data as they were
     assert np.array_equal(task._Xt, task.X.T) and np.array_equal(task._Yt.argmax(axis=0), task.y)
