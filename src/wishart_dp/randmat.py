@@ -1,10 +1,30 @@
 """Seeded Gaussian/Wishart sampling, orthogonal projectors, and exact splits.
 
 All sampling goes through an explicit ``Seed`` (master key plus substream
-index) backed by the counter-based Philox generator, so identical seeds
-reproduce identical draws bit for bit and parallel Monte Carlo loops can hand
-each chunk its own substream without coordination. Matrices are plain numpy
-arrays treated as immutable values.
+index) backed by an SFC64 generator, so identical seeds reproduce identical
+draws bit for bit and parallel Monte Carlo loops can hand each chunk its own
+substream without coordination. Matrices are plain numpy arrays treated as
+immutable values.
+
+SFC64 (Doty-Humphrey's small fast chaotic generator) is not counter-based, so
+a seed is hashed into its 256-bit state: the words
+(h(master), h(stream ^ c), h(master ^ h(stream)), 1), h the splitmix64
+finalizer and c a fixed odd constant, after which the first 12 outputs are
+discarded, as the generator's author advises. Why distinct seeds keep apart:
+
+- h is a bijection of 64-bit words, so distinct (master, stream) pairs give
+  distinct 256-bit states (the first two words alone determine the pair);
+- the SFC64 round is a bijection of its state, so the states stay distinct
+  after the discard;
+- the fourth word is a 64-bit counter, so every stream has a period of at
+  least 2^64 and no stream cycles within 2^64 draws.
+
+Distinct keys of a counter-based generator such as Philox give disjoint
+streams by construction. Here no two streams overlap only with high
+probability: if the hashed states fall like random points of the state
+space, whose cycles average about 2^255 states, n streams of L draws overlap
+with probability of order n^2 L / 2^255. That is a probability bound, not a
+structural guarantee.
 
 Every Wishart matrix in the package is M = Z Z^T with the r columns of Z
 holding i.i.d. N(0, 1/r) entries, so that E[M] = I; wishart_factor is the
@@ -22,6 +42,10 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 
 _MASK64 = (1 << 64) - 1
+# Seed keying (module docstring): the stream word's salt, and the outputs
+# discarded after keying.
+_STREAM_SALT = 0x6A09E667F3BCC909
+_DISCARD = 12
 
 
 def _splitmix64(x: int) -> int:
@@ -34,7 +58,7 @@ def _splitmix64(x: int) -> int:
 
 @dataclass(frozen=True)
 class Seed:
-    """Key for a reproducible random stream: (master, stream) -> Philox."""
+    """Key for a reproducible random stream: (master, stream) -> a hashed SFC64 state."""
 
     master: int
     stream: int = 0
@@ -46,26 +70,34 @@ class Seed:
                 raise DomainError(f"Seed.{name} must be an unsigned 64-bit integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.master, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        # SFC64(0) seeds from a fixed SeedSequence, so it reads no OS entropy
+        return self.reset(np.random.Generator(np.random.SFC64(0)))
 
     def reset(self, rng: np.random.Generator) -> np.random.Generator:
         """rng, a generator() of any seed, rewound to the start of this seed's stream.
 
         Its draws then equal self.generator()'s bit for bit. A loop that keys
-        a generator per step resets one instead: building a Philox draws an
-        OS-entropy SeedSequence that the key then overrides, 9-11 us against
-        about 2 us for the reset on a 2-vCPU x86 host. The state setter copies
-        each word, so plain tuples serve, at half the cost of numpy arrays.
+        a generator per step resets one instead: on a 2-vCPU x86 host the
+        reset costs 4.2-4.8 us, 1.8 us of it the four splitmix64 rounds,
+        against 14-15 us for generator(). The state setter copies each word,
+        so a plain tuple serves, and random_raw(12) discards in about 0.6 us
+        against 2.1 us for random_raw(12, output=False).
         """
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (self.master, self.stream)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
+        master, stream = int(self.master), int(self.stream)
+        words = (
+            _splitmix64(master),
+            _splitmix64(stream ^ _STREAM_SALT),
+            _splitmix64(master ^ _splitmix64(stream)),
+            1,
+        )
+        bits = rng.bit_generator
+        bits.state = {
+            "bit_generator": "SFC64",
+            "state": {"state": words},
             "has_uint32": 0,
             "uinteger": 0,
         }
+        bits.random_raw(_DISCARD)
         return rng
 
     def child(self, index: int) -> "Seed":

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats
 
 from wishart_dp.errors import DegenerateInputError, DomainError
 from wishart_dp.randmat import (
     OrthogonalSplit,
     Seed,
+    _splitmix64,
     capture_fraction,
     col_projector,
     orthogonal_split,
@@ -17,7 +20,9 @@ from wishart_dp.randmat import (
     wishart_factor,
 )
 
-from conftest import MASTER, capture_fraction_samples
+from conftest import MASTER, capture_fraction_samples, examples
+
+_U64 = hst.integers(0, (1 << 64) - 1)
 
 
 def test_seed_determinism_bitwise():
@@ -35,7 +40,7 @@ def test_seed_reset_replays_a_fresh_generator():
     rng = Seed(MASTER, 3).generator()
     seeds = (Seed(0), Seed(MASTER, 4), Seed(MASTER, 5).child(7), Seed((1 << 64) - 1, (1 << 64) - 1))
     for seed in seeds:
-        # leave the generator mid-buffer: a half-used 64-bit word and a part-used Philox block
+        # leave the generator mid-buffer: a half-used 64-bit word and a part-drawn SFC64 stream
         rng.integers(0, 10, 3)
         rng.standard_normal(5)
         assert seed.reset(rng) is rng
@@ -43,6 +48,52 @@ def test_seed_reset_replays_a_fresh_generator():
         assert np.array_equal(rng.integers(0, 10, 5), fresh.integers(0, 10, 5))
         assert np.array_equal(rng.standard_normal(33), fresh.standard_normal(33))
         assert np.array_equal(rng.random(7), fresh.random(7))
+
+
+def _sfc64_reference(master: int, stream: int, n: int) -> list[int]:
+    """The first n outputs of the documented keying, from a plain-Python SFC64."""
+    mask = (1 << 64) - 1
+    a = _splitmix64(master)
+    b = _splitmix64(stream ^ 0x6A09E667F3BCC909)
+    c = _splitmix64(master ^ _splitmix64(stream))
+    w = 1
+    out = []
+    for _ in range(12 + n):
+        t = (a + b + w) & mask
+        w = (w + 1) & mask
+        a, b, c = b ^ (b >> 11), (c + (c << 3)) & mask, (((c << 24) | (c >> 40)) + t) & mask
+        out.append(t)
+    return out[12:]
+
+
+@pytest.mark.parametrize(
+    "seed, words",
+    [
+        (Seed(0, 0), [0x458DD0580514E0F0, 0xAE021A193D02C4A4, 0x01A22DE0F3432B3A, 0x6FB41B6BD117DB47]),
+        (
+            Seed((1 << 64) - 1, (1 << 64) - 1),
+            [0xED193B38D5BF9127, 0x358261FAF1BF9637, 0x5CA7B36BF4F222DD, 0xE08047577C11E9D1],
+        ),
+    ],
+)
+def test_seed_keying_known_answer(seed, words):
+    # pins the keying: a silent change to the hash, the salt or the discard fails here
+    assert seed.generator().bit_generator.random_raw(4).tolist() == words
+    as_numpy = Seed(np.uint64(seed.master), np.uint64(seed.stream))
+    assert as_numpy.generator().bit_generator.random_raw(4).tolist() == words
+    assert _sfc64_reference(seed.master, seed.stream, 4) == words
+
+
+@settings(max_examples=examples(200))
+@given(_U64, _U64, _U64, _U64)
+def test_seed_reset_replays_generator_for_any_key(m1, s1, m2, s2):
+    a, b = Seed(m1, s1), Seed(m2, s2)
+    rng = b.generator()
+    rng.standard_normal(3)
+    first = a.generator().bit_generator.random_raw(8)
+    assert np.array_equal(a.reset(rng).bit_generator.random_raw(8), first)
+    if (m1, s1) != (m2, s2):
+        assert b.generator().bit_generator.random_raw() != first[0]
 
 
 def test_seed_children_are_distinct():
