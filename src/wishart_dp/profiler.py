@@ -34,7 +34,12 @@ the tails. sample_ratio_arrays and privacy_loss_array, the loss at given
 (A, B) arrays, are allocating wrappers over the same in-place helpers;
 ratio_from_point builds the (A, B) pair of one concrete output.
 delta_support, a Monte Carlo estimate of P(A <= 0) alone, serves the vector
-accountants; the profile does not call it.
+accountants; the profile does not call it. It averages
+Phi(-scale sqrt(X)) over X ~ chi2_r, and Phi is exactly +0.0 in double
+precision below _PHI_ZERO, which at large rho and r holds for nearly every
+draw. So Phi is evaluated only on the draws with X < (_PHI_ZERO / scale)^2,
+scattered into an otherwise zero chunk buffer, and the sums run over the
+whole buffer: the result equals the plain mean over every draw bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +58,10 @@ from .randmat import Seed
 from .specialfn import log_gamma
 
 _CHUNK = 1 << 17
+# Phi(-39) is about 1.4e-333, below half the smallest subnormal (2.5e-324), so
+# any correctly rounded Phi returns +0.0 at and below it; scipy's ndtr does so
+# from -37.68 on.
+_PHI_ZERO = -39.0
 
 
 def _check_ratio_args(rho: float, d: int, r: int) -> None:
@@ -144,7 +153,12 @@ def _map_chunks(fn, chunks, threads: int):
 
 
 def delta_support(rho: float, r: int, n: int, seed: Seed) -> tuple[float, float]:
-    """Monte Carlo mean of Phi(-rho sqrt(X) / sqrt(1 - rho^2)) over X ~ chi2_r."""
+    """Monte Carlo mean of Phi(-rho sqrt(X) / sqrt(1 - rho^2)) over X ~ chi2_r.
+
+    Chunk i draws X from seed.child(i) as numpy's chisquare does. Phi is
+    evaluated only where X < (_PHI_ZERO / scale)^2 and is +0.0 elsewhere, so
+    (mean, stderr) are bit-identical to the plain mean over every draw.
+    """
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"delta_support requires rho in (0, 1], got {rho}")
     if r < 1:
@@ -154,11 +168,34 @@ def delta_support(rho: float, r: int, n: int, seed: Seed) -> tuple[float, float]
     if rho == 1.0:
         return 0.0, 0.0
     scale = rho / math.sqrt(1.0 - rho * rho)
+    # Phi(-scale sqrt(x)) is +0.0 from x_max on; a product, not ** 2, so that a
+    # tiny scale gives x_max = inf (every draw live) rather than OverflowError
+    x_edge = _PHI_ZERO / scale
+    x_max = x_edge * x_edge
+    rng = seed.generator()
+    m = min(n, _CHUNK)
+    # vals_buf is zero outside a chunk's live draws: set there, re-zeroed after the sums
+    x_buf, vals_buf = np.empty(m), np.zeros(m)
     s1 = s2 = 0.0
     for chunk_seed, size in _chunk_seeds(seed, n):
-        vals = ndtr(-scale * np.sqrt(chunk_seed.generator().chisquare(r, size)))
+        x, vals = x_buf[:size], vals_buf[:size]
+        chunk_seed.reset(rng).standard_gamma(0.5 * r, out=x)
+        x *= 2.0  # chisquare(r), bit for bit
+        live = np.flatnonzero(x < x_max)
+        if live.size == 0:
+            continue  # every Phi is +0.0: both sums gain exactly 0.0
+        # Gather and scatter, never ndtr(..., out=, where=): under scipy 1.17.1
+        # that left 0.0 at a live entry, and erfc(..., where=) wrote into a
+        # masked-out one.
+        z = x[live]  # a copy, so its -scale sqrt is formed in place
+        np.sqrt(z, out=z)
+        z *= -scale
+        vals[live] = ndtr(z, out=z)
+        # both sums run over the whole chunk: pairwise summation of the live
+        # entries alone would round differently
         s1 += float(np.sum(vals))
-        s2 += float(np.sum(vals * vals))
+        s2 += float(np.sum(np.multiply(vals, vals, out=x)))
+        vals[live] = 0.0
     mean = s1 / n
     var = max(0.0, s2 / n - mean * mean)
     return mean, math.sqrt(var / n)

@@ -55,6 +55,16 @@ CASES = {
         "account-vec --rho 0.999 --d 400 --r 128 --delta-prime 1e-3 --seed 7 --support-samples 10000",
         None,
     ),
+    # the support Monte Carlo on chunks where Phi is mostly exactly 0 (a
+    # partial last chunk included), and on chunks where every draw is live
+    "account-vec-support-mixed": (
+        "account-vec --rho 0.999 --d 400 --r 8 --delta-prime 1e-3 --seed 7 --support-samples 200000",
+        None,
+    ),
+    "account-vec-support-dense": (
+        "account-vec --rho 0.97 --d 50 --r 4 --delta-prime 1e-3 --seed 7 --support-samples 10000",
+        None,
+    ),
     "account-small-r": (
         "account-small-r --eps 1 --sens 1 --s 1 --d 2048 --r 32 --sigma 0.5 --alpha 0.0235",
         None,

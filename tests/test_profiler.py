@@ -6,13 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy import stats
 
 from wishart_dp import profiler
 from wishart_dp.errors import DomainError, OutsideSupportError
-from scipy.special import stdtr
+from scipy.special import ndtr, stdtr
 
 from wishart_dp.profiler import (
     _chunk_seeds,
@@ -139,6 +139,92 @@ def test_delta_support_self_consistency():
     est1, se1 = delta_support(0.5, 4, 10**6, Seed(MASTER, 312))
     est2, se2 = delta_support(0.5, 4, 10**7, Seed(MASTER, 313))
     assert abs(est1 - est2) <= 3 * math.sqrt(se1**2 + se2**2)
+
+
+def _support_oracle(rho, r, n, seed):
+    """(mean, stderr) of the plain expression over every draw, and the kinds of
+    chunk seen ("zero", "mixed", "live", "partial"): an oracle kept independent
+    of delta_support's sparse kernel."""
+    scale = rho / math.sqrt(1.0 - rho * rho)
+    s1 = s2 = 0.0
+    kinds = set()
+    for chunk_seed, size in _chunk_seeds(seed, n):
+        z = -scale * np.sqrt(chunk_seed.generator().chisquare(r, size))
+        vals = ndtr(z)
+        s1 += float(np.sum(vals))
+        s2 += float(np.sum(vals * vals))
+        live = np.count_nonzero(z > profiler._PHI_ZERO)
+        kinds.add("zero" if live == 0 else "live" if live == size else "mixed")
+        if size < profiler._CHUNK:
+            kinds.add("partial")
+    mean = s1 / n
+    return mean, math.sqrt(max(0.0, s2 / n - mean * mean) / n), kinds
+
+
+# (rho, r, n, stream): chunks where every Phi is 0, mixed chunks, chunks where
+# every draw is live, partial last chunks, a scale so small that
+# (39 / scale)^2 overflows, and two mixed chunks whose sum (first) or sum of
+# squares (second) over the live draws alone rounds differently
+SUPPORT_EXAMPLES = [
+    (0.999, 128, 2 * profiler._CHUNK + 5, 0),
+    (0.999, 8, 200_000, 0),
+    (0.999, 16, 3 * profiler._CHUNK, 0),
+    (0.5, 4, profiler._CHUNK + 1, 0),
+    (0.97, 1, 2, 0),
+    (5e-324, 1, 1000, 0),
+    (0.999, 4, profiler._CHUNK, 2),
+    (0.999, 4, profiler._CHUNK, 4),
+]
+
+
+def _with_support_examples(test):
+    for rho, r, n, stream in SUPPORT_EXAMPLES:
+        test = example(rho=rho, r=r, n=n, stream=stream)(test)
+    return test
+
+
+@settings(max_examples=examples(30))
+@_with_support_examples
+@given(
+    rho=hst.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    | hst.sampled_from([0.5, 0.97, 0.99, 0.999, 0.9999]),
+    r=hst.integers(1, 40) | hst.integers(1, 600),
+    n=hst.integers(2, 3 * profiler._CHUNK),
+    stream=hst.integers(0, 2**16),
+)
+def test_delta_support_is_bit_identical_to_plain_mean(rho, r, n, stream):
+    seed = Seed(MASTER, 316).child(stream)
+    mean, se = delta_support(rho, r, n, seed)
+    want_mean, want_se, _ = _support_oracle(rho, r, n, seed)
+    assert (mean.hex(), se.hex()) == (want_mean.hex(), want_se.hex())
+
+
+def test_support_examples_cover_every_chunk_kind():
+    kinds = set()
+    for rho, r, n, stream in SUPPORT_EXAMPLES:
+        kinds |= _support_oracle(rho, r, n, Seed(MASTER, 316).child(stream))[2]
+    assert kinds == {"zero", "mixed", "live", "partial"}
+
+
+def test_ndtr_is_exactly_zero_below_phi_zero():
+    # delta_support skips Phi below _PHI_ZERO as exactly +0.0; a scipy whose
+    # ndtr is nonzero there would make the skip change results, and fails here.
+    # A skipped draw's argument -scale sqrt(x) may round a few ulps above
+    # _PHI_ZERO, hence the point 1e-12 (relative) above it.
+    edge = profiler._PHI_ZERO * np.array([1.0, 1.0 - 1e-12])
+    z = np.concatenate((edge, -np.geomspace(-profiler._PHI_ZERO, 1e308, 4000), [-np.inf]))
+    p = ndtr(z)
+    assert np.all(p == 0.0) and not np.signbit(p).any()
+
+
+@pytest.mark.parametrize("rho, stream", [(0.5, 314), (0.9, 315)])
+def test_delta_support_matches_student_t_support_mass(rho, stream):
+    # E[Phi(-rho sqrt(X) / sqrt(1 - rho^2))], X ~ chi2_r, is exactly
+    # F_{t_r}(-rho sqrt(r) / sqrt(1 - rho^2))
+    r = 4
+    est, se = delta_support(rho, r, 10**6, Seed(MASTER, stream))
+    exact = float(stdtr(r, -rho * math.sqrt(r) / math.sqrt(1.0 - rho * rho)))
+    assert abs(est - exact) <= 4.0 * se
 
 
 def test_delta_support_rejects_nonpositive_rho():

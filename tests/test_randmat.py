@@ -109,6 +109,19 @@ def test_seed_validation():
         Seed(0, 1 << 64)
 
 
+@pytest.mark.parametrize(
+    "master, stream", [(1, np.int64(5)), (1, np.uint64(2**63 + 5)), (np.int64(7), np.uint64((1 << 64) - 1))]
+)
+def test_seed_with_numpy_integer_keys_equals_plain_int_seed(master, stream):
+    # numpy keys are stored as plain ints, so child() does no numpy scalar
+    # arithmetic (an OverflowError for int64, a RuntimeWarning for uint64)
+    plain = Seed(int(master), int(stream))
+    seed = Seed(master, stream)
+    assert seed == plain and type(seed.master) is int and type(seed.stream) is int
+    assert seed.child(0) == plain.child(0)
+    assert seed.child(np.int64(3)) == plain.child(3)
+
+
 def test_gaussian_matrix_law_of_large_numbers():
     # entries have mean 0 and variance 1/r, r the last dimension
     X = wishart_factor(Seed(MASTER, 10).generator(), 1000, 1000) * math.sqrt(1000)
